@@ -3,8 +3,10 @@
 Subcommands: gen, zeta, beta, bounds, stats, verify, play, experiment.
 Graph files are auto-detected by extension (.json, anything else is treated
 as an edge list).  JSON reports encode unreachable/unbounded values as null.
-Exit status is 0 exactly when the command's report is consistent or all its
-checks pass.
+Exit status: 0 when the report is consistent, the play captured or every
+check passed; 1 for a negative answer; 2 when a solver budget is exceeded
+(or argparse rejects the command line); 3 when a graph or decomposition
+file cannot be read.
 """
 
 from __future__ import annotations
@@ -26,14 +28,8 @@ from .experiment import ExperimentConfig, run_experiment, rows_to_csv
 from .families import FamilySpec, FAMILIES
 from .game import BudgetExceededError, localization_number_exact, optimal_robber, play
 from .hypergraph import greedy_vertex_cover
-from .resolve import (
-    c_parameter,
-    distinguisher_hypergraph,
-    lp_upper_bound,
-    metric_dimension_exact,
-)
+from .resolve import c_parameter, distinguisher_hypergraph, metric_dimension_exact
 from .stats import doubly_regular_check, e4c_count, quasirandom_deviation, sameness
-from .structure import localization_lower_bound, out_degeneracy, spread_m, strong_components
 from .decomposition import DagDecomposition, PathDecomposition, read_decomposition
 from .strategies import (
     dag_decomp_sweep,
@@ -42,15 +38,27 @@ from .strategies import (
     rotation_strategy,
     sc_composite,
 )
-from .verify import CHECKS, run_checks
+from .verify import CHECKS, bounds_report, run_checks
+
+
+class InputError(Exception):
+    """A graph or decomposition file could not be read."""
+
+
+def _read(reader, path):
+    """``reader(path)``, with any failure to read raised as InputError."""
+    try:
+        return reader(path)
+    except OSError as exc:
+        raise InputError(f"{path}: {exc.strerror or exc}") from exc
+    except KeyError as exc:
+        raise InputError(f"{path}: missing key {exc}") from exc
+    except (ValueError, TypeError) as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _jsonable(value):
-    if value == INF:
-        return None
-    if isinstance(value, float) and value.is_integer():
-        return value
-    return value
+    return None if value == INF else value
 
 
 def _emit(data, out: str | None) -> None:
@@ -83,7 +91,7 @@ def cmd_gen(args) -> int:
             raise SystemExit("gen binary_source needs --base <graph-file>")
         from .families import binary_source_extension
 
-        g = binary_source_extension(read_digraph(args.base))
+        g = binary_source_extension(_read(read_digraph, args.base))
         _write(to_json(g) + "\n" if args.format == "json" else to_edge_list(g), args.out)
         return 0
     else:
@@ -94,7 +102,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_zeta(args) -> int:
-    g = read_digraph(args.graph)
+    g = _read(read_digraph, args.graph)
     report: dict = {"n": g.n}
     try:
         zeta = localization_number_exact(g, k_max=args.max_cops)
@@ -111,78 +119,49 @@ def cmd_zeta(args) -> int:
 
 
 def cmd_beta(args) -> int:
-    g = read_digraph(args.graph)
+    g = _read(read_digraph, args.graph)
     beta, witness = metric_dimension_exact(g)
     _emit({"n": g.n, "beta": beta, "witness": sorted(witness.vertices)}, args.out)
     return 0
 
 
 def cmd_bounds(args) -> int:
-    g = read_digraph(args.graph)
-    dm = all_pairs_distances(g)
-    report: dict = {"n": g.n}
-
-    zeta = localization_number_exact(g, k_max=args.max_cops, dm=dm)
-    beta, _ = metric_dimension_exact(g, dm)
-    lower_dt = localization_lower_bound(g, dm)
-    upper_lp = lp_upper_bound(g, dm)
-
-    scc = strong_components(g)
-    comp_zetas = []
-    for comp in scc.components:
-        sub, _ = g.induced(comp)
-        comp_zetas.append(localization_number_exact(sub))
-    delta = max((scc.condensation.out_degree(i) for i in range(len(scc))), default=0)
-    upper_sc = max(comp_zetas) + delta
-
-    report.update(
-        {
-            "zeta": zeta,
-            "beta": beta,
-            "lower_dt": lower_dt,
-            "upper_lp": _jsonable(upper_lp),
-            "upper_sc": upper_sc,
-            "spread": _jsonable(spread_m(g, dm)),
-            "out_degeneracy": out_degeneracy(g),
-        }
-    )
-    consistent = (
-        zeta is not None
-        and lower_dt <= zeta <= beta <= min(upper_lp, g.n)
-        and zeta <= upper_sc
-    )
-    report["consistent"] = consistent
-    _emit(report, args.out)
-    return 0 if consistent else 1
+    g = _read(read_digraph, args.graph)
+    report = bounds_report(g, k_max=args.max_cops)
+    _emit({"n": g.n, **{k: _jsonable(v) for k, v in report.items()}}, args.out)
+    return 0 if report["consistent"] else 1
 
 
 def cmd_stats(args) -> int:
-    g = read_digraph(args.graph)
+    g = _read(read_digraph, args.graph)
     dm = all_pairs_distances(g)
+    tournament = g.is_tournament()
+    c = c_parameter(g, dm)
     report: dict = {
         "n": g.n,
         "arcs": g.arc_count,
-        "tournament": g.is_tournament(),
+        "tournament": tournament,
         "diameter": _jsonable(diameter(g, dm)),
-        "c_parameter": float(c_parameter(g, dm)),
+        "c_parameter": float(c),
         "beta_greedy": len(greedy_vertex_cover(distinguisher_hypergraph(g, dm))),
     }
     # the separation rate under the reversed distance convention, when it
     # disagrees with the default witness-to-pair reading
     c_reverse = c_parameter(g, dm, direction="pair-to-witness")
-    if c_reverse != c_parameter(g, dm):
+    if c_reverse != c:
         report["c_parameter_pair_to_witness"] = float(c_reverse)
-    if g.is_tournament():
+    if tournament:
         s_values = [
             sameness(g, u, v).s for u in range(g.n) for v in range(u + 1, g.n)
         ]
+        e4c = e4c_count(g)
         report.update(
             {
                 "doubly_regular": doubly_regular_check(g),
                 "s_min": min(s_values),
                 "s_max": max(s_values),
-                "e4c": e4c_count(g),
-                "e4c_ratio": e4c_count(g) / (g.n ** 4 / 2),
+                "e4c": e4c,
+                "e4c_ratio": e4c / (g.n ** 4 / 2),
                 "sameness_deviation": quasirandom_deviation(g),
             }
         )
@@ -201,7 +180,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_play(args) -> int:
-    g = read_digraph(args.graph)
+    g = _read(read_digraph, args.graph)
     if args.strategy == "dag_sweep":
         strategy = dag_sweep(g)
     elif args.strategy == "sc_composite":
@@ -213,7 +192,7 @@ def cmd_play(args) -> int:
     elif args.strategy in ("path_sweep", "dag_decomp_sweep"):
         if not args.decomposition:
             raise SystemExit(f"{args.strategy} needs --decomposition <file>")
-        decomp = read_decomposition(args.decomposition)
+        decomp = _read(read_decomposition, args.decomposition)
         if args.strategy == "path_sweep":
             if not isinstance(decomp, PathDecomposition):
                 raise SystemExit("path_sweep needs a path decomposition file")
@@ -312,6 +291,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -251,7 +251,10 @@ def dag_decomposition_to_json(dd: DagDecomposition) -> str:
 
 
 def dag_decomposition_from_json(text: str) -> DagDecomposition:
-    data = json.loads(text)
+    return _dag_decomposition(json.loads(text))
+
+
+def _dag_decomposition(data: dict) -> DagDecomposition:
     index = Digraph(data["index"]["n"], [tuple(a) for a in data["index"]["arcs"]])
     return DagDecomposition(index, data["bags"])
 
@@ -260,5 +263,5 @@ def read_decomposition(path: str | Path) -> PathDecomposition | DagDecomposition
     """Load either decomposition kind; the presence of "index" decides."""
     data = json.loads(Path(path).read_text())
     if "index" in data:
-        return dag_decomposition_from_json(json.dumps(data))
-    return path_decomposition_from_json(json.dumps(data))
+        return _dag_decomposition(data)
+    return PathDecomposition(data["bags"])

@@ -318,17 +318,6 @@ class GameTranscript:
         return transcript
 
 
-def candidates_before_round(
-    g: Digraph, rounds: Sequence[Round]
-) -> frozenset[int]:
-    """Candidate set at the instant before the next probe, replayed from a
-    transcript prefix."""
-    if not rounds:
-        return frozenset(range(g.n))
-    last = rounds[-1]
-    return last.stepped
-
-
 class OptimalRobber:
     """Information-set adversary backed by the exact solver.
 

@@ -4,7 +4,6 @@ log-degree rounding bound)."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -92,7 +91,9 @@ class FractionalCover:
 
 def fractional_vertex_cover(h: Hypergraph) -> FractionalCover:
     """Optimal fractional cover: minimize sum(x) with sum over each edge >= 1
-    and 0 <= x <= 1, solved by the in-package simplex.
+    and x >= 0, solved by the in-package simplex.  No upper bound x <= 1 is
+    needed: lowering any x_v > 1 to 1 keeps every edge covered, so no
+    optimum exceeds 1.
 
     Raises :class:`EmptyEdgeError` when an edge is empty (infeasible).
     """
@@ -103,19 +104,14 @@ def fractional_vertex_cover(h: Hypergraph) -> FractionalCover:
     if m == 0:
         return FractionalCover(0.0, (0.0,) * n)
 
-    # standard form: x (n) | edge surplus (m) | upper-bound slack (n)
-    cols = n + m + n
-    a = np.zeros((m + n, cols))
-    b = np.zeros(m + n)
+    # standard form: x (n) | edge surplus (m)
+    cols = n + m
+    a = np.zeros((m, cols))
+    b = np.ones(m)
     for i, e in enumerate(h.edges):
         for v in e:
             a[i, v] = 1.0
         a[i, n + i] = -1.0
-        b[i] = 1.0
-    for v in range(n):
-        a[m + v, v] = 1.0
-        a[m + v, n + m + v] = 1.0
-        b[m + v] = 1.0
     c = np.zeros(cols)
     c[:n] = 1.0
     try:
@@ -132,19 +128,3 @@ def lovasz_bound(h: Hypergraph, tau_star: float) -> float:
     if d == 0:
         return 0.0
     return (1.0 + math.log(d)) * tau_star
-
-
-# -- JSON ------------------------------------------------------------------
-
-
-def hypergraph_to_json(h: Hypergraph) -> str:
-    data: dict = {"n": h.n, "edges": [sorted(e) for e in h.edges]}
-    if h.labels is not None:
-        data["labels"] = [list(l) for l in h.labels]
-    return json.dumps(data)
-
-
-def hypergraph_from_json(text: str) -> Hypergraph:
-    data = json.loads(text)
-    labels = [tuple(l) for l in data["labels"]] if "labels" in data else None
-    return Hypergraph(data["n"], data["edges"], labels)

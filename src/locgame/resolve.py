@@ -15,8 +15,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
-from .digraph import INF, Digraph, DistanceMatrix, all_pairs_distances
-from .hypergraph import EmptyEdgeError, Hypergraph
+from .digraph import Digraph, DistanceMatrix, all_pairs_distances
+from .hypergraph import Hypergraph
 
 CASE_PATH = "case1"
 CASE_SOURCE_PLUS_PATH = "case2"
@@ -141,14 +141,8 @@ def c_parameter(
 def lp_upper_bound(g: Digraph, dm: DistanceMatrix | None = None) -> float:
     """Covering bound on the metric dimension: (1 + 2 ln n) / c.
 
-    INF when some pair has no separating witness (c = 0); for distinguisher
-    hypergraphs this cannot occur, but the guard mirrors the EmptyEdge
-    handling of the LP route.
+    Always finite: every distinguisher edge contains its own pair x, y, so
+    c >= 2/n.
     """
-    try:
-        c = c_parameter(g, dm)
-    except EmptyEdgeError:
-        return INF
-    if c == 0:
-        return INF
+    c = c_parameter(g, dm)
     return (1.0 + 2.0 * math.log(g.n)) / float(c)

@@ -24,38 +24,17 @@ class StrategyError(RuntimeError):
     """The transcript contradicts the strategy's guarantees."""
 
 
-class DagSweep:
-    """One cop probing a topological order; sound on acyclic digraphs only.
+class BagSweep:
+    """Probe a fixed schedule of bags, one bag per round.
 
-    Arcs only move the robber toward later vertices, so once a vertex is
-    probed it can never rejoin the candidate class; after n rounds nothing
-    is left to hide on.
+    ``dag_sweep``, ``path_sweep`` and ``dag_decomp_sweep`` build the
+    schedule and the budget; the sweep itself is the same for all three.
     """
 
-    name = "dag_sweep"
-    cops = 1
-
-    def __init__(self, g: Digraph):
-        self.order = topological_sort(g)
-
-    def next(self, transcript: GameTranscript) -> tuple[int, ...]:
-        done = len(transcript.rounds)
-        if done >= len(self.order):
-            raise StrategyError("sweep exhausted the order without capture")
-        return (self.order[done],)
-
-
-class PathSweep:
-    """Probe the bags of a valid path decomposition in order; budget width+1."""
-
-    name = "path_sweep"
-
-    def __init__(self, g: Digraph, pd: PathDecomposition):
-        result = validate_path_decomposition(g, pd)
-        if not result.valid:
-            raise ValueError(f"invalid path decomposition: {result.violation}")
-        self.bags = [tuple(sorted(b)) for b in pd.bags]
-        self.cops = result.width + 1
+    def __init__(self, name: str, bags: list[tuple[int, ...]], cops: int):
+        self.name = name
+        self.bags = bags
+        self.cops = cops
 
     def next(self, transcript: GameTranscript) -> tuple[int, ...]:
         done = len(transcript.rounds)
@@ -64,25 +43,8 @@ class PathSweep:
         return self.bags[done]
 
 
-class DagDecompSweep:
-    """Probe the bags of a valid DAG decomposition along a topological order
-    of its index digraph; budget = width = largest bag."""
-
-    name = "dag_decomp_sweep"
-
-    def __init__(self, g: Digraph, dd: DagDecomposition):
-        result = validate_dag_decomposition(g, dd)
-        if not result.valid:
-            raise ValueError(f"invalid DAG decomposition: {result.violation}")
-        order = topological_sort(dd.index_dag)
-        self.bags = [tuple(sorted(dd.bags[i])) for i in order if dd.bags[i]]
-        self.cops = result.width
-
-    def next(self, transcript: GameTranscript) -> tuple[int, ...]:
-        done = len(transcript.rounds)
-        if done >= len(self.bags):
-            raise StrategyError("all bags swept without capture")
-        return self.bags[done]
+# the name benchmarks/tracing.py instruments
+DagSweep = BagSweep
 
 
 class ScComposite:
@@ -113,10 +75,7 @@ class ScComposite:
             tuple(scc.components[child][0] for child in scc.condensation.out_neighbors(i))
             for i in range(len(scc))
         ]
-        delta = max(
-            (scc.condensation.out_degree(i) for i in range(len(scc))), default=0
-        )
-        self.cops = max(len(b) for b in self.bases) + delta
+        self.cops = max(len(b) for b in self.bases) + scc.max_out_degree
 
     def _probe_for_phase(self, phase: int) -> tuple[int, ...]:
         return tuple(sorted(set(self.bases[phase]) | set(self.markers[phase])))
@@ -195,16 +154,33 @@ def _window_start(members: list[int], n: int) -> int:
     return best_start
 
 
-def dag_sweep(g: Digraph) -> DagSweep:
-    return DagSweep(g)
+def dag_sweep(g: Digraph) -> BagSweep:
+    """One cop probing a topological order; sound on acyclic digraphs only.
+
+    Arcs only move the robber toward later vertices, so once a vertex is
+    probed it can never rejoin the candidate class; after n rounds nothing
+    is left to hide on.
+    """
+    return BagSweep("dag_sweep", [(v,) for v in topological_sort(g)], 1)
 
 
-def path_sweep(g: Digraph, pd: PathDecomposition) -> PathSweep:
-    return PathSweep(g, pd)
+def path_sweep(g: Digraph, pd: PathDecomposition) -> BagSweep:
+    """Probe the bags of a valid path decomposition in order; budget width+1."""
+    result = validate_path_decomposition(g, pd)
+    if not result.valid:
+        raise ValueError(f"invalid path decomposition: {result.violation}")
+    return BagSweep("path_sweep", [tuple(sorted(b)) for b in pd.bags], result.width + 1)
 
 
-def dag_decomp_sweep(g: Digraph, dd: DagDecomposition) -> DagDecompSweep:
-    return DagDecompSweep(g, dd)
+def dag_decomp_sweep(g: Digraph, dd: DagDecomposition) -> BagSweep:
+    """Probe the bags of a valid DAG decomposition along a topological order
+    of its index digraph; budget = width = largest bag."""
+    result = validate_dag_decomposition(g, dd)
+    if not result.valid:
+        raise ValueError(f"invalid DAG decomposition: {result.violation}")
+    order = topological_sort(dd.index_dag)
+    bags = [tuple(sorted(dd.bags[i])) for i in order if dd.bags[i]]
+    return BagSweep("dag_decomp_sweep", bags, result.width)
 
 
 def sc_composite(g: Digraph) -> ScComposite:

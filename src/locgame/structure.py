@@ -31,6 +31,13 @@ class SccDecomposition:
     def __len__(self) -> int:
         return len(self.components)
 
+    @property
+    def max_out_degree(self) -> int:
+        """Largest out-degree in the condensation (0 for a single component)."""
+        return max(
+            (self.condensation.out_degree(i) for i in range(len(self))), default=0
+        )
+
 
 def strong_components(g: Digraph) -> SccDecomposition:
     """Tarjan's algorithm (iterative), components renumbered topologically."""
@@ -114,14 +121,6 @@ def topological_sort(g: Digraph) -> list[int]:
     if len(order) != g.n:
         raise CyclicGraphError("digraph has a directed cycle")
     return order
-
-
-def is_acyclic(g: Digraph) -> bool:
-    try:
-        topological_sort(g)
-    except CyclicGraphError:
-        return False
-    return True
 
 
 def out_degeneracy(g: Digraph) -> int:

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .digraph import Digraph, all_pairs_distances, diameter
+from .digraph import Digraph, DistanceMatrix, all_pairs_distances, diameter
 from .decomposition import DagDecomposition, PathDecomposition
 from .families import (
     blowup,
@@ -32,7 +32,12 @@ from .resolve import (
     metric_dimension_exact,
 )
 from .stats import doubly_regular_check, sameness
-from .structure import localization_lower_bound, strong_components
+from .structure import (
+    localization_lower_bound,
+    out_degeneracy,
+    spread_m,
+    strong_components,
+)
 from .strategies import (
     dag_decomp_sweep,
     dag_sweep,
@@ -107,6 +112,45 @@ def check_sc_tight() -> list[CheckResult]:
     return [_result("sc_tight", "m=3,delta=1", zeta == 3, f"zeta={zeta} expected=3")]
 
 
+# -- the bound report ----------------------------------------------------------
+
+
+def bounds_report(
+    g: Digraph, dm: DistanceMatrix | None = None, k_max: int | None = None
+) -> dict:
+    """zeta and beta with every bound around them, as the ``bounds`` command
+    reports them (unreachable values stay INF).
+
+    ``upper_sc`` is the strong-component bound: the largest component zeta
+    plus the condensation's maximum out-degree.  ``consistent`` holds when
+    lower_dt <= zeta <= beta <= min(upper_lp, n) and zeta <= upper_sc; it is
+    False when zeta exceeds ``k_max`` (zeta is then None).
+    """
+    dm = dm or all_pairs_distances(g)
+    zeta = localization_number_exact(g, k_max=k_max, dm=dm)
+    beta, _ = metric_dimension_exact(g, dm)
+    lower_dt = localization_lower_bound(g, dm)
+    upper_lp = lp_upper_bound(g, dm)
+    scc = strong_components(g)
+    upper_sc = scc.max_out_degree + max(
+        localization_number_exact(g.induced(comp)[0]) for comp in scc.components
+    )
+    return {
+        "zeta": zeta,
+        "beta": beta,
+        "lower_dt": lower_dt,
+        "upper_lp": upper_lp,
+        "upper_sc": upper_sc,
+        "spread": spread_m(g, dm),
+        "out_degeneracy": out_degeneracy(g),
+        "consistent": (
+            zeta is not None
+            and lower_dt <= zeta <= beta <= min(upper_lp, g.n)
+            and zeta <= upper_sc
+        ),
+    }
+
+
 # -- random structural suites ------------------------------------------------
 
 
@@ -168,7 +212,7 @@ def check_dim1(trials: int = 200, seed: int = 20241) -> list[CheckResult]:
 
 
 def check_chain(seed: int = 20242) -> list[CheckResult]:
-    """Lower/upper bound chain on every exactly solved instance."""
+    """The bound report is consistent on every exactly solved instance."""
     out = []
     instances: list[tuple[str, Digraph]] = [
         (name, g) for name, g, _ in exact_instances()
@@ -181,13 +225,9 @@ def check_chain(seed: int = 20242) -> list[CheckResult]:
         instances.append((f"small_{t}", random_digraph(rng, n, rng.uniform(0.2, 0.9))))
     bad = []
     for name, g in instances:
-        dm = all_pairs_distances(g)
-        zeta = localization_number_exact(g, dm=dm)
-        beta, _ = metric_dimension_exact(g, dm)
-        lower = localization_lower_bound(g, dm)
-        upper = min(lp_upper_bound(g, dm), float(g.n))
-        if not (lower <= zeta <= beta <= upper):
-            bad.append((name, lower, zeta, beta, upper))
+        report = bounds_report(g)
+        if not report["consistent"]:
+            bad.append((name, report))
     return [
         _result(
             "chain", "lower<=zeta<=beta<=upper", not bad,
@@ -207,16 +247,9 @@ def check_sc_bound(trials: int = 100, seed: int = 20243) -> list[CheckResult]:
         if max(len(c) for c in scc.components) > 6:
             continue
         done += 1
-        zeta = localization_number_exact(g)
-        worst = 0
-        for comp in scc.components:
-            sub, _ = g.induced(comp)
-            worst = max(worst, localization_number_exact(sub))
-        delta = max(
-            (scc.condensation.out_degree(i) for i in range(len(scc))), default=0
-        )
-        if zeta > worst + delta:
-            bad.append((g.sorted_arcs(), zeta, worst, delta))
+        report = bounds_report(g)
+        if report["zeta"] > report["upper_sc"]:
+            bad.append((g.sorted_arcs(), report["zeta"], report["upper_sc"]))
     return [
         _result(
             "sc", f"{trials}_random_digraphs", not bad,

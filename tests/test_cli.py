@@ -158,6 +158,67 @@ class TestBudgetGuard:
         assert report["zeta"] is None and "budget" in report["error"]
 
 
+class TestBadInput:
+    """Unreadable graph and decomposition files exit 3 with one error line."""
+
+    GRAPHS = {
+        "self_loop.txt": "3\n0 1\n1 1\n",
+        "non_integer.txt": "3\n0 x\n",
+        "bad_arc.json": '{"n": 3, "arcs": [[0]]}',
+        "bad_syntax.json": '{"n": 3, "arcs": [[0, 1]',
+        "no_arcs.json": '{"n": 3}',
+    }
+
+    def run_bad(self, capsys, *argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        return captured.err
+
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    @pytest.mark.parametrize("command", ["zeta", "beta", "bounds", "stats"])
+    def test_malformed_graph(self, capsys, tmp_path, name, command):
+        path = tmp_path / name
+        path.write_text(self.GRAPHS[name])
+        assert name in self.run_bad(capsys, command, str(path))
+
+    def test_missing_graph(self, capsys, tmp_path):
+        err = self.run_bad(capsys, "zeta", str(tmp_path / "absent.txt"))
+        assert "No such file" in err
+
+    def test_missing_base_graph(self, capsys, tmp_path):
+        self.run_bad(capsys, "gen", "binary_source", "--base", str(tmp_path / "absent.txt"))
+
+    def test_self_loop_names_the_vertex(self, capsys, tmp_path):
+        path = tmp_path / "g.txt"
+        path.write_text(self.GRAPHS["self_loop.txt"])
+        assert "self-loop at vertex 1" in self.run_bad(capsys, "zeta", str(path))
+
+    @pytest.mark.parametrize(
+        "text", ["", '{"bag": [[0, 1, 2]]}', '{"index": {"n": 2, "arcs": []}, "bags": [[0]]}'],
+    )
+    def test_malformed_decomposition(self, capsys, tmp_path, text):
+        graph = tmp_path / "c3.txt"
+        write_digraph(rotation_tournament(1), graph)
+        decomp = tmp_path / "d.json"
+        decomp.write_text(text)
+        self.run_bad(
+            capsys, "play", str(graph), "--strategy", "path_sweep",
+            "--decomposition", str(decomp),
+        )
+
+    def test_missing_decomposition(self, capsys, tmp_path):
+        graph = tmp_path / "c3.txt"
+        write_digraph(rotation_tournament(1), graph)
+        self.run_bad(
+            capsys, "play", str(graph), "--strategy", "dag_decomp_sweep",
+            "--decomposition", str(tmp_path / "absent.json"),
+        )
+
+
 class TestPlay:
     def test_dag_sweep(self, capsys, tmp_path):
         path = tmp_path / "t4.txt"

@@ -13,7 +13,7 @@ from locgame import (
     greedy_vertex_cover,
     lovasz_bound,
 )
-from locgame.hypergraph import hypergraph_from_json, hypergraph_to_json, max_membership
+from locgame.hypergraph import max_membership
 
 LP_TOL = 1e-9
 
@@ -128,16 +128,6 @@ class TestHypergraphBasics:
     def test_label_arity(self):
         with pytest.raises(ValueError, match="label"):
             Hypergraph(2, [{0}], labels=[])
-
-    def test_json_round_trip(self):
-        h = Hypergraph(4, [{0, 1}, {2, 3}], labels=[(0, 1), (2, 3)])
-        again = hypergraph_from_json(hypergraph_to_json(h))
-        assert again.n == h.n and again.edges == h.edges and again.labels == h.labels
-
-    def test_json_without_labels(self):
-        h = Hypergraph(2, [{0, 1}])
-        again = hypergraph_from_json(hypergraph_to_json(h))
-        assert again.labels is None
 
 
 def _random_hypergraph(rng: random.Random) -> Hypergraph:

@@ -52,7 +52,7 @@ class TestDagSweep:
     def test_probes_follow_topological_order(self):
         g = Digraph(4, [(2, 0), (0, 1), (1, 3)])
         strategy = dag_sweep(g)
-        assert strategy.order == [2, 0, 1, 3]
+        assert strategy.bags == [(2,), (0,), (1,), (3,)]
 
 
 class TestPathSweep:

@@ -40,6 +40,11 @@ class TestStrongComponents:
         scc = strong_components(sc_tight(3, 1))
         assert sorted(len(c) for c in scc.components) == [7, 7]
 
+    def test_max_out_degree_of_condensation(self):
+        assert strong_components(cycle3()).max_out_degree == 0
+        assert strong_components(sc_tight(3, 1)).max_out_degree == 1
+        assert strong_components(transitive_tournament(4)).max_out_degree == 3
+
     def test_component_ids_topologically_ordered(self, rng):
         for _ in range(30):
             g = random_oriented_digraph(rng, rng.randint(1, 9), 0.4)
