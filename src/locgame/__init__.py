@@ -67,8 +67,10 @@ from .stats import (
     doubly_regular_check,
     e4c_count,
     neighborhood_profile,
+    pair_sameness,
     quasirandom_deviation,
     sameness,
+    sameness_matrix,
 )
 from .game import (
     BudgetExceededError,

@@ -6,7 +6,7 @@ as an edge list).  JSON reports encode unreachable/unbounded values as null.
 Exit status: 0 when the report is consistent, the play captured or every
 check passed; 1 for a negative answer; 2 when a solver budget is exceeded
 (or argparse rejects the command line); 3 when a graph or decomposition
-file cannot be read.
+file cannot be read or does not fit the requested strategy.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .families import FamilySpec, FAMILIES
 from .game import BudgetExceededError, localization_number_exact, optimal_robber, play
 from .hypergraph import greedy_vertex_cover
 from .resolve import c_parameter, distinguisher_hypergraph, metric_dimension_exact
-from .stats import doubly_regular_check, e4c_count, quasirandom_deviation, sameness
+from .stats import doubly_regular_check, e4c_count, quasirandom_deviation, pair_sameness
 from .decomposition import DagDecomposition, PathDecomposition, read_decomposition
 from .strategies import (
     dag_decomp_sweep,
@@ -42,7 +42,8 @@ from .verify import CHECKS, bounds_report, run_checks
 
 
 class InputError(Exception):
-    """A graph or decomposition file could not be read."""
+    """A graph or decomposition file could not be read, or does not fit the
+    requested strategy."""
 
 
 def _read(reader, path):
@@ -151,15 +152,13 @@ def cmd_stats(args) -> int:
     if c_reverse != c:
         report["c_parameter_pair_to_witness"] = float(c_reverse)
     if tournament:
-        s_values = [
-            sameness(g, u, v).s for u in range(g.n) for v in range(u + 1, g.n)
-        ]
+        s_values = pair_sameness(g).tolist()
         e4c = e4c_count(g)
         report.update(
             {
                 "doubly_regular": doubly_regular_check(g),
-                "s_min": min(s_values),
-                "s_max": max(s_values),
+                "s_min": min(s_values, default=None),
+                "s_max": max(s_values, default=None),
                 "e4c": e4c,
                 "e4c_ratio": e4c / (g.n ** 4 / 2),
                 "sameness_deviation": quasirandom_deviation(g),
@@ -179,31 +178,36 @@ def cmd_verify(args) -> int:
     return 0 if not failed else 1
 
 
-def cmd_play(args) -> int:
-    g = _read(read_digraph, args.graph)
+def _strategy(g, args):
     if args.strategy == "dag_sweep":
-        strategy = dag_sweep(g)
-    elif args.strategy == "sc_composite":
-        strategy = sc_composite(g)
-    elif args.strategy == "rotation":
+        return dag_sweep(g)
+    if args.strategy == "sc_composite":
+        return sc_composite(g)
+    if args.strategy == "rotation":
         if g.n % 2 == 0:
             raise SystemExit("rotation strategy needs an odd vertex count")
-        strategy = rotation_strategy((g.n - 1) // 2, cops=args.cops)
-    elif args.strategy in ("path_sweep", "dag_decomp_sweep"):
+        return rotation_strategy((g.n - 1) // 2, cops=args.cops)
+    if args.strategy in ("path_sweep", "dag_decomp_sweep"):
         if not args.decomposition:
             raise SystemExit(f"{args.strategy} needs --decomposition <file>")
         decomp = _read(read_decomposition, args.decomposition)
         if args.strategy == "path_sweep":
             if not isinstance(decomp, PathDecomposition):
                 raise SystemExit("path_sweep needs a path decomposition file")
-            strategy = path_sweep(g, decomp)
-        else:
-            if not isinstance(decomp, DagDecomposition):
-                raise SystemExit("dag_decomp_sweep needs a DAG decomposition file")
-            strategy = dag_decomp_sweep(g, decomp)
-    else:
-        raise SystemExit(f"unknown strategy {args.strategy!r}")
+            return path_sweep(g, decomp)
+        if not isinstance(decomp, DagDecomposition):
+            raise SystemExit("dag_decomp_sweep needs a DAG decomposition file")
+        return dag_decomp_sweep(g, decomp)
+    raise SystemExit(f"unknown strategy {args.strategy!r}")
 
+
+def cmd_play(args) -> int:
+    g = _read(read_digraph, args.graph)
+    try:
+        strategy = _strategy(g, args)
+    except ValueError as exc:
+        # the graph, decomposition or cop budget does not fit the strategy
+        raise InputError(f"{args.strategy}: {exc}") from exc
     robber = optimal_robber(g, strategy.cops)
     max_rounds = args.max_rounds or 5 * g.n
     transcript = play(g, strategy, robber, max_rounds=max_rounds)

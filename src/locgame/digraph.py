@@ -77,12 +77,12 @@ class Digraph:
         return not self._in[u]
 
     def is_tournament(self) -> bool:
-        """True iff exactly one arc joins every pair of distinct vertices."""
-        return len(self.arcs) == self.n * (self.n - 1) // 2 and all(
-            (u, v) in self.arcs or (v, u) in self.arcs
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-        )
+        """True iff exactly one arc joins every pair of distinct vertices.
+
+        The constructor admits at most one arc per pair, so counting the
+        arcs suffices.
+        """
+        return len(self.arcs) == self.n * (self.n - 1) // 2
 
     @property
     def arc_count(self) -> int:

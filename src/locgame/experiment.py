@@ -15,7 +15,7 @@ from .digraph import INF, all_pairs_distances, diameter
 from .families import random_tournament
 from .hypergraph import greedy_vertex_cover
 from .resolve import distinguisher_hypergraph
-from .stats import e4c_count, sameness
+from .stats import e4c_count, pair_sameness
 
 CSV_COLUMNS = (
     "n", "p", "seed", "trial", "diameter", "beta_greedy",
@@ -57,9 +57,7 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
         for trial in range(config.trials):
             g = random_tournament(n, config.p, config.seed + trial)
             dm = all_pairs_distances(g)
-            s_values = [
-                sameness(g, u, v).s for u in range(n) for v in range(u + 1, n)
-            ]
+            s_values = pair_sameness(g).tolist()
             in_bracket = sum(1 for s in s_values if lo <= s <= hi)
             cover = greedy_vertex_cover(distinguisher_hypergraph(g, dm))
             rows.append(

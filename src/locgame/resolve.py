@@ -15,6 +15,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable
 
+import numpy as np
+
 from .digraph import Digraph, DistanceMatrix, all_pairs_distances
 from .hypergraph import Hypergraph
 
@@ -131,11 +133,25 @@ def c_parameter(
     dm: DistanceMatrix | None = None,
     direction: str = "witness-to-pair",
 ) -> Fraction:
-    """Worst-case separation rate: min over pairs of |separating set| / n."""
+    """Worst-case separation rate: min over pairs of |separating set| / n.
+
+    The separating-set sizes of all pairs come from one broadcast comparison
+    per witness (INF stays a float infinity, equal only to itself); the
+    result equals the smallest edge of ``distinguisher_hypergraph`` over n.
+    """
     if g.n < 2:
         return Fraction(1)
-    h = distinguisher_hypergraph(g, dm, direction)
-    return min(Fraction(len(e), g.n) for e in h.edges)
+    if direction not in ("witness-to-pair", "pair-to-witness"):
+        raise ValueError(f"unknown direction {direction!r}")
+    dm = dm or all_pairs_distances(g)
+    dist = np.array(dm.dist, dtype=float)
+    # row w holds the distances compared for witness w: d(w, .) when the
+    # witness probes the pair, d(., w) when the pair reaches the witness
+    rows = dist if direction == "witness-to-pair" else dist.T
+    separated = np.zeros((g.n, g.n), dtype=np.int64)
+    for row in rows:
+        separated += row[:, None] != row
+    return Fraction(int(separated[np.triu_indices(g.n, 1)].min()), g.n)
 
 
 def lp_upper_bound(g: Digraph, dm: DistanceMatrix | None = None) -> float:

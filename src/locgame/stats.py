@@ -1,6 +1,11 @@
 """Tournament statistics: arc-indicator sameness sets, joint neighborhood
 profiles, double regularity, the oriented-4-cycle count, and the sameness
-deviation used to screen quasi-randomness."""
+deviation used to screen quasi-randomness.
+
+The whole-graph statistics come from products of the +-1 indicator matrix C
+(or its 0/1 arc part A), built once per call; the per-pair ``sameness`` and
+``neighborhood_profile`` loops stay as their independent definitions.
+"""
 
 from __future__ import annotations
 
@@ -14,6 +19,17 @@ from .digraph import Digraph
 def _require_tournament(g: Digraph) -> None:
     if not g.is_tournament():
         raise ValueError("operation requires a tournament")
+
+
+def _indicator_matrix(g: Digraph) -> np.ndarray:
+    """The +-1 indicator matrix C of a tournament: C[u, v] = 1 for an arc
+    u -> v, -1 for v -> u, and 0 on the diagonal."""
+    _require_tournament(g)
+    tails, heads = np.array(list(g.arcs), dtype=np.int64).reshape(-1, 2).T
+    c = np.zeros((g.n, g.n), dtype=np.int64)
+    c[tails, heads] = 1
+    c[heads, tails] = -1
+    return c
 
 
 def arc_indicator(g: Digraph, u: int, v: int) -> int:
@@ -50,6 +66,22 @@ def sameness(g: Digraph, u: int, v: int) -> Sameness:
     return Sameness(frozenset(same), len(same), frozenset(diff))
 
 
+def sameness_matrix(g: Digraph) -> np.ndarray:
+    """s(u, v) for every pair at once, as an n x n int64 array.
+
+    Off the diagonal, (C C^T)[u, v] counts the third vertices that agree
+    minus those that differ, so s = (n - 2 + C C^T) / 2.  The diagonal holds
+    no sameness value.
+    """
+    c = _indicator_matrix(g)
+    return (g.n - 2 + c @ c.T) // 2
+
+
+def pair_sameness(g: Digraph) -> np.ndarray:
+    """s(u, v) for the pairs u < v, in row-major order."""
+    return sameness_matrix(g)[np.triu_indices(g.n, 1)]
+
+
 @dataclass(frozen=True)
 class NeighborhoodProfile:
     pp: int  # common out-neighbors
@@ -75,20 +107,20 @@ def neighborhood_profile(g: Digraph, x: int, y: int) -> NeighborhoodProfile:
 
 def doubly_regular_check(g: Digraph) -> bool:
     """Regular tournament where every pair has exactly (n-3)/4 common
-    out-neighbors and (n-3)/4 common in-neighbors."""
-    _require_tournament(g)
+    out-neighbors and (n-3)/4 common in-neighbors.
+
+    With A the 0/1 arc matrix, (A A^T)[x, y] counts common out-neighbors
+    and (A^T A)[x, y] common in-neighbors.
+    """
+    a = (_indicator_matrix(g) == 1).astype(np.int64)
     n = g.n
     if (n - 3) % 4 != 0:
         return False
     target = (n - 3) // 4
-    if any(g.out_degree(v) != (n - 1) // 2 for v in range(n)):
+    if np.any(a.sum(axis=1) != (n - 1) // 2):
         return False
-    for x in range(n):
-        for y in range(x + 1, n):
-            prof = neighborhood_profile(g, x, y)
-            if prof.pp != target or prof.mm != target:
-                return False
-    return True
+    off = ~np.eye(n, dtype=bool)
+    return bool(np.all((a @ a.T)[off] == target) and np.all((a.T @ a)[off] == target))
 
 
 def e4c_count(g: Digraph) -> int:
@@ -105,14 +137,10 @@ def e4c_count(g: Digraph) -> int:
     The count is then (T + sum)/2 with T = n(n-1)(n-2)(n-3) ordered tuples.
     Equals the quartic brute-force count (see tests) at O(n^3) cost.
     """
-    _require_tournament(g)
+    c = _indicator_matrix(g)
     n = g.n
     if n < 4:
         return 0
-    c = -np.ones((n, n), dtype=np.int64)
-    np.fill_diagonal(c, 0)
-    for (u, v) in g.arcs:
-        c[u, v] = 1
     trace4 = int(np.trace(np.linalg.matrix_power(c, 4)))
     distinct_sum = trace4 - n * (n - 1) - 2 * n * (n - 1) * (n - 2)
     total = n * (n - 1) * (n - 2) * (n - 3)
@@ -126,12 +154,6 @@ def quasirandom_deviation(g: Digraph) -> int:
     """Exact sum over ordered pairs of |s(u, v) - n/2|.
 
     Each term is a half-integer; doubling over ordered pairs makes the total
-    an integer, returned exactly.
+    an integer, returned exactly: the sum of |2 s(u, v) - n| over u < v.
     """
-    _require_tournament(g)
-    n = g.n
-    total = 0
-    for u in range(n):
-        for v in range(u + 1, n):
-            total += abs(2 * sameness(g, u, v).s - n)
-    return total
+    return int(np.abs(2 * pair_sameness(g) - g.n).sum())

@@ -31,7 +31,7 @@ from .resolve import (
     metric_dim_one_classifier,
     metric_dimension_exact,
 )
-from .stats import doubly_regular_check, sameness
+from .stats import doubly_regular_check, pair_sameness
 from .structure import (
     localization_lower_bound,
     out_degeneracy,
@@ -381,11 +381,7 @@ def check_paley() -> list[CheckResult]:
         dm = all_pairs_distances(g)
         dr = doubly_regular_check(g)
         target = (q - 3) // 2
-        s_ok = all(
-            sameness(g, u, v).s == target
-            for u in range(q)
-            for v in range(u + 1, q)
-        )
+        s_ok = bool((pair_sameness(g) == target).all())
         diam = diameter(g, dm)
         out.append(
             _result(

@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from locgame import Digraph
 
@@ -12,6 +14,15 @@ def random_oriented_digraph(rng: random.Random, n: int, p: float) -> Digraph:
             if rng.random() < p:
                 arcs.append((u, v) if rng.random() < 0.5 else (v, u))
     return Digraph(n, arcs)
+
+
+@st.composite
+def oriented_digraphs(draw, max_n=10):
+    """Hypothesis strategy: each pair gets an arc either way or none."""
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    kinds = draw(st.lists(st.sampled_from("+-0"), min_size=len(pairs), max_size=len(pairs)))
+    return Digraph(n, [(u, v) if k == "+" else (v, u) for (u, v), k in zip(pairs, kinds) if k != "0"])
 
 
 @pytest.fixture

@@ -124,6 +124,25 @@ class TestReports:
         assert report["s_min"] == report["s_max"] == 2
         assert report["diameter"] == 2
 
+    def test_stats_one_vertex_has_no_pairs(self, capsys, tmp_path):
+        path = tmp_path / "one.txt"
+        path.write_text("1\n")
+        code, out = run_cli(capsys, "stats", str(path))
+        assert code == 0
+        report = json.loads(out)
+        assert report["tournament"] is True
+        assert report["s_min"] is None and report["s_max"] is None
+        assert report["sameness_deviation"] == 0
+
+    def test_stats_two_vertices(self, capsys, tmp_path):
+        path = tmp_path / "two.txt"
+        path.write_text("2\n0 1\n")
+        code, out = run_cli(capsys, "stats", str(path))
+        assert code == 0
+        report = json.loads(out)
+        assert report["s_min"] == report["s_max"] == 0
+        assert report["sameness_deviation"] == 2
+
 
 class TestVerify:
     def test_single_check(self, capsys):
@@ -217,6 +236,36 @@ class TestBadInput:
             capsys, "play", str(graph), "--strategy", "dag_decomp_sweep",
             "--decomposition", str(tmp_path / "absent.json"),
         )
+
+    def test_dag_sweep_on_cyclic_graph(self, capsys, tmp_path):
+        graph = tmp_path / "c3.txt"
+        write_digraph(rotation_tournament(1), graph)
+        err = self.run_bad(capsys, "play", str(graph), "--strategy", "dag_sweep")
+        assert err == "error: dag_sweep: digraph has a directed cycle\n"
+
+    @pytest.mark.parametrize(
+        "strategy, decomposition",
+        [
+            ("path_sweep", {"bags": [[0], [1], [2]]}),
+            ("dag_decomp_sweep", {"index": {"n": 1, "arcs": []}, "bags": [[0, 1]]}),
+        ],
+    )
+    def test_decomposition_failing_validation(self, capsys, tmp_path, strategy, decomposition):
+        graph = tmp_path / "c3.txt"
+        write_digraph(rotation_tournament(1), graph)
+        decomp = tmp_path / "d.json"
+        decomp.write_text(json.dumps(decomposition))
+        err = self.run_bad(
+            capsys, "play", str(graph), "--strategy", strategy,
+            "--decomposition", str(decomp),
+        )
+        assert err.startswith(f"error: {strategy}: invalid ")
+
+    def test_rotation_cop_budget_out_of_range(self, capsys, tmp_path):
+        graph = tmp_path / "c3.txt"
+        write_digraph(rotation_tournament(1), graph)
+        err = self.run_bad(capsys, "play", str(graph), "--strategy", "rotation", "--cops", "5")
+        assert err == "error: rotation: cop budget must be in 1..1\n"
 
 
 class TestPlay:

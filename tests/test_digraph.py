@@ -1,18 +1,20 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from locgame import (
     INF,
     Digraph,
     all_pairs_distances,
     diameter,
+    random_tournament,
     rotation_tournament,
     transitive_tournament,
 )
 from locgame.digraph import from_edge_list, from_json, to_edge_list, to_json
 
-from conftest import random_oriented_digraph
+from conftest import oriented_digraphs, random_oriented_digraph
 
 
 def cycle3():
@@ -126,3 +128,29 @@ class TestFileFormats:
     def test_edge_list_requires_header(self):
         with pytest.raises(ValueError, match="vertex count"):
             from_edge_list("# nothing\n")
+
+
+class TestTournamentPredicate:
+    """The arc-count test against the pairwise definition."""
+
+    @staticmethod
+    def pairwise(g):
+        return all(
+            g.has_arc(u, v) or g.has_arc(v, u)
+            for u in range(g.n)
+            for v in range(u + 1, g.n)
+        )
+
+    @given(oriented_digraphs(max_n=10))
+    def test_matches_pairwise_definition(self, g):
+        assert g.is_tournament() == self.pairwise(g)
+
+    @given(st.integers(2, 10), st.integers(0, 2**32), st.data())
+    def test_near_tournament_is_not_a_tournament(self, n, seed, data):
+        arcs = sorted(random_tournament(n, 0.5, seed).arcs)
+        missing = data.draw(st.sampled_from(arcs))
+        kept = [a for a in arcs if a != missing]
+        # a repeated arc collapses, so it cannot stand in for the missing one
+        g = Digraph(n, kept + kept[:1])
+        assert not g.is_tournament()
+        assert not self.pairwise(g)
