@@ -111,7 +111,7 @@ def cmd_zeta(args) -> int:
         report["zeta"] = None
         report["error"] = f"budget: {exc}"
         _emit(report, args.out)
-        return 1
+        return 2
     report["zeta"] = zeta
     if zeta is None:
         report["exceeds"] = args.max_cops

@@ -118,17 +118,98 @@ class Digraph:
         return f"Digraph(n={self.n}, arcs={self.arc_count})"
 
 
+# budget of the automorphism search: maps kept, and search-tree nodes visited
+MAX_AUTOMORPHISMS = 256
+MAX_AUTOMORPHISM_NODES = 20_000
+
+
 class DistanceMatrix:
     """All-pairs directed distances; ``dist[u][v]`` is INF when v is unreachable from u."""
 
-    __slots__ = ("n", "dist")
+    __slots__ = ("n", "dist", "_automorphisms")
 
     def __init__(self, dist: list[list[float]]):
         self.n = len(dist)
         self.dist = tuple(tuple(row) for row in dist)
+        self._automorphisms: tuple[tuple[int, ...], ...] | None = None
 
     def __getitem__(self, u: int) -> tuple[float, ...]:
         return self.dist[u]
+
+    def automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        """Vertex permutations preserving every distance, identity first.
+
+        A map preserves distances exactly when it preserves arcs, since
+        d = 1 exactly on arcs.  The search stops once it has kept
+        :data:`MAX_AUTOMORPHISMS` maps or visited
+        :data:`MAX_AUTOMORPHISM_NODES` nodes, so on a large group the result
+        is a subset of it; every kept map is a verified automorphism.
+        Computed on the first call and cached.
+        """
+        if self._automorphisms is None:
+            self._automorphisms = _search_automorphisms(self.dist)
+        return self._automorphisms
+
+
+def _search_automorphisms(dist) -> tuple[tuple[int, ...], ...]:
+    """Backtracking over vertex images in vertex order with forward checking.
+
+    ``fits[w][(a, b)]`` is the mask of vertices x with d(w, x) = a and
+    d(x, w) = b.  Mapping v to w narrows the domain of every later vertex u
+    to ``fits[w][(d(v, u), d(u, v))]``, and its cell, the later vertices
+    that agree with u on every mapped vertex, to ``fits[v][...]`` alike; a
+    map onto a domain of another size than the cell cannot be a bijection,
+    so the branch is cut.  Domains and cells start as the vertices with the
+    same multiset of such pairs.  Only x = w is at distance 0 from w, so
+    images stay distinct and every leaf preserves all distances.  Domains
+    are scanned lowest vertex first, so the identity is the first leaf.
+    """
+    n = len(dist)
+    fits: list[dict[tuple[float, float], int]] = [{} for _ in range(n)]
+    for w in range(n):
+        for x in range(n):
+            key = (dist[w][x], dist[x][w])
+            fits[w][key] = fits[w].get(key, 0) | (1 << x)
+    profile = [
+        sorted((key, mask.bit_count()) for key, mask in fits[v].items())
+        for v in range(n)
+    ]
+    domains = [
+        sum(1 << w for w in range(n) if profile[w] == profile[v]) for v in range(n)
+    ]
+    found: list[tuple[int, ...]] = []
+    image = [0] * n
+    nodes = 0
+
+    def extend(v: int, domains: list[int], cells: list[int]) -> bool:
+        """Try every image of v; True once the budget stops the search."""
+        nonlocal nodes
+        if v == n:
+            found.append(tuple(image))
+            return len(found) >= MAX_AUTOMORPHISMS
+        dom = domains[v]
+        while dom:
+            low = dom & -dom
+            dom ^= low
+            nodes += 1
+            if nodes > MAX_AUTOMORPHISM_NODES:
+                return True
+            w = low.bit_length() - 1
+            image[v] = w
+            narrowed, split = domains[:], cells[:]
+            for u in range(v + 1, n):
+                key = (dist[v][u], dist[u][v])
+                narrowed[u] &= fits[w].get(key, 0)
+                split[u] &= fits[v][key]
+                if narrowed[u].bit_count() != split[u].bit_count():
+                    break
+            else:
+                if extend(v + 1, narrowed, split):
+                    return True
+        return False
+
+    extend(0, domains, domains)
+    return tuple(found) or (tuple(range(n)),)
 
 
 def all_pairs_distances(g: Digraph) -> DistanceMatrix:

@@ -8,24 +8,33 @@ either a single vertex or leads, after the robber's move, to another winning
 set.  The least fixpoint of that rule decides the game: any play that never
 reaches it is a robber win.
 
-States are vertex bitmasks.  For each probe the partition of the full vertex
-set is precomputed once; partitioning any S is then a handful of mask
-intersections.  A counting attractor propagates wins backwards, so the whole
-computation is linear in the explored game graph.
+States are vertex bitmasks.  The partition of the full vertex set is built
+once for each distinct partition the probes induce (probes inducing the same
+partition are one option); partitioning any S is then a handful of mask
+intersections.  An automorphism of the digraph maps winning sets to winning
+sets, so every state is replaced by its orbit representative: the least mask
+image under the automorphisms :meth:`DistanceMatrix.automorphisms` keeps.
+The fixpoint runs over representatives only.  A counting attractor
+propagates wins backwards, so the whole computation is linear in the
+explored game graph.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .digraph import INF, Digraph, DistanceMatrix, all_pairs_distances
 
-MAX_SOLVER_VERTICES = 24
+MAX_SOLVER_VERTICES = 24  # three bytes of a state mask; see _byte_tables
 MAX_PROBE_SETS = 1_000_000
+_PROBE_BLOCK = 1 << 16  # probes per block of the partition build
 
 
 class BudgetExceededError(RuntimeError):
@@ -75,6 +84,80 @@ def _normalize_probe(probe: Sequence[int], n: int) -> tuple[int, ...]:
     return ps
 
 
+def _first_rows(a: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct row."""
+    order = np.lexsort(a.T[::-1])  # stable, so equal rows keep index order
+    ranked = a[order]
+    starts = np.ones(len(a), dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return np.sort(order[starts])
+
+
+def _probe_partitions(dm: DistanceMatrix, k: int) -> list[tuple[int, ...]]:
+    """The non-singleton cells of each distinct partition of V by k probes.
+
+    A probe's partition is encoded as its row of "cell mask of x" over all
+    x: the AND over probe vertices u of the mask of vertices at the same
+    distance from u as x.  That row is a canonical form of the partition, so
+    equal rows are equal partitions; one entry is kept per distinct row, in
+    the order of the first probe (in ``combinations`` order) inducing it.
+    Each cell is listed once, at its lowest vertex, in vertex order.
+    """
+    n = dm.n
+    dist = np.array(dm.dist)
+    bits = np.int64(1) << np.arange(n, dtype=np.int64)
+    # same[u, x]: mask of the vertices y with d(u, y) == d(u, x)
+    same = ((dist[:, :, None] == dist[:, None, :]) * bits).sum(axis=2)
+    probes = combinations(range(n), k)
+    kept = []
+    while True:
+        block = np.fromiter(
+            chain.from_iterable(islice(probes, _PROBE_BLOCK)), dtype=np.intp
+        ).reshape(-1, k)
+        if not len(block):
+            break
+        rows = same[block[:, 0]]
+        for j in range(1, k):
+            rows &= same[block[:, j]]
+        kept.append(rows[_first_rows(rows)])
+    rows = np.concatenate(kept)
+    if len(kept) > 1:
+        rows = rows[_first_rows(rows)]
+    # x lists its cell when x is the cell's lowest vertex and not alone in it
+    listed = ((rows & -rows) == bits) & ((rows & (rows - 1)) != 0)
+    flat = rows[listed].tolist()
+    ends = np.cumsum(listed.sum(axis=1)).tolist()
+    return [tuple(flat[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+
+
+def _byte_tables(maps: Sequence[Sequence[int]], n: int) -> tuple[np.ndarray, ...]:
+    """For each byte of a mask, a table of its image under every map:
+    ``tables[j][a, b]`` is the image under map a of byte value b at byte j."""
+    images = np.int64(1) << np.array(maps, dtype=np.int64)
+    tables = []
+    for base in (0, 8, 16):
+        table = np.zeros((len(maps), 1 << max(0, min(8, n - base))), dtype=np.int64)
+        for b in range(1, table.shape[1]):
+            low = b & -b
+            table[:, b] = table[:, b ^ low] | images[:, base + low.bit_length() - 1]
+        tables.append(table)
+    return tuple(tables)
+
+
+@dataclass(frozen=True)
+class SolverStats:
+    """What a solver did: its probe sets, the distinct partitions they
+    induce, the automorphisms it quotients by, the states it explored, and
+    the seconds spent building it and answering ``wins``."""
+
+    probe_sets: int
+    partitions: int
+    automorphisms: int
+    explored_states: int
+    init_s: float
+    solve_s: float
+
+
 class LocalizationSolver:
     """Exact win/lose analysis for a fixed cop count k.
 
@@ -84,6 +167,7 @@ class LocalizationSolver:
     """
 
     def __init__(self, g: Digraph, k: int, dm: DistanceMatrix | None = None):
+        started = time.perf_counter()
         if not 1 <= k <= g.n:
             raise ValueError(f"cop count {k} out of range 1..{g.n}")
         if g.n > MAX_SOLVER_VERTICES:
@@ -102,16 +186,15 @@ class LocalizationSolver:
         self._step1 = [
             (1 << v) | sum(1 << w for w in g.out_neighbors(v)) for v in range(n)
         ]
-        # partition of the full vertex set under each probe, as bitmasks;
-        # the classes of any S are the nonempty intersections with these
-        self._probe_cells: list[tuple[int, ...]] = []
-        for probe in combinations(range(n), k):
-            cells: dict[Vector, int] = {}
-            for x in range(n):
-                vec = tuple(self.dm.dist[u][x] for u in probe)
-                cells[vec] = cells.get(vec, 0) | (1 << x)
-            self._probe_cells.append(tuple(cells.values()))
-        self._step_cache: dict[int, int] = {}
+        # non-singleton cells of V under each distinct probe partition; the
+        # classes of any S are the nonempty intersections with these
+        self._partitions = _probe_partitions(self.dm, k)
+        maps = self.dm.automorphisms()
+        self._automorphisms = len(maps)
+        self._tables = _byte_tables(maps, n) if len(maps) > 1 else None
+        self._canon: dict[int, int] = {}
+        # part of a state -> representative of the part after the robber moves
+        self._succ: dict[int, int] = {}
         self._win: set[int] = set()
         self._explored: set[int] = set()
         # state -> list of requirement tuples (deduped successor masks);
@@ -120,16 +203,21 @@ class LocalizationSolver:
         self._watchers: dict[int, list[tuple[int, int]]] = {}
         self._counts: dict[tuple[int, int], int] = {}
         self._queue: list[int] = []
+        self._init_s = time.perf_counter() - started
+        self._solve_s = 0.0
 
     # -- public API --------------------------------------------------------
 
     def wins(self, candidates: Iterable[int] | int) -> bool:
         """Can k cops force a unique candidate starting from this set?"""
+        started = time.perf_counter()
         mask = candidates if isinstance(candidates, int) else self._mask(candidates)
         if not 0 < mask <= self._full:
             raise ValueError("candidate set must be a nonempty subset of V")
+        mask = self._representative(mask)
         self._explore(mask)
         self._propagate()
+        self._solve_s += time.perf_counter() - started
         return mask in self._win
 
     def cops_win(self) -> bool:
@@ -139,17 +227,24 @@ class LocalizationSolver:
     def explored_states(self) -> int:
         return len(self._explored)
 
+    @property
+    def stats(self) -> SolverStats:
+        return SolverStats(
+            probe_sets=math.comb(self.g.n, self.k),
+            partitions=len(self._partitions),
+            automorphisms=self._automorphisms,
+            explored_states=len(self._explored),
+            init_s=self._init_s,
+            solve_s=self._solve_s,
+        )
+
     def step_mask(self, mask: int) -> int:
-        cached = self._step_cache.get(mask)
-        if cached is None:
-            cached = 0
-            m = mask
-            while m:
-                low = m & -m
-                cached |= self._step1[low.bit_length() - 1]
-                m ^= low
-            self._step_cache[mask] = cached
-        return cached
+        stepped = 0
+        while mask:
+            low = mask & -mask
+            stepped |= self._step1[low.bit_length() - 1]
+            mask ^= low
+        return stepped
 
     # -- internals ---------------------------------------------------------
 
@@ -159,10 +254,22 @@ class LocalizationSolver:
             mask |= 1 << v
         return mask
 
+    def _representative(self, mask: int) -> int:
+        """The least image of the mask under the kept automorphisms."""
+        if self._tables is None:
+            return mask
+        rep = self._canon.get(mask)
+        if rep is None:
+            t0, t1, t2 = self._tables
+            rep = int((t0[:, mask & 255] | t1[:, (mask >> 8) & 255] | t2[:, mask >> 16]).min())
+            self._canon[mask] = rep
+        return rep
+
     def _explore(self, root: int) -> None:
         stack = [root]
         explored = self._explored
         win = self._win
+        succ_of = self._succ
         while stack:
             s = stack.pop()
             if s in explored:
@@ -170,12 +277,15 @@ class LocalizationSolver:
             explored.add(s)
             options: dict[tuple[int, ...], None] = {}
             immediate = False
-            for cells in self._probe_cells:
+            for cells in self._partitions:
                 succs: set[int] = set()
                 for cell in cells:
                     part = cell & s
-                    if part and part & (part - 1):
-                        succs.add(self.step_mask(part))
+                    if part & (part - 1):
+                        t = succ_of.get(part)
+                        if t is None:
+                            t = succ_of[part] = self._representative(self.step_mask(part))
+                        succs.add(t)
                 if not succs:
                     immediate = True
                     break

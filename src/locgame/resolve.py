@@ -18,6 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .digraph import Digraph, DistanceMatrix, all_pairs_distances
+from .game import MAX_PROBE_SETS, BudgetExceededError
 from .hypergraph import Hypergraph
 
 CASE_PATH = "case1"
@@ -55,12 +56,22 @@ def metric_dimension_exact(
 
     The witness is the lexicographically least optimum.  The probe set V
     always resolves, so the search terminates at size n; sizes start at 1
-    because a resolving set stands for a one-round cop placement.
+    because a resolving set stands for a one-round cop placement.  Before
+    each size, :class:`BudgetExceededError` is raised if the sets of the
+    smaller sizes plus those of this size exceed ``MAX_PROBE_SETS``.
     """
     if g.n < 1:
         raise ValueError("metric dimension needs at least one vertex")
     dm = dm or all_pairs_distances(g)
+    tried = 0
     for size in range(1, g.n + 1):
+        sets = math.comb(g.n, size)
+        if tried + sets > MAX_PROBE_SETS:
+            raise BudgetExceededError(
+                f"{tried} witness sets of size < {size} plus C({g.n},{size}) = "
+                f"{sets} exceed the limit of {MAX_PROBE_SETS}"
+            )
+        tried += sets
         for ws in combinations(range(g.n), size):
             if is_resolving(dm, ws):
                 return size, ResolvingSet(frozenset(ws), True)

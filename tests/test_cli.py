@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from locgame import paley_tournament, rotation_tournament
+from locgame import paley_tournament, random_tournament, rotation_tournament
 from locgame.cli import main
 from locgame.digraph import from_edge_list, from_json, write_digraph
 
@@ -172,9 +172,22 @@ class TestBudgetGuard:
         path = tmp_path / "big.txt"
         write_digraph(transitive_tournament(25), path)
         code, out = run_cli(capsys, "zeta", str(path))
-        assert code == 1
+        assert code == 2
         report = json.loads(out)
         assert report["zeta"] is None and "budget" in report["error"]
+
+    def test_beta_on_large_tournament_exits_cleanly(self, capsys, tmp_path):
+        # sizes 1 and 2 are searched (20 100 sets); C(200, 3) would pass 10**6.
+        # At n = 60 the budget trips only before size 5, after 523 685 sets
+        # and about 5 s, too slow for this suite
+        path = tmp_path / "r200.txt"
+        write_digraph(random_tournament(200, 0.5, 3), path)
+        code = main(["beta", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "20100 witness sets of size < 3 plus C(200,3)" in captured.err
 
 
 class TestBadInput:

@@ -1,18 +1,32 @@
+import itertools
 import math
+import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from locgame import (
     INF,
     Digraph,
     all_pairs_distances,
+    blowup,
     diameter,
+    localization_number_exact,
+    optimal_robber,
+    paley_tournament,
     random_tournament,
     rotation_tournament,
+    sc_tight,
     transitive_tournament,
 )
-from locgame.digraph import from_edge_list, from_json, to_edge_list, to_json
+from locgame import digraph
+from locgame.digraph import (
+    MAX_AUTOMORPHISMS,
+    from_edge_list,
+    from_json,
+    to_edge_list,
+    to_json,
+)
 
 from conftest import oriented_digraphs, random_oriented_digraph
 
@@ -154,3 +168,68 @@ class TestTournamentPredicate:
         g = Digraph(n, kept + kept[:1])
         assert not g.is_tournament()
         assert not self.pairwise(g)
+
+
+class TestAutomorphisms:
+    """The distance-preserving permutations ``DistanceMatrix.automorphisms`` finds."""
+
+    @staticmethod
+    def check_maps(g, maps):
+        assert maps[0] == tuple(range(g.n))
+        assert len(set(maps)) == len(maps)
+        for image in maps:
+            assert sorted(image) == list(range(g.n))
+            assert {(image[u], image[v]) for u, v in g.arcs} == g.arcs
+
+    @pytest.mark.parametrize(
+        "g, order",
+        [(rotation_tournament(m), 2 * m + 1) for m in range(1, 10)]
+        + [(paley_tournament(q), q * (q - 1) // 2) for q in (3, 7, 11, 19)]
+        + [(transitive_tournament(20), 1), (sc_tight(3, 2), 14)],
+    )
+    def test_group_orders(self, g, order):
+        maps = all_pairs_distances(g).automorphisms()
+        assert len(maps) == order
+        self.check_maps(g, maps)
+
+    @settings(max_examples=40)
+    @given(oriented_digraphs(max_n=6))
+    def test_finds_every_automorphism(self, g):
+        maps = all_pairs_distances(g).automorphisms()
+        self.check_maps(g, maps)
+        brute = [
+            p for p in itertools.permutations(range(g.n))
+            if {(p[u], p[v]) for u, v in g.arcs} == g.arcs
+        ]
+        assert set(maps) == set(brute)
+
+    @pytest.mark.parametrize(
+        "g", [Digraph(24, []), blowup(rotation_tournament(1), 4)], ids=["edgeless", "blowup"]
+    )
+    def test_map_budget_stops_large_groups(self, g):
+        started = time.perf_counter()
+        maps = all_pairs_distances(g).automorphisms()
+        assert time.perf_counter() - started < 5
+        assert len(maps) == MAX_AUTOMORPHISMS
+        self.check_maps(g, maps)
+
+    def test_node_budget_keeps_the_identity(self, monkeypatch):
+        g = paley_tournament(19)
+        monkeypatch.setattr(digraph, "MAX_AUTOMORPHISM_NODES", 10)
+        assert all_pairs_distances(g).automorphisms() == (tuple(range(19)),)
+        monkeypatch.setattr(digraph, "MAX_AUTOMORPHISM_NODES", 100)
+        maps = all_pairs_distances(g).automorphisms()
+        assert 1 < len(maps) < 171
+        self.check_maps(g, maps)
+
+    def test_searched_once_per_distance_matrix(self, monkeypatch):
+        calls = []
+        search = digraph._search_automorphisms
+        monkeypatch.setattr(
+            digraph, "_search_automorphisms", lambda dist: calls.append(1) or search(dist)
+        )
+        g = paley_tournament(7)
+        dm = all_pairs_distances(g)
+        assert localization_number_exact(g, dm=dm) == 2  # solvers for k = 1, 2
+        assert optimal_robber(g, 1, dm).solver.wins(range(7)) is False
+        assert len(calls) == 1

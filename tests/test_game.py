@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from locgame import (
     BudgetExceededError,
@@ -15,16 +16,19 @@ from locgame import (
     localization_number_exact,
     metric_dimension_exact,
     optimal_robber,
+    paley_tournament,
     partition_by_probe,
     play,
     robber_step,
     rotation_tournament,
+    sc_tight,
     transitive_tournament,
     tripartite_cycle,
 )
+from locgame import game
 from locgame.verify import random_dag
 
-from conftest import random_oriented_digraph
+from conftest import oriented_digraphs, random_oriented_digraph
 
 
 def cycle3():
@@ -120,46 +124,44 @@ class TestCopsWin:
                 assert solver.wins(sub)
 
 
-def oracle_cops_win(g, k):
+def oracle_win_sets(g, k):
     """Independent game oracle: value iteration over the whole powerset,
-    no reachability analysis, no win propagation."""
+    no reachability analysis, no win propagation, no symmetry.  Returns
+    every winning candidate set as a bitmask."""
     from itertools import combinations
 
     n = g.n
     dm = all_pairs_distances(g)
-    closed = [{v, *g.out_neighbors(v)} for v in range(n)]
-
-    def step(c):
-        out = set()
-        for v in c:
-            out |= closed[v]
-        return frozenset(out)
-
-    def classes(s, p):
+    closed = [(1 << v) | sum(1 << w for w in g.out_neighbors(v)) for v in range(n)]
+    step = [0] * (1 << n)
+    for s in range(1, 1 << n):
+        low = s & -s
+        step[s] = step[s ^ low] | closed[low.bit_length() - 1]
+    probe_cells = []
+    for p in combinations(range(n), k):
         cells = {}
-        for x in s:
-            cells.setdefault(tuple(dm.dist[u][x] for u in p), set()).add(x)
-        return list(cells.values())
-
-    probes = list(combinations(range(n), k))
-    states = [
-        frozenset(c)
-        for size in range(1, n + 1)
-        for c in combinations(range(n), size)
-    ]
+        for x in range(n):
+            vec = tuple(dm.dist[u][x] for u in p)
+            cells[vec] = cells.get(vec, 0) | (1 << x)
+        probe_cells.append(list(cells.values()))
     win = set()
     changed = True
     while changed:
         changed = False
-        for s in states:
+        for s in range(1, 1 << n):
             if s in win:
                 continue
-            for p in probes:
-                if all(len(c) == 1 or step(c) in win for c in classes(s, p)):
+            for cells in probe_cells:
+                parts = [c & s for c in cells]
+                if all(not p & (p - 1) or step[p] in win for p in parts):
                     win.add(s)
                     changed = True
                     break
-    return frozenset(range(n)) in win
+    return win
+
+
+def oracle_cops_win(g, k):
+    return (1 << g.n) - 1 in oracle_win_sets(g, k)
 
 
 class TestSolverOracle:
@@ -170,6 +172,37 @@ class TestSolverOracle:
             g = random_oriented_digraph(rng, n, rng.uniform(0.1, 0.9))
             for k in range(1, n + 1):
                 assert cops_win(g, k) == oracle_cops_win(g, k)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            rotation_tournament(1),
+            rotation_tournament(2),
+            rotation_tournament(3),
+            paley_tournament(7),
+            tripartite_cycle(2),
+            sc_tight(1, 1),
+            Digraph(6, []),
+            Digraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),
+            blowup(rotation_tournament(1), 3),
+        ],
+        ids=[
+            "rot1", "rot2", "rot3", "paley7", "tripartite", "sc_tight", "edgeless",
+            "two_cycles", "blowup",
+        ],
+    )
+    def test_every_set_agrees_on_symmetric_graphs(self, g):
+        # these graphs have nontrivial automorphisms, so the solver answers
+        # through orbit representatives; the oracle never does.  The 3-cycle
+        # blown up by 2 is tripartite_cycle(2) (blowup itself wants k >= 3);
+        # blown up by 3 it has 648 automorphisms, more than the search keeps,
+        # so the solver quotients by a subset that is not a group
+        assert len(all_pairs_distances(g).automorphisms()) > 1
+        for k in range(1, g.n + 1):
+            oracle = oracle_win_sets(g, k)
+            solver = LocalizationSolver(g, k)
+            for s in range(1, 1 << g.n):
+                assert solver.wins(s) == (s in oracle), (k, s)
 
     def test_lazy_queries_match_cold_solves(self):
         rng = random.Random(999)
@@ -182,6 +215,84 @@ class TestSolverOracle:
             for _ in range(4):
                 warm.wins(frozenset(rng.sample(range(n), rng.randint(1, n))))
             assert warm.cops_win() == cold
+
+
+@settings(deadline=None, max_examples=30)
+@given(oriented_digraphs(max_n=8), st.randoms(use_true_random=False))
+def test_relabeling_keeps_zeta_and_wins(g, rnd):
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    h = Digraph(g.n, [(perm[u], perm[v]) for u, v in g.arcs])
+    if g.n == 0:
+        return
+    assert localization_number_exact(h) == localization_number_exact(g)
+    sets = [frozenset(rnd.sample(range(g.n), rnd.randint(1, g.n))) for _ in range(4)]
+    for k in range(1, g.n + 1):
+        sg, sh = LocalizationSolver(g, k), LocalizationSolver(h, k)
+        for s in sets:
+            assert sh.wins(perm[x] for x in s) == sg.wins(s)
+
+
+def reference_partitions(dm, k):
+    """Non-singleton cells of each distinct probe partition, by the
+    definition: group by distance vector, keep the first probe of each
+    partition in combinations order, cells in order of their lowest vertex."""
+    from itertools import combinations
+
+    seen = {}
+    for p in combinations(range(dm.n), k):
+        cells = {}
+        for x in range(dm.n):
+            cells.setdefault(tuple(dm.dist[u][x] for u in p), []).append(x)
+        key = frozenset(frozenset(c) for c in cells.values())
+        if key not in seen:
+            seen[key] = tuple(sum(1 << x for x in c) for c in cells.values() if len(c) > 1)
+    return list(seen.values())
+
+
+class TestProbePartitions:
+    def test_rotation_counts(self):
+        dm = all_pairs_distances(rotation_tournament(9))
+        assert len(game._probe_partitions(dm, 4)) == 2888  # of C(19, 4) = 3876
+        assert game._probe_partitions(dm, 2) == reference_partitions(dm, 2)
+
+    @pytest.mark.parametrize("block", [1, 3, 1 << 16])
+    def test_matches_reference_across_blocks(self, monkeypatch, block):
+        monkeypatch.setattr(game, "_PROBE_BLOCK", block)
+        rng = random.Random(7)
+        for _ in range(20):
+            n = rng.randint(1, 8)
+            dm = all_pairs_distances(random_oriented_digraph(rng, n, rng.uniform(0.1, 0.9)))
+            for k in range(1, n + 1):
+                assert game._probe_partitions(dm, k) == reference_partitions(dm, k)
+
+
+class TestSolverStats:
+    def test_counters_on_rotation(self):
+        solver = LocalizationSolver(rotation_tournament(9), 5)
+        before = solver.stats
+        assert (before.probe_sets, before.partitions, before.automorphisms) == (11628, 5567, 19)
+        assert before.explored_states == 0 and before.solve_s == 0 and before.init_s > 0
+        assert solver.cops_win()
+        after = solver.stats
+        assert after.explored_states == solver.explored_states == 7
+        assert after.solve_s > 0 and after.init_s == before.init_s
+        solver.wins(range(3))
+        assert solver.stats.solve_s > after.solve_s
+
+    def test_representative_is_least_orbit_image(self):
+        # 19 vertices, so all three byte tables take part
+        solver = LocalizationSolver(paley_tournament(19), 1)
+        maps = solver.dm.automorphisms()
+        rng = random.Random(5)
+        for _ in range(100):
+            mask = rng.randrange(1, 1 << 19)
+            images = [sum(1 << m[x] for x in range(19) if mask >> x & 1) for m in maps]
+            assert solver._representative(mask) == min(images)
+
+    def test_no_symmetry(self):
+        stats = LocalizationSolver(transitive_tournament(6), 2).stats
+        assert (stats.probe_sets, stats.automorphisms) == (15, 1)
 
 
 class TestLocalizationNumber:

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from locgame import (
+    BudgetExceededError,
     Digraph,
     INF,
     all_pairs_distances,
@@ -103,6 +104,18 @@ class TestMetricDimension:
         for _ in range(200):
             g = random_oriented_digraph(rng, rng.randint(1, 5), rng.uniform(0.1, 0.9))
             assert metric_dimension_exact(g)[0] == brute_metric_dimension(g)
+
+
+    def test_budget_counts_every_size_searched(self, monkeypatch):
+        # rotation T7 has beta = 3: sizes 1..3 take 7 + 21 + 35 = 63 sets
+        from locgame import resolve
+
+        g = rotation_tournament(3)
+        monkeypatch.setattr(resolve, "MAX_PROBE_SETS", 63)
+        assert metric_dimension_exact(g)[0] == 3
+        monkeypatch.setattr(resolve, "MAX_PROBE_SETS", 62)
+        with pytest.raises(BudgetExceededError, match=r"28 witness sets of size < 3 plus C\(7,3\) = 35"):
+            metric_dimension_exact(g)
 
 
 class TestDimOneClassifier:
