@@ -10,7 +10,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .lp import InfeasibleError, solve_min_equality
+from .lp import solve_min_equality
 
 
 class EmptyEdgeError(ValueError):
@@ -21,10 +21,12 @@ class Hypergraph:
     """Vertex set 0..n-1 plus a list of hyperedges (vertex sets).
 
     ``labels``, when present, names each edge; distinguisher hypergraphs
-    label edge t with the vertex pair it separates.
+    label edge t with the vertex pair it separates.  The edges are held as
+    frozensets, as a boolean edge x vertex incidence matrix, or both: each
+    form is built from the other on first use.
     """
 
-    __slots__ = ("n", "edges", "labels")
+    __slots__ = ("n", "labels", "_edges", "_incidence")
 
     def __init__(
         self,
@@ -33,92 +35,129 @@ class Hypergraph:
         labels: Iterable[tuple[int, int]] | None = None,
     ):
         self.n = n
-        self.edges = tuple(frozenset(e) for e in edges)
-        for e in self.edges:
+        self._edges: tuple[frozenset[int], ...] | None = tuple(frozenset(e) for e in edges)
+        for e in self._edges:
             if any(not 0 <= v < n for v in e):
                 raise ValueError(f"edge {sorted(e)} out of range for n={n}")
+        self._incidence: np.ndarray | None = None
+        self._set_labels(labels)
+
+    @classmethod
+    def from_incidence(
+        cls, incidence: np.ndarray, labels: Iterable[tuple[int, int]] | None = None
+    ) -> Hypergraph:
+        """The hypergraph whose edge i is the set of columns marked in row i
+        of a boolean edge x vertex matrix."""
+        h = cls.__new__(cls)
+        h.n = incidence.shape[1]
+        h._edges = None
+        h._incidence = np.array(incidence, dtype=bool)
+        h._incidence.flags.writeable = False
+        h._set_labels(labels)
+        return h
+
+    def _set_labels(self, labels: Iterable[tuple[int, int]] | None) -> None:
         self.labels = tuple(tuple(l) for l in labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != len(self.edges):
+        if self.labels is not None and len(self.labels) != self.edge_count:
             raise ValueError("one label per edge required")
 
     @property
+    def edges(self) -> tuple[frozenset[int], ...]:
+        """The edges as vertex sets, in edge order."""
+        if self._edges is None:
+            self._edges = tuple(
+                frozenset(np.flatnonzero(row).tolist()) for row in self._incidence
+            )
+        return self._edges
+
+    def incidence(self) -> np.ndarray:
+        """Read-only edge x vertex membership matrix: row i marks the
+        vertices of edge i."""
+        if self._incidence is None:
+            inc = np.zeros((len(self._edges), self.n), dtype=bool)
+            for i, e in enumerate(self._edges):
+                inc[i, list(e)] = True
+            inc.flags.writeable = False
+            self._incidence = inc
+        return self._incidence
+
+    @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self._edges) if self._edges is not None else len(self._incidence)
 
     def __repr__(self) -> str:
         return f"Hypergraph(n={self.n}, edges={self.edge_count})"
 
 
+def _cover_incidence(h: Hypergraph) -> np.ndarray:
+    """The incidence matrix of a hypergraph that has a vertex cover.
+
+    Raises :class:`EmptyEdgeError` when an edge is empty.
+    """
+    inc = h.incidence()
+    empty = np.flatnonzero(~inc.any(axis=1))
+    if len(empty):
+        raise EmptyEdgeError(f"edge {empty[0]} is empty")
+    return inc
+
+
 def max_membership(h: Hypergraph) -> int:
     """Largest number of hyperedges any one vertex belongs to."""
-    counts = [0] * h.n
-    for e in h.edges:
-        for v in e:
-            counts[v] += 1
-    return max(counts, default=0)
+    return int(h.incidence().sum(axis=0).max(initial=0))
 
 
 def greedy_vertex_cover(h: Hypergraph) -> frozenset[int]:
     """Max-coverage greedy: repeatedly take the vertex hitting the most
-    uncovered edges (lowest id on ties)."""
-    for i, e in enumerate(h.edges):
-        if not e:
-            raise EmptyEdgeError(f"edge {i} is empty")
-    uncovered = set(range(len(h.edges)))
+    uncovered edges (lowest id on ties, as ``argmax`` returns the first
+    maximum)."""
+    inc = _cover_incidence(h)
+    uncovered = np.ones(len(inc), dtype=bool)
+    # hits[v]: uncovered edges containing v; all zero once every edge is hit
+    hits = inc.sum(axis=0)
     cover: set[int] = set()
-    membership: list[set[int]] = [set() for _ in range(h.n)]
-    for i, e in enumerate(h.edges):
-        for v in e:
-            membership[v].add(i)
-    while uncovered:
-        best = max(
-            range(h.n),
-            key=lambda v: (len(membership[v] & uncovered), -v),
-        )
-        hit = membership[best] & uncovered
-        if not hit:
-            raise AssertionError("uncovered edge with no vertices")
+    while hits.any():
+        best = int(np.argmax(hits))
+        hit = uncovered & inc[:, best]
         cover.add(best)
-        uncovered -= hit
+        uncovered &= ~hit
+        hits -= inc[hit].sum(axis=0)
     return frozenset(cover)
 
 
 @dataclass(frozen=True)
 class FractionalCover:
+    """An optimal fractional cover (``assignment``, one weight per vertex)
+    with an optimal packing (``packing``, one weight per edge) certifying
+    it: both sum to ``value``."""
+
     value: float
     assignment: tuple[float, ...]
+    packing: tuple[float, ...]
 
 
 def fractional_vertex_cover(h: Hypergraph) -> FractionalCover:
     """Optimal fractional cover: minimize sum(x) with sum over each edge >= 1
-    and x >= 0, solved by the in-package simplex.  No upper bound x <= 1 is
-    needed: lowering any x_v > 1 to 1 keeps every edge covered, so no
-    optimum exceeds 1.
+    and x >= 0.  No upper bound x <= 1 is needed: lowering any x_v > 1 to 1
+    keeps every edge covered, so no optimum exceeds 1.
+
+    The in-package simplex solves the dual packing LP, maximize sum(y) with
+    sum over the edges at each vertex <= 1 and y >= 0: it has one row per
+    vertex rather than one per edge, and its slack basis is feasible.  The
+    cover is the negated dual of the packing's vertex rows.
 
     Raises :class:`EmptyEdgeError` when an edge is empty (infeasible).
     """
-    for i, e in enumerate(h.edges):
-        if not e:
-            raise EmptyEdgeError(f"edge {i} is empty")
-    n, m = h.n, len(h.edges)
+    inc = _cover_incidence(h)
+    m, n = inc.shape
     if m == 0:
-        return FractionalCover(0.0, (0.0,) * n)
+        return FractionalCover(0.0, (0.0,) * n, ())
 
-    # standard form: x (n) | edge surplus (m)
-    cols = n + m
-    a = np.zeros((m, cols))
-    b = np.ones(m)
-    for i, e in enumerate(h.edges):
-        for v in e:
-            a[i, v] = 1.0
-        a[i, n + i] = -1.0
-    c = np.zeros(cols)
-    c[:n] = 1.0
-    try:
-        sol = solve_min_equality(c, a, b)
-    except InfeasibleError as exc:  # cannot happen with nonempty edges
-        raise EmptyEdgeError(str(exc)) from exc
-    return FractionalCover(sol.value, sol.x[:n])
+    # standard form: edge weight y (m) | vertex slack (n)
+    a = np.hstack([inc.T, np.eye(n)])
+    c = np.zeros(m + n)
+    c[:m] = -1.0
+    sol = solve_min_equality(c, a, np.ones(n))
+    return FractionalCover(-sol.value, tuple(-d for d in sol.duals), sol.x[:m])
 
 
 def lovasz_bound(h: Hypergraph, tau_star: float) -> float:

@@ -1,8 +1,11 @@
 """A small dense two-phase primal simplex solver.
 
-Only covering-style linear programs arise here (a few thousand nonzeros at
-most), so the implementation favors clarity over sparsity: one numpy tableau,
-Bland's entering/leaving rule throughout, which rules out cycling.  All
+Only covering-style linear programs arise here: the fractional vertex cover
+is solved as its dual packing LP, one row per vertex, so the tableau has n
+rows however many hyperedges there are.  The implementation favors clarity
+over sparsity: one numpy tableau, each pivot one rank-1 update, Bland's
+entering/leaving rule throughout, which rules out cycling.  The artificial
+columns always hold B^-1, so the optimal duals come for free.  All
 comparisons use an absolute tolerance.
 """
 
@@ -25,8 +28,12 @@ class UnboundedError(ValueError):
 
 @dataclass(frozen=True)
 class LpSolution:
+    """Optimal value, primal point and the dual values c_B B^-1, one per
+    equality row."""
+
     value: float
     x: tuple[float, ...]
+    duals: tuple[float, ...]
 
 
 def solve_min_equality(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpSolution:
@@ -61,53 +68,41 @@ def solve_min_equality(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpSolutio
     for row, var in enumerate(basis):
         if var < n:
             x[var] = tableau[row, -1]
-    return LpSolution(float(phase2_cost[:n] @ x), tuple(float(v) for v in x))
+    duals = phase2_cost[basis] @ tableau[:, n : n + m]
+    return LpSolution(
+        float(phase2_cost[:n] @ x),
+        tuple(float(v) for v in x),
+        tuple(float(v) for v in duals),
+    )
 
 
 def _objective(tableau: np.ndarray, basis: list[int], cost: np.ndarray) -> float:
-    return float(sum(cost[var] * tableau[row, -1] for row, var in enumerate(basis)))
-
-
-def _reduced_costs(tableau: np.ndarray, basis: list[int], cost: np.ndarray) -> np.ndarray:
-    cb = cost[basis]
-    return cost - cb @ tableau[:, :-1]
+    return float(cost[basis] @ tableau[:, -1])
 
 
 def _optimize(tableau: np.ndarray, basis: list[int], cost: np.ndarray, allowed: int) -> None:
     """Primal simplex loop with Bland's rule, restricted to columns < allowed."""
     while True:
-        reduced = _reduced_costs(tableau, basis, cost)[:allowed]
-        entering = -1
-        for j in range(allowed):
-            if reduced[j] < -TOL:
-                entering = j
-                break
-        if entering < 0:
+        reduced = cost[:allowed] - cost[basis] @ tableau[:, :allowed]
+        improving = np.flatnonzero(reduced < -TOL)
+        if not len(improving):
             return
+        entering = improving[0]
         col = tableau[:, entering]
-        best_ratio = None
-        leaving = -1
-        for i in range(tableau.shape[0]):
-            if col[i] > TOL:
-                ratio = tableau[i, -1] / col[i]
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio - TOL
-                    or (abs(ratio - best_ratio) <= TOL and basis[i] < basis[leaving])
-                ):
-                    best_ratio = ratio
-                    leaving = i
-        if leaving < 0:
+        rows = np.flatnonzero(col > TOL)
+        if not len(rows):
             raise UnboundedError("no leaving row for entering column")
+        ratios = tableau[rows, -1] / col[rows]
+        ties = rows[ratios <= ratios.min() + TOL]
+        leaving = min(ties.tolist(), key=basis.__getitem__)
         _pivot(tableau, basis, leaving, entering)
 
 
 def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
-    pivot_row = tableau[row]
-    for i in range(tableau.shape[0]):
-        if i != row and abs(tableau[i, col]) > 0:
-            tableau[i] -= tableau[i, col] * pivot_row
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    tableau -= np.outer(factors, tableau[row])
     basis[row] = col
 
 
@@ -118,7 +113,6 @@ def _drive_out_artificials(tableau: np.ndarray, basis: list[int], n: int) -> Non
     for row, var in enumerate(basis):
         if var < n:
             continue
-        for j in range(n):
-            if abs(tableau[row, j]) > TOL:
-                _pivot(tableau, basis, row, j)
-                break
+        usable = np.flatnonzero(np.abs(tableau[row, :n]) > TOL)
+        if len(usable):
+            _pivot(tableau, basis, row, usable[0])

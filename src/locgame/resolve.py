@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Iterable
 
 import numpy as np
@@ -24,6 +24,10 @@ from .hypergraph import Hypergraph
 CASE_PATH = "case1"
 CASE_SOURCE_PLUS_PATH = "case2"
 CASE_NO = "no"
+
+# bytes of packed masks one block of witness sets ANDs together; the search
+# holds about three such arrays at a time
+_WITNESS_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -59,21 +63,50 @@ def metric_dimension_exact(
     because a resolving set stands for a one-round cop placement.  Before
     each size, :class:`BudgetExceededError` is raised if the sets of the
     smaller sizes plus those of this size exceed ``MAX_PROBE_SETS``.
+
+    Witness sets are tested in numpy blocks, in ``combinations`` order: a set
+    resolves when the AND over its witnesses w of "the vertices y with
+    d(w, y) == d(w, x)" leaves each x alone, i.e. equals the identity.  The
+    masks are packed 8 vertices to a byte, so n has no limit; the first
+    hit is confirmed once with :func:`is_resolving`.
     """
     if g.n < 1:
         raise ValueError("metric dimension needs at least one vertex")
     dm = dm or all_pairs_distances(g)
+    n = g.n
+    # same[w, x]: packed mask of the vertices y with d(w, y) == d(w, x)
+    same = np.stack([np.packbits(row[:, None] == row, axis=1)
+                     for row in np.array(dm.dist, dtype=float)])
+    identity = np.packbits(np.eye(n, dtype=bool), axis=1)
+    per_block = max(1, _WITNESS_BLOCK_BYTES // identity.nbytes)
     tried = 0
-    for size in range(1, g.n + 1):
-        sets = math.comb(g.n, size)
+    for size in range(1, n + 1):
+        sets = math.comb(n, size)
         if tried + sets > MAX_PROBE_SETS:
             raise BudgetExceededError(
-                f"{tried} witness sets of size < {size} plus C({g.n},{size}) = "
+                f"{tried} witness sets of size < {size} plus C({n},{size}) = "
                 f"{sets} exceed the limit of {MAX_PROBE_SETS}"
             )
         tried += sets
-        for ws in combinations(range(g.n), size):
-            if is_resolving(dm, ws):
+        witness_sets = combinations(range(n), size)
+        # blocks double from one set up to per_block, so an early hit in a
+        # size does not pay for a whole block
+        count = 1
+        while True:
+            block = np.fromiter(
+                chain.from_iterable(islice(witness_sets, count)), dtype=np.intp
+            ).reshape(-1, size)
+            count = min(2 * count, per_block)
+            if not len(block):
+                break
+            rows = same[block[:, 0]]
+            for j in range(1, size):
+                rows &= same[block[:, j]]
+            hits = np.flatnonzero((rows == identity).all(axis=(1, 2)))
+            if len(hits):
+                ws = block[hits[0]].tolist()
+                if not is_resolving(dm, ws):
+                    raise AssertionError(f"packed search accepted non-resolving {ws}")
                 return size, ResolvingSet(frozenset(ws), True)
     raise AssertionError("the full vertex set always resolves")
 
@@ -112,6 +145,21 @@ def _has_spine(g: Digraph) -> bool:
     return False
 
 
+def _separations(dm: DistanceMatrix, direction: str) -> np.ndarray:
+    """Pair x witness matrix: row t marks the witnesses separating the t-th
+    pair of ``combinations(range(n), 2)`` (INF is a float infinity, equal
+    only to itself)."""
+    dist = np.array(dm.dist, dtype=float)
+    # row w holds the distances compared for witness w: d(w, .) when the
+    # witness probes the pair, d(., w) when the pair reaches the witness
+    rows = dist if direction == "witness-to-pair" else dist.T
+    xs, ys = np.triu_indices(dm.n, 1)
+    separated = np.empty((dm.n, len(xs)), dtype=bool)
+    for w, row in enumerate(rows):
+        np.not_equal(row[xs], row[ys], out=separated[w])
+    return separated.T
+
+
 def distinguisher_hypergraph(
     g: Digraph,
     dm: DistanceMatrix | None = None,
@@ -127,16 +175,9 @@ def distinguisher_hypergraph(
     if direction not in ("witness-to-pair", "pair-to-witness"):
         raise ValueError(f"unknown direction {direction!r}")
     dm = dm or all_pairs_distances(g)
-    edges = []
-    labels = []
-    for x, y in combinations(range(g.n), 2):
-        if direction == "witness-to-pair":
-            edge = [w for w in range(g.n) if dm.dist[w][x] != dm.dist[w][y]]
-        else:
-            edge = [w for w in range(g.n) if dm.dist[x][w] != dm.dist[y][w]]
-        edges.append(edge)
-        labels.append((x, y))
-    return Hypergraph(g.n, edges, labels)
+    return Hypergraph.from_incidence(
+        _separations(dm, direction), combinations(range(g.n), 2)
+    )
 
 
 def c_parameter(
@@ -144,25 +185,14 @@ def c_parameter(
     dm: DistanceMatrix | None = None,
     direction: str = "witness-to-pair",
 ) -> Fraction:
-    """Worst-case separation rate: min over pairs of |separating set| / n.
-
-    The separating-set sizes of all pairs come from one broadcast comparison
-    per witness (INF stays a float infinity, equal only to itself); the
-    result equals the smallest edge of ``distinguisher_hypergraph`` over n.
-    """
+    """Worst-case separation rate: min over pairs of |separating set| / n,
+    the smallest edge of ``distinguisher_hypergraph`` over n."""
     if g.n < 2:
         return Fraction(1)
     if direction not in ("witness-to-pair", "pair-to-witness"):
         raise ValueError(f"unknown direction {direction!r}")
     dm = dm or all_pairs_distances(g)
-    dist = np.array(dm.dist, dtype=float)
-    # row w holds the distances compared for witness w: d(w, .) when the
-    # witness probes the pair, d(., w) when the pair reaches the witness
-    rows = dist if direction == "witness-to-pair" else dist.T
-    separated = np.zeros((g.n, g.n), dtype=np.int64)
-    for row in rows:
-        separated += row[:, None] != row
-    return Fraction(int(separated[np.triu_indices(g.n, 1)].min()), g.n)
+    return Fraction(int(_separations(dm, direction).sum(axis=1).min()), g.n)
 
 
 def lp_upper_bound(g: Digraph, dm: DistanceMatrix | None = None) -> float:

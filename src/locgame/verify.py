@@ -132,9 +132,13 @@ def bounds_report(
     lower_dt = localization_lower_bound(g, dm)
     upper_lp = lp_upper_bound(g, dm)
     scc = strong_components(g)
-    upper_sc = scc.max_out_degree + max(
-        localization_number_exact(g.induced(comp)[0]) for comp in scc.components
-    )
+    if len(scc.components) == 1 and zeta is not None:
+        # the only component is g itself, already solved
+        upper_sc = scc.max_out_degree + zeta
+    else:
+        upper_sc = scc.max_out_degree + max(
+            localization_number_exact(g.induced(comp)[0]) for comp in scc.components
+        )
     return {
         "zeta": zeta,
         "beta": beta,

@@ -17,9 +17,9 @@ def random_oriented_digraph(rng: random.Random, n: int, p: float) -> Digraph:
 
 
 @st.composite
-def oriented_digraphs(draw, max_n=10):
+def oriented_digraphs(draw, max_n=10, min_n=0):
     """Hypothesis strategy: each pair gets an arc either way or none."""
-    n = draw(st.integers(0, max_n))
+    n = draw(st.integers(min_n, max_n))
     pairs = list(itertools.combinations(range(n), 2))
     kinds = draw(st.lists(st.sampled_from("+-0"), min_size=len(pairs), max_size=len(pairs)))
     return Digraph(n, [(u, v) if k == "+" else (v, u) for (u, v), k in zip(pairs, kinds) if k != "0"])

@@ -9,9 +9,11 @@ from scipy.optimize import linprog
 from locgame import (
     EmptyEdgeError,
     Hypergraph,
+    distinguisher_hypergraph,
     fractional_vertex_cover,
     greedy_vertex_cover,
     lovasz_bound,
+    random_tournament,
 )
 from locgame.hypergraph import max_membership
 
@@ -45,6 +47,26 @@ def brute_tau(h):
     raise AssertionError
 
 
+def set_greedy(h):
+    """Reference max-coverage greedy on Python sets, lowest id on ties."""
+    uncovered = set(range(len(h.edges)))
+    membership = [{i for i, e in enumerate(h.edges) if v in e} for v in range(h.n)]
+    cover = set()
+    while uncovered:
+        best = max(range(h.n), key=lambda v: (len(membership[v] & uncovered), -v))
+        cover.add(best)
+        uncovered -= membership[best]
+    return frozenset(cover)
+
+
+def tournament_hypergraphs(rng, count=8):
+    """Distinguisher hypergraphs of random tournaments with n <= 14."""
+    return [
+        distinguisher_hypergraph(random_tournament(rng.randint(3, 14), 0.5, rng.randrange(1000)))
+        for _ in range(count)
+    ]
+
+
 class TestFractionalCover:
     def test_single_edge(self):
         h = Hypergraph(3, [{0, 1, 2}])
@@ -74,6 +96,32 @@ class TestFractionalCover:
                 assert sum(x[v] for v in e) >= 1 - 1e-7
             assert frac.value == pytest.approx(sum(x), abs=1e-7)
 
+    def test_duality_certificate(self, rng):
+        # a feasible cover and a feasible packing with equal sums are both
+        # optimal (weak duality), so this checks optimality without scipy
+        for h in [_random_hypergraph(rng) for _ in range(25)] + tournament_hypergraphs(rng):
+            frac = fractional_vertex_cover(h)
+            x, y = frac.assignment, frac.packing
+            assert len(x) == h.n and len(y) == len(h.edges)
+            assert min(x) >= -LP_TOL and min(y) >= -LP_TOL
+            for e in h.edges:
+                assert sum(x[v] for v in e) >= 1 - LP_TOL
+            for v in range(h.n):
+                assert sum(w for w, e in zip(y, h.edges) if v in e) <= 1 + LP_TOL
+            assert sum(x) == pytest.approx(frac.value, abs=LP_TOL)
+            assert sum(y) == pytest.approx(frac.value, abs=LP_TOL)
+
+    def test_tournament_tau_matches_scipy_oracle(self, rng):
+        for h in tournament_hypergraphs(rng):
+            assert fractional_vertex_cover(h).value == pytest.approx(scipy_tau_star(h), abs=LP_TOL)
+
+    @pytest.mark.parametrize("seed", [4, 9])
+    def test_tau_where_the_primal_tableau_lost_its_pivot(self, seed):
+        # the primal LP (one row per vertex pair) once raised UnboundedError
+        # in phase 1 on these n = 22 tournaments
+        h = distinguisher_hypergraph(random_tournament(22, 0.5, seed))
+        assert fractional_vertex_cover(h).value == pytest.approx(scipy_tau_star(h), abs=LP_TOL)
+
     def test_matches_scipy_oracle(self, rng):
         for _ in range(25):
             h = _random_hypergraph(rng)
@@ -101,6 +149,11 @@ class TestGreedyCover:
     def test_empty_edge_raises(self):
         with pytest.raises(EmptyEdgeError):
             greedy_vertex_cover(Hypergraph(2, [set()]))
+
+    def test_matches_set_based_reference(self, rng):
+        for h in [_random_hypergraph(rng) for _ in range(40)] + tournament_hypergraphs(rng):
+            assert greedy_vertex_cover(h) == set_greedy(h)
+            assert max_membership(h) == max(sum(v in e for e in h.edges) for v in range(h.n))
 
     def test_duality_sandwich(self, rng):
         # tau* <= greedy size and greedy size within the rounding bound
@@ -138,3 +191,13 @@ def _random_hypergraph(rng: random.Random) -> Hypergraph:
         size = rng.randint(1, n)
         edges.append(set(rng.sample(range(n), size)))
     return Hypergraph(n, edges)
+
+
+def test_incidence_round_trip(rng):
+    for _ in range(20):
+        h = _random_hypergraph(rng)
+        inc = h.incidence()
+        assert inc.shape == (len(h.edges), h.n) and not inc.flags.writeable
+        assert [set(np.flatnonzero(row)) for row in inc] == [set(e) for e in h.edges]
+        again = Hypergraph.from_incidence(inc, labels=[(i, i) for i in range(len(h.edges))])
+        assert again.edges == h.edges and again.n == h.n

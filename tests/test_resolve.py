@@ -1,8 +1,11 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locgame import (
     BudgetExceededError,
@@ -22,7 +25,7 @@ from locgame import (
 )
 from locgame.resolve import CASE_NO, CASE_PATH, CASE_SOURCE_PLUS_PATH
 
-from conftest import random_oriented_digraph
+from conftest import oriented_digraphs, random_oriented_digraph
 
 
 def cycle3():
@@ -116,6 +119,35 @@ class TestMetricDimension:
         monkeypatch.setattr(resolve, "MAX_PROBE_SETS", 62)
         with pytest.raises(BudgetExceededError, match=r"28 witness sets of size < 3 plus C\(7,3\) = 35"):
             metric_dimension_exact(g)
+
+
+def reference_metric_dimension(g, dm):
+    """Lexicographic search testing one set at a time with is_resolving."""
+    for size in range(1, g.n + 1):
+        for ws in itertools.combinations(range(g.n), size):
+            if is_resolving(dm, ws):
+                return size, frozenset(ws)
+    raise AssertionError
+
+
+class TestPackedWitnessSearch:
+    # n = 8, 9, 16, 17 sit on either side of a byte of packed masks
+    @pytest.mark.parametrize("n", [1, 8, 9, 16, 17])
+    @settings(max_examples=6, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_at_every_block_size(self, n, data):
+        from locgame import resolve
+
+        g = data.draw(oriented_digraphs(min_n=n, max_n=n))
+        dm = all_pairs_distances(g)
+        want = reference_metric_dimension(g, dm)
+        # blocks of at most 1 set, 3 sets and the default size; the packed
+        # rows of one witness set take n * ceil(n / 8) bytes
+        row_bytes = n * -(-n // 8)
+        for block_bytes in (1, 3 * row_bytes, resolve._WITNESS_BLOCK_BYTES):
+            with mock.patch.object(resolve, "_WITNESS_BLOCK_BYTES", block_bytes):
+                beta, witness = metric_dimension_exact(g, dm)
+            assert (beta, witness.vertices) == want
 
 
 class TestDimOneClassifier:

@@ -163,3 +163,35 @@ class TestSpread:
         # out-degeneracy 1, spread 3
         bound = localization_lower_bound(cycle3())
         assert 0 < bound < 1
+
+
+class TestBoundsReportComponentBound:
+    """``upper_sc`` reuses zeta when the graph is its own only component."""
+
+    @staticmethod
+    def solves(g, k_max=None):
+        from unittest import mock
+
+        from locgame import verify
+
+        with mock.patch.object(
+            verify, "localization_number_exact", wraps=verify.localization_number_exact
+        ) as solve:
+            report = verify.bounds_report(g, k_max=k_max)
+        return report, solve.call_count
+
+    def test_strongly_connected_solves_once(self):
+        report, calls = self.solves(rotation_tournament(3))
+        assert calls == 1
+        assert report["zeta"] == 2 and report["upper_sc"] == 2
+
+    def test_cut_short_zeta_still_solves_the_component(self):
+        report, calls = self.solves(rotation_tournament(2), k_max=1)
+        assert calls == 2
+        assert report["zeta"] is None and report["upper_sc"] == 2
+
+    def test_several_components_each_solved(self):
+        g = binary_source_extension(rotation_tournament(1))
+        report, calls = self.solves(g)
+        assert calls == 1 + len(strong_components(g).components)
+        assert report["zeta"] <= report["upper_sc"]
