@@ -18,15 +18,15 @@ class EmptyEdgeError(ValueError):
 
 
 class Hypergraph:
-    """Vertex set 0..n-1 plus a list of hyperedges (vertex sets).
+    """Vertex set 0..n-1 plus a list of hyperedges, stored as a read-only
+    boolean edge x vertex incidence matrix: row i marks the vertices of
+    edge i.
 
     ``labels``, when present, names each edge; distinguisher hypergraphs
-    label edge t with the vertex pair it separates.  The edges are held as
-    frozensets, as a boolean edge x vertex incidence matrix, or both: each
-    form is built from the other on first use.
+    label edge t with the vertex pair it separates.
     """
 
-    __slots__ = ("n", "labels", "_edges", "_incidence")
+    __slots__ = ("n", "labels", "_incidence")
 
     def __init__(
         self,
@@ -34,29 +34,29 @@ class Hypergraph:
         edges: Iterable[Iterable[int]],
         labels: Iterable[tuple[int, int]] | None = None,
     ):
-        self.n = n
-        self._edges: tuple[frozenset[int], ...] | None = tuple(frozenset(e) for e in edges)
-        for e in self._edges:
+        edges = [sorted(set(e)) for e in edges]
+        inc = np.zeros((len(edges), n), dtype=bool)
+        for i, e in enumerate(edges):
             if any(not 0 <= v < n for v in e):
-                raise ValueError(f"edge {sorted(e)} out of range for n={n}")
-        self._incidence: np.ndarray | None = None
-        self._set_labels(labels)
+                raise ValueError(f"edge {e} out of range for n={n}")
+            inc[i, e] = True
+        self._init(inc, labels)
 
     @classmethod
     def from_incidence(
         cls, incidence: np.ndarray, labels: Iterable[tuple[int, int]] | None = None
     ) -> Hypergraph:
         """The hypergraph whose edge i is the set of columns marked in row i
-        of a boolean edge x vertex matrix."""
+        of a boolean edge x vertex matrix (held as a read-only view, not a
+        copy)."""
         h = cls.__new__(cls)
-        h.n = incidence.shape[1]
-        h._edges = None
-        h._incidence = np.array(incidence, dtype=bool)
-        h._incidence.flags.writeable = False
-        h._set_labels(labels)
+        h._init(np.asarray(incidence, dtype=bool).view(), labels)
         return h
 
-    def _set_labels(self, labels: Iterable[tuple[int, int]] | None) -> None:
+    def _init(self, incidence: np.ndarray, labels: Iterable[tuple[int, int]] | None) -> None:
+        incidence.flags.writeable = False
+        self.n = incidence.shape[1]
+        self._incidence = incidence
         self.labels = tuple(tuple(l) for l in labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != self.edge_count:
             raise ValueError("one label per edge required")
@@ -64,26 +64,16 @@ class Hypergraph:
     @property
     def edges(self) -> tuple[frozenset[int], ...]:
         """The edges as vertex sets, in edge order."""
-        if self._edges is None:
-            self._edges = tuple(
-                frozenset(np.flatnonzero(row).tolist()) for row in self._incidence
-            )
-        return self._edges
+        return tuple(frozenset(np.flatnonzero(row).tolist()) for row in self._incidence)
 
     def incidence(self) -> np.ndarray:
         """Read-only edge x vertex membership matrix: row i marks the
         vertices of edge i."""
-        if self._incidence is None:
-            inc = np.zeros((len(self._edges), self.n), dtype=bool)
-            for i, e in enumerate(self._edges):
-                inc[i, list(e)] = True
-            inc.flags.writeable = False
-            self._incidence = inc
         return self._incidence
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges) if self._edges is not None else len(self._incidence)
+        return len(self._incidence)
 
     def __repr__(self) -> str:
         return f"Hypergraph(n={self.n}, edges={self.edge_count})"

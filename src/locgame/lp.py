@@ -6,7 +6,8 @@ rows however many hyperedges there are.  The implementation favors clarity
 over sparsity: one numpy tableau, each pivot one rank-1 update, Bland's
 entering/leaving rule throughout, which rules out cycling.  The artificial
 columns always hold B^-1, so the optimal duals come for free.  All
-comparisons use an absolute tolerance.
+comparisons use an absolute tolerance, and pricing reads only the entries
+above it, the same ones the ratio test may pivot on.
 """
 
 from __future__ import annotations
@@ -83,7 +84,11 @@ def _objective(tableau: np.ndarray, basis: list[int], cost: np.ndarray) -> float
 def _optimize(tableau: np.ndarray, basis: list[int], cost: np.ndarray, allowed: int) -> None:
     """Primal simplex loop with Bland's rule, restricted to columns < allowed."""
     while True:
-        reduced = cost[:allowed] - cost[basis] @ tableau[:, :allowed]
+        # price only on entries the ratio test can pivot on: round-off
+        # summed over many rows could otherwise make a column look
+        # improving when no entry of it exceeds the tolerance
+        body = tableau[:, :allowed]
+        reduced = cost[:allowed] - cost[basis] @ np.where(np.abs(body) > TOL, body, 0.0)
         improving = np.flatnonzero(reduced < -TOL)
         if not len(improving):
             return

@@ -16,6 +16,7 @@ from locgame import (
     random_tournament,
 )
 from locgame.hypergraph import max_membership
+from locgame.lp import solve_min_equality
 
 LP_TOL = 1e-9
 
@@ -128,6 +129,17 @@ class TestFractionalCover:
             ours = fractional_vertex_cover(h).value
             theirs = scipy_tau_star(h)
             assert ours == pytest.approx(theirs, abs=1e-7)
+
+
+class TestSimplex:
+    def test_entries_below_tolerance_do_not_price_a_column(self):
+        # ten entries of 5e-10 sum to a phase-1 reduced cost below -TOL,
+        # yet none exceeds TOL, so the ratio test could not pivot on them;
+        # the column must not be chosen to enter
+        m = 10
+        a = np.hstack([np.full((m, 1), 5e-10), np.eye(m)])
+        sol = solve_min_equality(np.zeros(m + 1), a, np.ones(m))
+        assert sol.x == (0.0,) + (1.0,) * m
 
 
 class TestGreedyCover:
