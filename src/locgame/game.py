@@ -8,15 +8,22 @@ either a single vertex or leads, after the robber's move, to another winning
 set.  The least fixpoint of that rule decides the game: any play that never
 reaches it is a robber win.
 
-States are vertex bitmasks.  The partition of the full vertex set is built
-once for each distinct partition the probes induce (probes inducing the same
-partition are one option); partitioning any S is then a handful of mask
-intersections.  An automorphism of the digraph maps winning sets to winning
-sets, so every state is replaced by its orbit representative: the least mask
-image under the automorphisms :meth:`DistanceMatrix.automorphisms` keeps.
-The fixpoint runs over representatives only.  A counting attractor
-propagates wins backwards, so the whole computation is linear in the
-explored game graph.
+States are vertex bitmasks.  Each distinct partition the probes induce is
+one row of a zero-padded matrix of its non-singleton cells, so ``cells & S``
+holds the parts of S under every probe at once, and three byte tables of
+closed out-neighbourhoods step all of them through the robber's move.  An
+automorphism of the digraph maps winning sets to winning sets, so each state
+is replaced by its representative: its least image under the automorphisms
+:meth:`DistanceMatrix.automorphisms` keeps and their inverses.  Wins live in
+a bool table over all 2^n masks (16 MB at n = 24).  When a representative
+wins, every image of it is marked, so a stepped part is looked up directly,
+without computing its representative.
+
+The fixpoint is computed by sweeps.  A query explores the representatives
+newly reachable from it, breadth first, then re-evaluates only those, last
+explored first, until a sweep wins no further state.  Earlier states are not
+swept again: each of their successors was explored or won before them, so
+they are at their fixpoint already, and a state lost there stays lost.
 """
 
 from __future__ import annotations
@@ -93,14 +100,15 @@ def _first_rows(a: np.ndarray) -> np.ndarray:
     return np.sort(order[starts])
 
 
-def _probe_partitions(dm: DistanceMatrix, k: int) -> list[tuple[int, ...]]:
-    """The non-singleton cells of each distinct partition of V by k probes.
+def _probe_partitions(dm: DistanceMatrix, k: int) -> np.ndarray:
+    """The non-singleton cells of each distinct partition of V by k probes,
+    one zero-padded row of cell masks per partition.
 
     A probe's partition is encoded as its row of "cell mask of x" over all
     x: the AND over probe vertices u of the mask of vertices at the same
     distance from u as x.  That row is a canonical form of the partition, so
-    equal rows are equal partitions; one entry is kept per distinct row, in
-    the order of the first probe (in ``combinations`` order) inducing it.
+    equal rows are equal partitions; one row is kept per distinct partition,
+    in the order of the first probe (in ``combinations`` order) inducing it.
     Each cell is listed once, at its lowest vertex, in vertex order.
     """
     n = dm.n
@@ -125,23 +133,38 @@ def _probe_partitions(dm: DistanceMatrix, k: int) -> list[tuple[int, ...]]:
         rows = rows[_first_rows(rows)]
     # x lists its cell when x is the cell's lowest vertex and not alone in it
     listed = ((rows & -rows) == bits) & ((rows & (rows - 1)) != 0)
-    flat = rows[listed].tolist()
-    ends = np.cumsum(listed.sum(axis=1)).tolist()
-    return [tuple(flat[a:b]) for a, b in zip([0] + ends[:-1], ends)]
+    width = int(listed.sum(axis=1).max())
+    first = np.argsort(~listed, axis=1, kind="stable")[:, :width]
+    return np.where(
+        np.take_along_axis(listed, first, axis=1), np.take_along_axis(rows, first, axis=1), 0
+    )
 
 
-def _byte_tables(maps: Sequence[Sequence[int]], n: int) -> tuple[np.ndarray, ...]:
-    """For each byte of a mask, a table of its image under every map:
-    ``tables[j][a, b]`` is the image under map a of byte value b at byte j."""
-    images = np.int64(1) << np.array(maps, dtype=np.int64)
+def _byte_tables(images: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per-byte lookup tables of OR-preserving maps on masks of up to 24 bits.
+
+    ``images[a, v]`` is the mask vertex v goes to under map a, and
+    ``tables[j][a, b]`` the OR of the images of the vertices in byte value b
+    at byte j; :func:`_images` ORs one lookup per byte."""
     tables = []
     for base in (0, 8, 16):
-        table = np.zeros((len(maps), 1 << max(0, min(8, n - base))), dtype=np.int64)
-        for b in range(1, table.shape[1]):
-            low = b & -b
-            table[:, b] = table[:, b ^ low] | images[:, base + low.bit_length() - 1]
+        table = np.zeros((len(images), 1), dtype=np.int64)
+        # doubling: byte values with bit v - base set follow those without it
+        for v in range(base, min(base + 8, images.shape[1])):
+            table = np.concatenate([table, table | images[:, v : v + 1]], axis=1)
         tables.append(table)
     return tuple(tables)
+
+
+def _images(tables: tuple[np.ndarray, ...], masks):
+    """The images of masks (an int or an array) under every map of the tables;
+    the leading axis of 2-d tables runs over the maps."""
+    t0, t1, t2 = tables
+    return (
+        t0.take(masks & 255, axis=-1)
+        | t1.take((masks >> 8) & 255, axis=-1)
+        | t2.take(masks >> 16, axis=-1)
+    )
 
 
 @dataclass(frozen=True)
@@ -162,7 +185,7 @@ class LocalizationSolver:
     """Exact win/lose analysis for a fixed cop count k.
 
     The reachable candidate-set graph is explored lazily from whichever sets
-    are queried; the win fixpoint is maintained incrementally, so the play
+    are queried, and only newly explored states are swept, so the play
     engine can keep asking about new sets mid-game.
     """
 
@@ -183,26 +206,20 @@ class LocalizationSolver:
         self.dm = dm or all_pairs_distances(g)
         n = g.n
         self._full = (1 << n) - 1
-        self._step1 = [
-            (1 << v) | sum(1 << w for w in g.out_neighbors(v)) for v in range(n)
-        ]
-        # non-singleton cells of V under each distinct probe partition; the
-        # classes of any S are the nonempty intersections with these
-        self._partitions = _probe_partitions(self.dm, k)
-        maps = self.dm.automorphisms()
+        # the classes of any S are the nonempty intersections with these cells
+        self._cells = _probe_partitions(self.dm, k)
+        closed = [(1 << v) | sum(1 << w for w in g.out_neighbors(v)) for v in range(n)]
+        self._step = tuple(t[0] for t in _byte_tables(np.array([closed], dtype=np.int64)))
+        maps = np.array(self.dm.automorphisms(), dtype=np.int64)
         self._automorphisms = len(maps)
-        self._tables = _byte_tables(maps, n) if len(maps) > 1 else None
-        self._canon: dict[int, int] = {}
-        # part of a state -> representative of the part after the robber moves
-        self._succ: dict[int, int] = {}
-        self._win: set[int] = set()
+        # the kept maps need not be closed under inverses (a truncated search
+        # keeps a subset of the group); with the inverses added, every mask
+        # is an image of its representative, so marking a winning
+        # representative's images lets win[mask] answer for any mask
+        maps = np.concatenate([maps, np.argsort(maps, axis=1)])
+        self._maps = _byte_tables(np.int64(1) << maps[_first_rows(maps)])
+        self._win = np.zeros(1 << n, dtype=bool)
         self._explored: set[int] = set()
-        # state -> list of requirement tuples (deduped successor masks);
-        # the state wins once any tuple is fully won
-        self._options: dict[int, list[tuple[int, ...]]] = {}
-        self._watchers: dict[int, list[tuple[int, int]]] = {}
-        self._counts: dict[tuple[int, int], int] = {}
-        self._queue: list[int] = []
         self._init_s = time.perf_counter() - started
         self._solve_s = 0.0
 
@@ -214,11 +231,11 @@ class LocalizationSolver:
         mask = candidates if isinstance(candidates, int) else self._mask(candidates)
         if not 0 < mask <= self._full:
             raise ValueError("candidate set must be a nonempty subset of V")
-        mask = self._representative(mask)
-        self._explore(mask)
-        self._propagate()
+        mask = int(self._representative(mask))
+        if mask not in self._explored:
+            self._sweep(self._explore(mask))
         self._solve_s += time.perf_counter() - started
-        return mask in self._win
+        return bool(self._win[mask])
 
     def cops_win(self) -> bool:
         return self.wins(self._full)
@@ -231,20 +248,12 @@ class LocalizationSolver:
     def stats(self) -> SolverStats:
         return SolverStats(
             probe_sets=math.comb(self.g.n, self.k),
-            partitions=len(self._partitions),
+            partitions=len(self._cells),
             automorphisms=self._automorphisms,
             explored_states=len(self._explored),
             init_s=self._init_s,
             solve_s=self._solve_s,
         )
-
-    def step_mask(self, mask: int) -> int:
-        stepped = 0
-        while mask:
-            low = mask & -mask
-            stepped |= self._step1[low.bit_length() - 1]
-            mask ^= low
-        return stepped
 
     # -- internals ---------------------------------------------------------
 
@@ -254,82 +263,54 @@ class LocalizationSolver:
             mask |= 1 << v
         return mask
 
-    def _representative(self, mask: int) -> int:
-        """The least image of the mask under the kept automorphisms."""
-        if self._tables is None:
-            return mask
-        rep = self._canon.get(mask)
-        if rep is None:
-            t0, t1, t2 = self._tables
-            rep = int((t0[:, mask & 255] | t1[:, (mask >> 8) & 255] | t2[:, mask >> 16]).min())
-            self._canon[mask] = rep
-        return rep
+    def _representative(self, masks):
+        """The least image of each mask under the kept automorphisms and
+        their inverses."""
+        return _images(self._maps, masks).min(axis=0)
 
-    def _explore(self, root: int) -> None:
-        stack = [root]
-        explored = self._explored
-        win = self._win
-        succ_of = self._succ
-        while stack:
-            s = stack.pop()
-            if s in explored:
-                continue
-            explored.add(s)
-            options: dict[tuple[int, ...], None] = {}
-            immediate = False
-            for cells in self._partitions:
-                succs: set[int] = set()
-                for cell in cells:
-                    part = cell & s
-                    if part & (part - 1):
-                        t = succ_of.get(part)
-                        if t is None:
-                            t = succ_of[part] = self._representative(self.step_mask(part))
-                        succs.add(t)
-                if not succs:
-                    immediate = True
-                    break
-                options[tuple(sorted(succs))] = None
-            if immediate:
-                win.add(s)
-                self._queue.append(s)
-                continue
-            opts = list(options)
-            self._options[s] = opts
-            for idx, req in enumerate(opts):
-                remaining = 0
-                for t in req:
-                    if t in win:
-                        continue
-                    remaining += 1
-                    self._watchers.setdefault(t, []).append((s, idx))
-                    if t not in explored:
-                        stack.append(t)
-                if remaining == 0:
-                    if s not in win:
-                        win.add(s)
-                        self._queue.append(s)
-                    break
-                self._counts[(s, idx)] = remaining
+    def _open(self, s: int) -> np.ndarray | None:
+        """None once the representative s is won, with every image of s
+        marked; else the stepped parts that keep s from winning.
 
-    def _propagate(self) -> None:
-        queue = self._queue
-        win = self._win
-        while queue:
-            t = queue.pop()
-            for (s, idx) in self._watchers.pop(t, ()):
-                if s in win:
-                    continue
-                key = (s, idx)
-                left = self._counts.get(key)
-                if left is None:
-                    continue
-                if left == 1:
-                    del self._counts[key]
-                    win.add(s)
-                    queue.append(s)
-                else:
-                    self._counts[key] = left - 1
+        s wins when some probe leaves every part a single vertex or a set
+        that wins after the robber's move."""
+        if not self._win[s]:
+            parts = self._cells & s
+            stepped = _images(self._step, parts)
+            done = self._win[stepped] | ((parts & (parts - 1)) == 0)
+            if not done.all(axis=1).any():
+                return stepped[~done]
+        self._win[_images(self._maps, s)] = True
+        return None
+
+    def _explore(self, root: int) -> list[int]:
+        """The representatives newly reachable from root, in BFS order; a
+        state already won is not expanded."""
+        self._explored.add(root)
+        queue = [root]
+        for s in queue:
+            blocking = self._open(s)
+            if blocking is None:
+                continue
+            # sort-based dedupe: the first np.unique call costs megabytes of RSS
+            blocking.sort()
+            reps = self._representative(blocking[np.diff(blocking, prepend=-1) != 0])
+            for t in sorted(set(reps.tolist()) - self._explored):
+                self._explored.add(t)
+                queue.append(t)
+        return queue
+
+    def _sweep(self, states: list[int]) -> None:
+        """Re-open the states, last explored first, until a sweep wins none.
+
+        Only new states need it: every successor of an earlier state was
+        explored or won before, so earlier states are at their fixpoint."""
+        pending = states[::-1]
+        while pending:
+            left = [s for s in pending if self._open(s) is not None]
+            if len(left) == len(pending):
+                return
+            pending = left
 
 
 def cops_win(g: Digraph, k: int, dm: DistanceMatrix | None = None) -> bool:

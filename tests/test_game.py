@@ -25,7 +25,7 @@ from locgame import (
     transitive_tournament,
     tripartite_cycle,
 )
-from locgame import game
+from locgame import digraph, game
 from locgame.verify import random_dag
 
 from conftest import oriented_digraphs, random_oriented_digraph
@@ -164,6 +164,15 @@ def oracle_cops_win(g, k):
     return (1 << g.n) - 1 in oracle_win_sets(g, k)
 
 
+def assert_every_set_agrees(g):
+    """One solver per k answers every nonempty set as the oracle does."""
+    for k in range(1, g.n + 1):
+        oracle = oracle_win_sets(g, k)
+        solver = LocalizationSolver(g, k)
+        for s in range(1, 1 << g.n):
+            assert solver.wins(s) == (s in oracle), (g.arcs, k, s)
+
+
 class TestSolverOracle:
     def test_agrees_with_powerset_value_iteration(self):
         rng = random.Random(4242)
@@ -198,11 +207,37 @@ class TestSolverOracle:
         # blown up by 3 it has 648 automorphisms, more than the search keeps,
         # so the solver quotients by a subset that is not a group
         assert len(all_pairs_distances(g).automorphisms()) > 1
-        for k in range(1, g.n + 1):
-            oracle = oracle_win_sets(g, k)
-            solver = LocalizationSolver(g, k)
-            for s in range(1, 1 << g.n):
-                assert solver.wins(s) == (s in oracle), (k, s)
+        assert_every_set_agrees(g)
+
+    def test_every_set_agrees_on_random_digraphs(self):
+        rng = random.Random(4244)
+        for _ in range(30):
+            assert_every_set_agrees(
+                random_oriented_digraph(rng, rng.randint(1, 7), rng.uniform(0.1, 0.9))
+            )
+
+    @pytest.mark.parametrize("cap", [2, 3])
+    @pytest.mark.parametrize(
+        "g",
+        [
+            paley_tournament(7),
+            rotation_tournament(3),
+            Digraph(9, [(i, (i + d) % 9) for i in range(9) for d in (6, 7)]),
+        ],
+        ids=["paley7", "rot3", "circulant9"],
+    )
+    def test_every_set_agrees_under_truncated_symmetry(self, monkeypatch, g, cap):
+        # the truncated search keeps the identity and cap - 1 more maps; these
+        # groups have odd order, so at cap 2 the second map's inverse is not
+        # kept (at cap 3 Paley-7 happens to keep the subgroup x -> 2^i x).
+        # On the circulant, a solver that left out the inverses would answer
+        # some sets wrongly at cap 2, k = 1
+        monkeypatch.setattr(digraph, "MAX_AUTOMORPHISMS", cap)
+        maps = all_pairs_distances(g).automorphisms()
+        inverses = {tuple(sorted(range(g.n), key=m.__getitem__)) for m in maps}
+        assert len(maps) == cap
+        assert cap != 2 or not inverses <= set(map(tuple, maps))
+        assert_every_set_agrees(g)
 
     def test_lazy_queries_match_cold_solves(self):
         rng = random.Random(999)
@@ -250,11 +285,16 @@ def reference_partitions(dm, k):
     return list(seen.values())
 
 
+def listed_partitions(dm, k):
+    """The solver's cell matrix as a list of cell tuples, padding dropped."""
+    return [tuple(c for c in row if c) for row in game._probe_partitions(dm, k).tolist()]
+
+
 class TestProbePartitions:
     def test_rotation_counts(self):
         dm = all_pairs_distances(rotation_tournament(9))
         assert len(game._probe_partitions(dm, 4)) == 2888  # of C(19, 4) = 3876
-        assert game._probe_partitions(dm, 2) == reference_partitions(dm, 2)
+        assert listed_partitions(dm, 2) == reference_partitions(dm, 2)
 
     @pytest.mark.parametrize("block", [1, 3, 1 << 16])
     def test_matches_reference_across_blocks(self, monkeypatch, block):
@@ -264,7 +304,7 @@ class TestProbePartitions:
             n = rng.randint(1, 8)
             dm = all_pairs_distances(random_oriented_digraph(rng, n, rng.uniform(0.1, 0.9)))
             for k in range(1, n + 1):
-                assert game._probe_partitions(dm, k) == reference_partitions(dm, k)
+                assert listed_partitions(dm, k) == reference_partitions(dm, k)
 
 
 class TestSolverStats:
