@@ -5,8 +5,9 @@ Graph files are auto-detected by extension (.json, anything else is treated
 as an edge list).  JSON reports encode unreachable/unbounded values as null.
 Exit status: 0 when the report is consistent, the play captured or every
 check passed; 1 for a negative answer; 2 when a solver budget is exceeded
-(or argparse rejects the command line); 3 when a graph or decomposition
-file cannot be read or does not fit the requested strategy.
+(or argparse rejects the command line); 3 for bad input: a graph or
+decomposition file that cannot be read, has no vertices or does not fit the
+requested strategy, or a family, experiment or count parameter out of range.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from .verify import CHECKS, bounds_report, run_checks
 
 
 class InputError(Exception):
-    """A graph or decomposition file could not be read, or does not fit the
-    requested strategy."""
+    """Bad input: an unreadable or empty graph, a decomposition that does not
+    fit the requested strategy, or a parameter out of range."""
 
 
 def _read(reader, path):
@@ -56,6 +57,20 @@ def _read(reader, path):
         raise InputError(f"{path}: missing key {exc}") from exc
     except (ValueError, TypeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
+
+
+def _read_graph(path):
+    g = _read(read_digraph, path)
+    if g.n == 0:
+        raise InputError(f"{path}: the graph has no vertices")
+    return g
+
+
+def _count(value: int | None, flag: str) -> int | None:
+    """An optional count from the command line, rejected below 1."""
+    if value is not None and value < 1:
+        raise InputError(f"{flag} must be at least 1, got {value}")
+    return value
 
 
 def _jsonable(value):
@@ -77,7 +92,7 @@ def _write(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def cmd_gen(args) -> int:
+def _family(args):
     if args.family == "random":
         # accept the probability positionally (gen random 10 0.5) or via --p
         p = args.p
@@ -86,27 +101,32 @@ def cmd_gen(args) -> int:
             p = float(raw.pop())
         if len(raw) != 1 or p is None:
             raise SystemExit("usage: gen random <n> [<p>] [--p <prob>] [--seed s]")
-        spec = FamilySpec("random", (int(raw[0]),), p=p, seed=args.seed)
-    elif args.family == "binary_source":
+        return FamilySpec("random", (int(raw[0]),), p=p, seed=args.seed).build()
+    if args.family == "binary_source":
         if not args.base:
             raise SystemExit("gen binary_source needs --base <graph-file>")
         from .families import binary_source_extension
 
-        g = binary_source_extension(_read(read_digraph, args.base))
-        _write(to_json(g) + "\n" if args.format == "json" else to_edge_list(g), args.out)
-        return 0
-    else:
-        spec = FamilySpec(args.family, tuple(int(x) for x in args.params))
-    g = spec.build()
+        return binary_source_extension(_read_graph(args.base))
+    return FamilySpec(args.family, tuple(int(x) for x in args.params)).build()
+
+
+def cmd_gen(args) -> int:
+    try:
+        g = _family(args)
+    except ValueError as exc:
+        # a parameter outside the family's range
+        raise InputError(f"{args.family}: {exc}") from exc
     _write(to_json(g) + "\n" if args.format == "json" else to_edge_list(g), args.out)
     return 0
 
 
 def cmd_zeta(args) -> int:
-    g = _read(read_digraph, args.graph)
+    max_cops = _count(args.max_cops, "--max-cops")
+    g = _read_graph(args.graph)
     report: dict = {"n": g.n}
     try:
-        zeta = localization_number_exact(g, k_max=args.max_cops)
+        zeta = localization_number_exact(g, k_max=max_cops)
     except BudgetExceededError as exc:
         report["zeta"] = None
         report["error"] = f"budget: {exc}"
@@ -114,27 +134,28 @@ def cmd_zeta(args) -> int:
         return 2
     report["zeta"] = zeta
     if zeta is None:
-        report["exceeds"] = args.max_cops
+        report["exceeds"] = max_cops
     _emit(report, args.out)
     return 0 if zeta is not None else 1
 
 
 def cmd_beta(args) -> int:
-    g = _read(read_digraph, args.graph)
+    g = _read_graph(args.graph)
     beta, witness = metric_dimension_exact(g)
     _emit({"n": g.n, "beta": beta, "witness": sorted(witness.vertices)}, args.out)
     return 0
 
 
 def cmd_bounds(args) -> int:
-    g = _read(read_digraph, args.graph)
-    report = bounds_report(g, k_max=args.max_cops)
+    max_cops = _count(args.max_cops, "--max-cops")
+    g = _read_graph(args.graph)
+    report = bounds_report(g, k_max=max_cops)
     _emit({"n": g.n, **{k: _jsonable(v) for k, v in report.items()}}, args.out)
     return 0 if report["consistent"] else 1
 
 
 def cmd_stats(args) -> int:
-    g = _read(read_digraph, args.graph)
+    g = _read_graph(args.graph)
     dm = all_pairs_distances(g)
     tournament = g.is_tournament()
     c = c_parameter(g, dm)
@@ -202,27 +223,30 @@ def _strategy(g, args):
 
 
 def cmd_play(args) -> int:
-    g = _read(read_digraph, args.graph)
+    max_rounds = _count(args.max_rounds, "--max-rounds")
+    g = _read_graph(args.graph)
     try:
         strategy = _strategy(g, args)
     except ValueError as exc:
         # the graph, decomposition or cop budget does not fit the strategy
         raise InputError(f"{args.strategy}: {exc}") from exc
     robber = optimal_robber(g, strategy.cops)
-    max_rounds = args.max_rounds or 5 * g.n
-    transcript = play(g, strategy, robber, max_rounds=max_rounds)
+    transcript = play(g, strategy, robber, max_rounds=max_rounds or 5 * g.n)
     _write(transcript.to_json_lines(), args.out)
     return 0 if transcript.outcome.captured else 1
 
 
 def cmd_experiment(args) -> int:
-    config = ExperimentConfig(
-        sizes=tuple(args.n),
-        p=args.p,
-        trials=args.trials,
-        seed=args.seed,
-        eps=args.eps,
-    )
+    try:
+        config = ExperimentConfig(
+            sizes=tuple(args.n),
+            p=args.p,
+            trials=args.trials,
+            seed=args.seed,
+            eps=args.eps,
+        )
+    except ValueError as exc:
+        raise InputError(f"experiment: {exc}") from exc
     rows = run_experiment(config)
     _write(rows_to_csv(rows), args.out)
     return 0

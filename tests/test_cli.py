@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from locgame import paley_tournament, random_tournament, rotation_tournament
 from locgame.cli import main
-from locgame.digraph import from_edge_list, from_json, write_digraph
+from locgame.digraph import from_edge_list, from_json, to_edge_list, to_json, write_digraph
+
+from conftest import oriented_digraphs
 
 
 def run_cli(capsys, *argv):
@@ -199,6 +206,7 @@ class TestBadInput:
         "bad_arc.json": '{"n": 3, "arcs": [[0]]}',
         "bad_syntax.json": '{"n": 3, "arcs": [[0, 1]',
         "no_arcs.json": '{"n": 3}',
+        "no_vertices.txt": "0\n",
     }
 
     def run_bad(self, capsys, *argv):
@@ -279,6 +287,36 @@ class TestBadInput:
         write_digraph(rotation_tournament(1), graph)
         err = self.run_bad(capsys, "play", str(graph), "--strategy", "rotation", "--cops", "5")
         assert err == "error: rotation: cop budget must be in 1..1\n"
+
+    def test_play_on_graph_without_vertices(self, capsys, tmp_path):
+        graph = tmp_path / "empty.txt"
+        graph.write_text("0\n")
+        err = self.run_bad(capsys, "play", str(graph), "--strategy", "dag_sweep")
+        assert err == f"error: {graph}: the graph has no vertices\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("gen rotation 0", "rotation: m must be positive, got 0"),
+            ("gen paley 9", "paley: q must be prime, got 9"),
+            ("gen random 5 --p 2", "random: p must be a probability, got 2.0"),
+            ("gen blowup 1 0", "blowup: independent-set size must be at least 3, got 0"),
+            ("gen sc_tight 0 0", "sc_tight: m must be odd and positive, got 0"),
+            ("experiment --n 30 --trials 0", "experiment: trials must be at least 1"),
+            ("experiment --n 1", "experiment: sizes below 4 have no 4-cycle statistics"),
+            ("zeta {graph} --max-cops 0", "--max-cops must be at least 1, got 0"),
+            ("bounds {graph} --max-cops -1", "--max-cops must be at least 1, got -1"),
+            (
+                "play {graph} --strategy rotation --max-rounds -1",
+                "--max-rounds must be at least 1, got -1",
+            ),
+        ],
+    )
+    def test_parameter_out_of_range(self, capsys, tmp_path, argv, message):
+        graph = tmp_path / "c3.txt"
+        write_digraph(rotation_tournament(1), graph)
+        err = self.run_bad(capsys, *argv.format(graph=graph).split())
+        assert err == f"error: {message}\n"
 
 
 class TestPlay:
@@ -381,3 +419,66 @@ class TestCsvRoundTrip:
 
         with pytest.raises(ValueError, match="header"):
             rows_from_csv("a,b,c\n1,2,3\n")
+
+
+MALFORMED_GRAPHS = [
+    "", "0\n", "-1\n", "x\n", "3\n0 1 2\n", "2\n0 1\n1 0\n", "2\n0 5\n",
+    "{", "[]", '{"n": 2}', '{"n": 2, "arcs": [[0, 1, 2]]}', '{"n": -1, "arcs": []}',
+]
+COUNTS = st.integers(-1, 4).map(str)
+
+
+@st.composite
+def command_lines(draw):
+    """argv for the CLI, with "{graph}" standing for the graph file."""
+    kind = draw(st.sampled_from(["report", "play", "gen", "experiment"]))
+    if kind == "report":
+        argv = [draw(st.sampled_from(["zeta", "beta", "bounds", "stats"])), "{graph}"]
+        if argv[0] in ("zeta", "bounds") and draw(st.booleans()):
+            argv += ["--max-cops", draw(COUNTS)]
+    elif kind == "play":
+        strategy = draw(st.sampled_from(["dag_sweep", "sc_composite", "rotation", "path_sweep"]))
+        argv = ["play", "{graph}", "--strategy", strategy]
+        for flag in ("--cops", "--max-rounds"):
+            if draw(st.booleans()):
+                argv += [flag, draw(COUNTS)]
+    elif kind == "gen":
+        family = draw(st.sampled_from(["rotation", "d3", "blowup", "sc_tight", "paley", "transitive"]))
+        argv = ["gen", family] + draw(st.lists(COUNTS, min_size=1, max_size=2))
+    else:
+        argv = ["experiment", "--n", draw(st.integers(-1, 6).map(str)), "--trials", draw(COUNTS)]
+    return argv
+
+
+def run_as_process(argv):
+    """Exit code and stderr of main, as the interpreter would report them."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            if isinstance(code, str):
+                print(code, file=err)
+                code = 1
+    return code or 0, err.getvalue()
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    command_lines(),
+    st.one_of(oriented_digraphs(max_n=6), st.sampled_from(MALFORMED_GRAPHS)),
+    st.sampled_from([".txt", ".json"]),
+)
+def test_any_command_line_exits_cleanly(argv, graph, suffix):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"g{suffix}"
+        if isinstance(graph, str):
+            path.write_text(graph)
+        else:
+            path.write_text(to_json(graph) if suffix == ".json" else to_edge_list(graph))
+        code, err = run_as_process([a.replace("{graph}", str(path)) for a in argv])
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err
+    if code == 3:
+        assert err.count("\n") == 1 and err.startswith("error: ")
