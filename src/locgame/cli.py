@@ -5,7 +5,8 @@ Graph files are auto-detected by extension (.json, anything else is treated
 as an edge list).  JSON reports encode unreachable/unbounded values as null.
 Exit status: 0 when the report is consistent, the play captured or every
 check passed; 1 for a negative answer; 2 when a solver budget is exceeded
-(or argparse rejects the command line); 3 for bad input: a graph or
+or the command line is malformed (rejected by argparse, or missing an
+argument its other arguments require); 3 for bad input: a graph or
 decomposition file that cannot be read, has no vertices or does not fit the
 requested strategy, or a family, experiment or count parameter out of range.
 """
@@ -40,6 +41,11 @@ from .strategies import (
     sc_composite,
 )
 from .verify import CHECKS, bounds_report, run_checks
+
+
+class UsageError(Exception):
+    """A malformed command line: an argument that the other arguments
+    require is missing."""
 
 
 class InputError(Exception):
@@ -100,11 +106,13 @@ def _family(args):
         if len(raw) == 2 and p is None:
             p = float(raw.pop())
         if len(raw) != 1 or p is None:
-            raise SystemExit("usage: gen random <n> [<p>] [--p <prob>] [--seed s]")
+            raise UsageError(
+                "gen random needs <n> and a probability: gen random <n> <p> or --p <p>"
+            )
         return FamilySpec("random", (int(raw[0]),), p=p, seed=args.seed).build()
     if args.family == "binary_source":
         if not args.base:
-            raise SystemExit("gen binary_source needs --base <graph-file>")
+            raise UsageError("gen binary_source needs --base <graph-file>")
         from .families import binary_source_extension
 
         return binary_source_extension(_read_graph(args.base))
@@ -206,20 +214,19 @@ def _strategy(g, args):
         return sc_composite(g)
     if args.strategy == "rotation":
         if g.n % 2 == 0:
-            raise SystemExit("rotation strategy needs an odd vertex count")
+            raise ValueError(f"needs an odd vertex count, got {g.n}")
         return rotation_strategy((g.n - 1) // 2, cops=args.cops)
-    if args.strategy in ("path_sweep", "dag_decomp_sweep"):
-        if not args.decomposition:
-            raise SystemExit(f"{args.strategy} needs --decomposition <file>")
-        decomp = _read(read_decomposition, args.decomposition)
-        if args.strategy == "path_sweep":
-            if not isinstance(decomp, PathDecomposition):
-                raise SystemExit("path_sweep needs a path decomposition file")
-            return path_sweep(g, decomp)
-        if not isinstance(decomp, DagDecomposition):
-            raise SystemExit("dag_decomp_sweep needs a DAG decomposition file")
-        return dag_decomp_sweep(g, decomp)
-    raise SystemExit(f"unknown strategy {args.strategy!r}")
+    # the remaining choices, path_sweep and dag_decomp_sweep, read a file
+    if not args.decomposition:
+        raise UsageError(f"{args.strategy} needs --decomposition <file>")
+    decomp = _read(read_decomposition, args.decomposition)
+    if args.strategy == "path_sweep":
+        if not isinstance(decomp, PathDecomposition):
+            raise ValueError(f"{args.decomposition} is not a path decomposition")
+        return path_sweep(g, decomp)
+    if not isinstance(decomp, DagDecomposition):
+        raise ValueError(f"{args.decomposition} is not a DAG decomposition")
+    return dag_decomp_sweep(g, decomp)
 
 
 def cmd_play(args) -> int:
@@ -316,7 +323,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceededError as exc:
+    except (BudgetExceededError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InputError as exc:

@@ -38,6 +38,10 @@ class ExperimentConfig:
             raise ValueError("p must be a probability")
         if any(n < 4 for n in self.sizes):
             raise ValueError("sizes below 4 have no 4-cycle statistics")
+        # at eps >= 1 the sameness lower bound 2(1-eps)p(1-p)(n-2) is vacuous;
+        # the chained comparison also rejects nan
+        if self.eps is not None and not 0 < self.eps < 1:
+            raise ValueError(f"eps must lie strictly between 0 and 1, got {self.eps}")
 
 
 def probe_bound(n: int, p: float, eps: float) -> float:

@@ -1,10 +1,15 @@
-"""A small dense two-phase primal simplex solver.
+"""A small dense primal simplex solver for LPs feasible at their slack basis.
 
 Only covering-style linear programs arise here: the fractional vertex cover
 is solved as its dual packing LP, one row per vertex, so the tableau has n
-rows however many hyperedges there are.  The implementation favors clarity
-over sparsity: one numpy tableau, each pivot one rank-1 update, Bland's
-entering/leaving rule throughout, which rules out cycling.  The artificial
+rows however many hyperedges there are.  A packing LP (A y <= b, y >= 0,
+b >= 0) is feasible at its slack basis, so the solver starts there, with no
+artificial columns and no phase 1.  One numpy tableau; each pivot is one
+rank-1 update.  The entering column has the most negative reduced cost
+(Dantzig's rule).  Dantzig's rule alone can cycle on degenerate LPs, so
+after a run of m degenerate pivots (m rows) pricing falls back to Bland's
+rule (Bland 1977), which cannot cycle, until the next pivot that moves.  The
+leaving row breaks ratio ties by the lowest basic variable.  The slack
 columns always hold B^-1, so the optimal duals come for free.  All
 comparisons use an absolute tolerance, and pricing reads only the entries
 above it, the same ones the ratio test may pivot on.
@@ -19,10 +24,6 @@ import numpy as np
 TOL = 1e-9
 
 
-class InfeasibleError(ValueError):
-    """The constraint system admits no feasible point."""
-
-
 class UnboundedError(ValueError):
     """The objective is unbounded below on the feasible region."""
 
@@ -30,77 +31,69 @@ class UnboundedError(ValueError):
 @dataclass(frozen=True)
 class LpSolution:
     """Optimal value, primal point and the dual values c_B B^-1, one per
-    equality row."""
+    equality row, with the pivots taken and how many of them were
+    degenerate (a step of length 0)."""
 
     value: float
     x: tuple[float, ...]
     duals: tuple[float, ...]
+    pivots: int
+    degenerate_pivots: int
 
 
 def solve_min_equality(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpSolution:
-    """Minimize c.x subject to a @ x = b, x >= 0 (b must be nonnegative).
-
-    Phase 1 drives artificial variables out of the basis; phase 2 optimizes
-    the real objective.
+    """Minimize c.x subject to a @ x = b, x >= 0, starting from the slack
+    basis: the last m columns of the m-row ``a`` must be the identity and
+    ``b`` must be nonnegative, otherwise :class:`ValueError`.
     """
     m, n = a.shape
-    if np.any(b < -TOL):
+    if n < m or not np.array_equal(a[:, n - m :], np.eye(m)):
+        raise ValueError("the last m columns of a must be the identity")
+    if np.any(b < 0):
         raise ValueError("right-hand side must be nonnegative")
 
-    # tableau: [A | I_art | b], artificials start basic
-    tableau = np.zeros((m, n + m + 1))
-    tableau[:, :n] = a
-    tableau[:, n : n + m] = np.eye(m)
-    tableau[:, -1] = b
-    basis = list(range(n, n + m))
-
-    phase1_cost = np.zeros(n + m)
-    phase1_cost[n:] = 1.0
-    _optimize(tableau, basis, phase1_cost, allowed=n + m)
-    if _objective(tableau, basis, phase1_cost) > TOL:
-        raise InfeasibleError("phase-1 optimum is positive")
-    _drive_out_artificials(tableau, basis, n)
-
-    phase2_cost = np.zeros(n + m)
-    phase2_cost[:n] = c
-    _optimize(tableau, basis, phase2_cost, allowed=n)
-
-    x = np.zeros(n)
-    for row, var in enumerate(basis):
-        if var < n:
-            x[var] = tableau[row, -1]
-    duals = phase2_cost[basis] @ tableau[:, n : n + m]
-    return LpSolution(
-        float(phase2_cost[:n] @ x),
-        tuple(float(v) for v in x),
-        tuple(float(v) for v in duals),
-    )
-
-
-def _objective(tableau: np.ndarray, basis: list[int], cost: np.ndarray) -> float:
-    return float(cost[basis] @ tableau[:, -1])
-
-
-def _optimize(tableau: np.ndarray, basis: list[int], cost: np.ndarray, allowed: int) -> None:
-    """Primal simplex loop with Bland's rule, restricted to columns < allowed."""
+    # tableau: [B^-1 A | B^-1 b], the slacks start basic
+    tableau = np.column_stack([a, b]).astype(float, copy=False)
+    basis = list(range(n - m, n))
+    pivots = degenerate = run = 0
     while True:
         # price only on entries the ratio test can pivot on: round-off
         # summed over many rows could otherwise make a column look
         # improving when no entry of it exceeds the tolerance
-        body = tableau[:, :allowed]
-        reduced = cost[:allowed] - cost[basis] @ np.where(np.abs(body) > TOL, body, 0.0)
-        improving = np.flatnonzero(reduced < -TOL)
-        if not len(improving):
-            return
-        entering = improving[0]
+        body = tableau[:, :n]
+        reduced = c - c[basis] @ np.where(np.abs(body) > TOL, body, 0.0)
+        entering = int(np.argmin(reduced))
+        if reduced[entering] >= -TOL:
+            break
+        if run >= m:
+            # Bland's rule: the lowest improving column
+            entering = int(np.argmax(reduced < -TOL))
         col = tableau[:, entering]
         rows = np.flatnonzero(col > TOL)
         if not len(rows):
             raise UnboundedError("no leaving row for entering column")
         ratios = tableau[rows, -1] / col[rows]
-        ties = rows[ratios <= ratios.min() + TOL]
+        step = ratios.min()
+        ties = rows[ratios <= step + TOL]
         leaving = min(ties.tolist(), key=basis.__getitem__)
         _pivot(tableau, basis, leaving, entering)
+        pivots += 1
+        if step > TOL:
+            run = 0
+        else:
+            degenerate += 1
+            run += 1
+
+    x = np.zeros(n)
+    x[basis] = tableau[:, -1]
+    duals = c[basis] @ tableau[:, n - m : n]
+    return LpSolution(
+        float(c @ x),
+        tuple(x.tolist()),
+        tuple(duals.tolist()),
+        pivots,
+        degenerate,
+    )
 
 
 def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -109,15 +102,3 @@ def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
     factors[row] = 0.0
     tableau -= np.outer(factors, tableau[row])
     basis[row] = col
-
-
-def _drive_out_artificials(tableau: np.ndarray, basis: list[int], n: int) -> None:
-    """Pivot any artificial variable still basic (at value 0) onto a real
-    column; degenerate rows with no usable column are dropped from play by
-    leaving them in place (their row is all-zero on real columns)."""
-    for row, var in enumerate(basis):
-        if var < n:
-            continue
-        usable = np.flatnonzero(np.abs(tableau[row, :n]) > TOL)
-        if len(usable):
-            _pivot(tableau, basis, row, usable[0])

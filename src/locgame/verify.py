@@ -125,6 +125,12 @@ def bounds_report(
     plus the condensation's maximum out-degree.  ``consistent`` holds when
     lower_dt <= zeta <= beta <= min(upper_lp, n) and zeta <= upper_sc; it is
     False when zeta exceeds ``k_max`` (zeta is then None).
+
+    The component solves run without ``k_max``, so ``upper_sc`` stays exact
+    even when zeta itself is cut short (the ``bounds --max-cops`` output is
+    pinned with that value).  ``game.MAX_SOLVER_VERTICES`` and
+    ``game.MAX_PROBE_SETS`` bound them instead: past either, they raise
+    ``game.BudgetExceededError``.
     """
     dm = dm or all_pairs_distances(g)
     zeta = localization_number_exact(g, k_max=k_max, dm=dm)

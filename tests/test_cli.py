@@ -288,6 +288,32 @@ class TestBadInput:
         err = self.run_bad(capsys, "play", str(graph), "--strategy", "rotation", "--cops", "5")
         assert err == "error: rotation: cop budget must be in 1..1\n"
 
+    def test_rotation_on_even_vertex_count(self, capsys, tmp_path):
+        from locgame import transitive_tournament
+
+        graph = tmp_path / "t4.txt"
+        write_digraph(transitive_tournament(4), graph)
+        err = self.run_bad(capsys, "play", str(graph), "--strategy", "rotation")
+        assert err == "error: rotation: needs an odd vertex count, got 4\n"
+
+    @pytest.mark.parametrize(
+        "strategy, decomposition, kind",
+        [
+            ("path_sweep", {"index": {"n": 1, "arcs": []}, "bags": [[0, 1, 2]]}, "path"),
+            ("dag_decomp_sweep", {"bags": [[0, 1, 2]]}, "DAG"),
+        ],
+    )
+    def test_decomposition_of_the_wrong_kind(self, capsys, tmp_path, strategy, decomposition, kind):
+        graph = tmp_path / "c3.txt"
+        write_digraph(rotation_tournament(1), graph)
+        decomp = tmp_path / "d.json"
+        decomp.write_text(json.dumps(decomposition))
+        err = self.run_bad(
+            capsys, "play", str(graph), "--strategy", strategy,
+            "--decomposition", str(decomp),
+        )
+        assert err == f"error: {strategy}: {decomp} is not a {kind} decomposition\n"
+
     def test_play_on_graph_without_vertices(self, capsys, tmp_path):
         graph = tmp_path / "empty.txt"
         graph.write_text("0\n")
@@ -304,6 +330,14 @@ class TestBadInput:
             ("gen sc_tight 0 0", "sc_tight: m must be odd and positive, got 0"),
             ("experiment --n 30 --trials 0", "experiment: trials must be at least 1"),
             ("experiment --n 1", "experiment: sizes below 4 have no 4-cycle statistics"),
+            (
+                "experiment --n 8 --trials 1 --eps -5",
+                "experiment: eps must lie strictly between 0 and 1, got -5.0",
+            ),
+            (
+                "experiment --n 8 --trials 1 --eps nan",
+                "experiment: eps must lie strictly between 0 and 1, got nan",
+            ),
             ("zeta {graph} --max-cops 0", "--max-cops must be at least 1, got 0"),
             ("bounds {graph} --max-cops -1", "--max-cops must be at least 1, got -1"),
             (
@@ -317,6 +351,35 @@ class TestBadInput:
         write_digraph(rotation_tournament(1), graph)
         err = self.run_bad(capsys, *argv.format(graph=graph).split())
         assert err == f"error: {message}\n"
+
+
+class TestUsageError:
+    """A command line missing an argument its other arguments require exits
+    2 with one error line."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                "gen random 5",
+                "gen random needs <n> and a probability: gen random <n> <p> or --p <p>",
+            ),
+            ("gen binary_source", "gen binary_source needs --base <graph-file>"),
+            ("play {graph} --strategy path_sweep", "path_sweep needs --decomposition <file>"),
+            (
+                "play {graph} --strategy dag_decomp_sweep",
+                "dag_decomp_sweep needs --decomposition <file>",
+            ),
+        ],
+    )
+    def test_missing_argument(self, capsys, tmp_path, argv, message):
+        graph = tmp_path / "c3.txt"
+        write_digraph(rotation_tournament(1), graph)
+        code = main(argv.format(graph=graph).split())
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestPlay:
@@ -457,11 +520,9 @@ def run_as_process(argv):
         try:
             code = main(argv)
         except SystemExit as exc:
+            # argparse rejecting the command line
             code = exc.code
-            if isinstance(code, str):
-                print(code, file=err)
-                code = 1
-    return code or 0, err.getvalue()
+    return code, err.getvalue()
 
 
 @settings(deadline=None, max_examples=80)

@@ -1,9 +1,11 @@
 import itertools
 import math
 import random
+import signal
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.optimize import linprog
 
 from locgame import (
@@ -60,6 +62,38 @@ def set_greedy(h):
     return frozenset(cover)
 
 
+@st.composite
+def degenerate_hypergraphs(draw):
+    """Hypergraphs on up to 8 vertices whose edges repeat and nest, the
+    cases that make the packing LP degenerate."""
+    n = draw(st.integers(1, 8))
+    edges = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=10))
+    for _ in range(draw(st.integers(0, 6))):
+        edge = draw(st.sampled_from(edges))
+        if draw(st.booleans()):
+            edges.append(set(edge))
+        else:
+            edges.append(draw(st.sets(st.sampled_from(sorted(edge)), min_size=1)))
+    return Hypergraph(n, edges)
+
+
+def assert_certified(h):
+    """The fractional cover of h, checked against its packing: a feasible
+    cover and a feasible packing with equal sums are both optimal (weak
+    duality), so this checks optimality without scipy."""
+    frac = fractional_vertex_cover(h)
+    x, y = frac.assignment, frac.packing
+    assert len(x) == h.n and len(y) == len(h.edges)
+    assert min(x) >= -LP_TOL and min(y) >= -LP_TOL
+    for e in h.edges:
+        assert sum(x[v] for v in e) >= 1 - LP_TOL
+    for v in range(h.n):
+        assert sum(w for w, e in zip(y, h.edges) if v in e) <= 1 + LP_TOL
+    assert sum(x) == pytest.approx(frac.value, abs=LP_TOL)
+    assert sum(y) == pytest.approx(frac.value, abs=LP_TOL)
+    return frac
+
+
 def tournament_hypergraphs(rng, count=8):
     """Distinguisher hypergraphs of random tournaments with n <= 14."""
     return [
@@ -98,19 +132,8 @@ class TestFractionalCover:
             assert frac.value == pytest.approx(sum(x), abs=1e-7)
 
     def test_duality_certificate(self, rng):
-        # a feasible cover and a feasible packing with equal sums are both
-        # optimal (weak duality), so this checks optimality without scipy
         for h in [_random_hypergraph(rng) for _ in range(25)] + tournament_hypergraphs(rng):
-            frac = fractional_vertex_cover(h)
-            x, y = frac.assignment, frac.packing
-            assert len(x) == h.n and len(y) == len(h.edges)
-            assert min(x) >= -LP_TOL and min(y) >= -LP_TOL
-            for e in h.edges:
-                assert sum(x[v] for v in e) >= 1 - LP_TOL
-            for v in range(h.n):
-                assert sum(w for w, e in zip(y, h.edges) if v in e) <= 1 + LP_TOL
-            assert sum(x) == pytest.approx(frac.value, abs=LP_TOL)
-            assert sum(y) == pytest.approx(frac.value, abs=LP_TOL)
+            assert_certified(h)
 
     def test_tournament_tau_matches_scipy_oracle(self, rng):
         for h in tournament_hypergraphs(rng):
@@ -130,6 +153,11 @@ class TestFractionalCover:
             theirs = scipy_tau_star(h)
             assert ours == pytest.approx(theirs, abs=1e-7)
 
+    @given(degenerate_hypergraphs())
+    def test_certificate_on_repeated_and_nested_edges(self, h):
+        frac = assert_certified(h)
+        assert frac.value == pytest.approx(scipy_tau_star(h), abs=LP_TOL)
+
 
 class TestSimplex:
     def test_entries_below_tolerance_do_not_price_a_column(self):
@@ -140,6 +168,56 @@ class TestSimplex:
         a = np.hstack([np.full((m, 1), 5e-10), np.eye(m)])
         sol = solve_min_equality(np.zeros(m + 1), a, np.ones(m))
         assert sol.x == (0.0,) + (1.0,) * m
+
+    def test_entries_below_tolerance_do_not_price_a_column_against_a_costed_basis(self):
+        # once x_0..x_9 (cost -1) are basic, ten entries of -5e-10 give the
+        # last real column a reduced cost of -5e-9, below -TOL, yet none of
+        # them exceeds TOL: pricing it would end in a false UnboundedError
+        m = 10
+        a = np.hstack([np.eye(m), np.full((m, 1), -5e-10), np.eye(m)])
+        c = np.zeros(2 * m + 1)
+        c[:m] = -1.0
+        sol = solve_min_equality(c, a, np.ones(m))
+        assert sol.value == -m
+        assert sol.x == (1.0,) * m + (0.0,) * (m + 1)
+
+    def test_bland_fallback_breaks_beales_cycle(self):
+        # Beale's LP: Dantzig pricing alone cycles through degenerate bases
+        # at the origin; the Bland fallback reaches the optimum -1/20
+        a = np.array([
+            [1 / 4, -60, -1 / 25, 9, 1, 0, 0],
+            [1 / 2, -90, -1 / 50, 3, 0, 1, 0],
+            [0, 0, 1, 0, 0, 0, 1],
+        ])
+        c = np.array([-3 / 4, 150, -1 / 50, 6, 0, 0, 0])
+
+        def cycled(signum, frame):
+            raise AssertionError("the simplex cycled")
+
+        previous = signal.signal(signal.SIGALRM, cycled)
+        signal.alarm(10)
+        try:
+            sol = solve_min_equality(c, a, np.array([0.0, 0.0, 1.0]))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert sol.value == pytest.approx(-1 / 20, abs=LP_TOL)
+        assert sol.degenerate_pivots > 0
+        assert sol.pivots == 6
+
+    @pytest.mark.parametrize(
+        "slack",
+        [np.eye(3)[[1, 0, 2]], 2 * np.eye(3), np.eye(3) + np.eye(3, k=1)],
+        ids=["permuted", "scaled", "upper-triangular"],
+    )
+    def test_slack_block_must_be_the_identity(self, slack):
+        a = np.hstack([np.ones((3, 2)), slack])
+        with pytest.raises(ValueError, match="identity"):
+            solve_min_equality(np.zeros(5), a, np.ones(3))
+
+    def test_right_hand_side_must_be_nonnegative(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            solve_min_equality(np.zeros(2), np.eye(2), np.array([1.0, -1.0]))
 
 
 class TestGreedyCover:

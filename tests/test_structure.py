@@ -195,3 +195,16 @@ class TestBoundsReportComponentBound:
         report, calls = self.solves(g)
         assert calls == 1 + len(strong_components(g).components)
         assert report["zeta"] <= report["upper_sc"]
+
+    def test_component_solves_are_bounded_by_the_probe_budget(self, monkeypatch):
+        # the component solves run without k_max: with --max-cops 1 the
+        # 8-vertex graph is solved for k = 1 only (8 probe sets), but its
+        # 7-vertex component needs k = 2, C(7,2) = 21 probe sets
+        from locgame import game, verify
+        from locgame.game import BudgetExceededError
+
+        rotation = rotation_tournament(3)
+        g = Digraph(8, list(rotation.arcs) + [(7, v) for v in range(7)])
+        monkeypatch.setattr(game, "MAX_PROBE_SETS", 20)
+        with pytest.raises(BudgetExceededError, match=r"C\(7,2\) probe sets"):
+            verify.bounds_report(g, k_max=1)
