@@ -118,6 +118,9 @@ def build_corpus() -> dict:
     commands.append(["play", "@rotation2", "--strategy", "sc_composite", "--max-rounds", "1"])
     for check in ("chain", "sc", "strategies", "lovasz"):
         commands.append(["verify", check])
+    for name in graphs:
+        commands.append(["beta", f"@{name}"])
+        commands.append(["zeta", f"@{name}"])
 
     return {
         "graphs": {
