@@ -3,16 +3,20 @@
 Vertices are dense integers ``0..n-1``.  Graphs are *oriented*: at most one
 arc per unordered vertex pair, no self-loops.  Unreachability is represented
 by the module-level sentinel :data:`INF` (``math.inf``), which compares equal
-only to itself, sorts above every finite distance, and absorbs addition.
+only to itself, sorts above every finite distance, and absorbs addition;
+:class:`DistanceMatrix` stores it as an int sentinel with the same order and
+equality, and hands out INF wherever it returns Python values.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
+
+import numpy as np
 
 INF = math.inf
 
@@ -124,14 +128,37 @@ MAX_AUTOMORPHISM_NODES = 20_000
 
 
 class DistanceMatrix:
-    """All-pairs directed distances; ``dist[u][v]`` is INF when v is unreachable from u."""
+    """All-pairs directed distances, held as one read-only int32 array.
 
-    __slots__ = ("n", "dist", "_automorphisms")
+    ``array[u, v]`` is the length of a shortest path from u to v, or
+    :attr:`UNREACHABLE` when there is none; that sentinel lies above every
+    finite distance and equals only itself, as INF does.  ``dist`` is the
+    same table as a tuple of tuples of Python ints, with the INF object in
+    place of the sentinel; it is derived on first access and cached.
+    """
 
-    def __init__(self, dist: list[list[float]]):
-        self.n = len(dist)
-        self.dist = tuple(tuple(row) for row in dist)
+    __slots__ = ("n", "array", "_dist", "_automorphisms")
+
+    UNREACHABLE = np.iinfo(np.int32).max
+
+    def __init__(self, array: np.ndarray):
+        # a read-only view: the caller's array is neither copied nor frozen
+        array = np.asarray(array, dtype=np.int32).view()
+        array.flags.writeable = False
+        self.n = len(array)
+        self.array = array
+        self._dist: tuple[tuple[float, ...], ...] | None = None
         self._automorphisms: tuple[tuple[int, ...], ...] | None = None
+
+    @property
+    def dist(self) -> tuple[tuple[float, ...], ...]:
+        """``dist[u][v]``: an int, or INF when v is unreachable from u."""
+        if self._dist is None:
+            far = self.UNREACHABLE
+            self._dist = tuple(
+                tuple(INF if d == far else d for d in row) for row in self.array.tolist()
+            )
+        return self._dist
 
     def __getitem__(self, u: int) -> tuple[float, ...]:
         return self.dist[u]
@@ -213,30 +240,56 @@ def _search_automorphisms(dist) -> tuple[tuple[int, ...], ...]:
 
 
 def all_pairs_distances(g: Digraph) -> DistanceMatrix:
-    """Shortest directed path lengths via BFS from every vertex."""
+    """Shortest directed path lengths, by a BFS from every vertex at once.
+
+    The frontier holds the pairs (s, v), as flat indices s * n + v, with v
+    first reached from s at the current level.  The next level is the
+    frontier's out-neighbours not yet reached, found by one matrix product
+    ``frontier @ A`` with the adjacency matrix A, or by gathering the
+    frontier's out-arcs when they are expected to number below n**3 / 64
+    (frontier size times mean out-degree).  On a long path, a product per
+    level would cost O(n**4) in all; gathering keeps it to O(n * arcs).
+    """
     n = g.n
-    dist: list[list[float]] = []
-    for s in range(n):
-        row: list[float] = [INF] * n
-        row[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            du = row[u]
-            for v in g.out_neighbors(u):
-                if row[v] is INF:
-                    row[v] = du + 1
-                    queue.append(v)
-        dist.append(row)
-    return DistanceMatrix(dist)
+    degree = np.fromiter(map(len, g._out), np.intp, n)
+    heads = np.fromiter(chain.from_iterable(g._out), np.intp, g.arc_count)
+    first_arc = np.cumsum(degree) - degree
+    adjacency = np.zeros((n, n), dtype=np.float32)
+    adjacency[np.repeat(np.arange(n), degree), heads] = 1
+    dist = np.full(n * n, DistanceMatrix.UNREACHABLE, dtype=np.int32)
+    reached = np.eye(n, dtype=bool).ravel()
+    frontier = np.flatnonzero(reached)
+    dist[frontier] = 0
+    level = 0
+    while len(frontier):
+        level += 1
+        if 64 * len(frontier) * g.arc_count < n**4:
+            sources, tails = np.divmod(frontier, n)
+            steps = degree[tails]
+            # gathered arc j is out-arc j - start of its pair's tail, where
+            # start is the first gathered arc of that pair
+            start = np.cumsum(steps) - steps
+            arcs = np.arange(steps.sum()) + np.repeat(first_arc[tails] - start, steps)
+            step = np.sort(np.repeat(sources * n, steps) + heads[arcs])
+            step = step[np.diff(step, prepend=-1) != 0]
+        else:
+            rows = np.zeros(n * n, dtype=np.float32)
+            rows[frontier] = 1
+            step = np.flatnonzero(rows.reshape(n, n) @ adjacency)
+        frontier = step[~reached[step]]
+        reached[frontier] = True
+        dist[frontier] = level
+    return DistanceMatrix(dist.reshape(n, n))
 
 
 def diameter(g: Digraph, dm: DistanceMatrix | None = None) -> float:
-    """Largest pairwise distance; INF if any ordered pair is unreachable."""
+    """Largest pairwise distance as an int; INF if any ordered pair is
+    unreachable."""
     if g.n == 0:
         raise ValueError("diameter of the empty digraph is undefined")
     dm = dm or all_pairs_distances(g)
-    return max(dm.dist[u][v] for u in range(g.n) for v in range(g.n))
+    d = int(dm.array.max())
+    return INF if d == DistanceMatrix.UNREACHABLE else d
 
 
 # -- file formats ----------------------------------------------------------

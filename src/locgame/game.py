@@ -112,7 +112,7 @@ def _probe_partitions(dm: DistanceMatrix, k: int) -> np.ndarray:
     Each cell is listed once, at its lowest vertex, in vertex order.
     """
     n = dm.n
-    dist = np.array(dm.dist)
+    dist = dm.array
     bits = np.int64(1) << np.arange(n, dtype=np.int64)
     # same[u, x]: mask of the vertices y with d(u, y) == d(u, x)
     same = ((dist[:, :, None] == dist[:, None, :]) * bits).sum(axis=2)

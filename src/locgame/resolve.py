@@ -5,6 +5,11 @@ A witness w separates a vertex pair (x, y) when d(w, x) != d(w, y), with
 unreachable treated as a distance equal only to itself.  That matches the
 probe direction of the game (witness to candidate).  The reverse convention
 (candidate to witness) is available behind a flag for comparison.
+
+One kernel, the witness x pair separation matrix read off the distance
+array, feeds the three users: the distinguisher hypergraph is its
+transpose, c counts its columns, and the exact metric dimension ORs its
+rows, packed into 64-bit words, over witness sets.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, islice
+from itertools import combinations
 from typing import Iterable
 
 import numpy as np
@@ -25,9 +30,12 @@ CASE_PATH = "case1"
 CASE_SOURCE_PLUS_PATH = "case2"
 CASE_NO = "no"
 
-# bytes of packed masks one block of witness sets ANDs together; the search
-# holds about three such arrays at a time
+# bytes of packed masks one block of witness sets ORs together, and the sets
+# in a size's first block: blocks double from there, since on random n = 22
+# tournaments beta is 5 and the witness is among the first 3 000 of the
+# 26 334 sets of size 5
 _WITNESS_BLOCK_BYTES = 1 << 20
+_FIRST_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -44,9 +52,10 @@ def is_resolving(dm: DistanceMatrix, witnesses: Iterable[int]) -> bool:
     ws = sorted(set(witnesses))
     if any(not 0 <= w < dm.n for w in ws):
         raise ValueError(f"witnesses {ws} out of range")
+    dist = dm.dist
     seen = set()
     for x in range(dm.n):
-        vec = tuple(dm.dist[w][x] for w in ws)
+        vec = tuple(dist[w][x] for w in ws)
         if vec in seen:
             return False
         seen.add(vec)
@@ -60,56 +69,114 @@ def metric_dimension_exact(
 
     The witness is the lexicographically least optimum.  The probe set V
     always resolves, so the search terminates at size n; sizes start at 1
-    because a resolving set stands for a one-round cop placement.  Before
-    each size, :class:`BudgetExceededError` is raised if the sets of the
-    smaller sizes plus those of this size exceed ``MAX_PROBE_SETS``.
+    because a resolving set stands for a one-round cop placement.  Sizes are
+    searched while the sets of all sizes so far fit ``MAX_PROBE_SETS``; the
+    first size past it raises :class:`BudgetExceededError`.  That error comes
+    at once, without a search, when :func:`_beta_lower_bound` shows that no
+    size within the budget can resolve.
 
-    Witness sets are tested in numpy blocks, in ``combinations`` order: a set
-    resolves when the AND over its witnesses w of "the vertices y with
-    d(w, y) == d(w, x)" leaves each x alone, i.e. equals the identity.  The
-    masks are packed 8 vertices to a byte, so n has no limit; the first
-    hit is confirmed once with :func:`is_resolving`.
+    A set resolves when its witnesses together separate every vertex pair,
+    i.e. when the OR of their rows of the witness x pair separation matrix
+    (see :func:`distinguisher_hypergraph`), packed into uint64 words, is all
+    ones.  The sets of each size are the sets of the previous size, each
+    extended by every vertex above its last, which is ``combinations``
+    order; so each set costs one OR of its prefix's mask and one row, and
+    the first hit is the lexicographically least witness.  It is confirmed
+    once with :func:`is_resolving`.  A size's masks are kept while the next
+    size is searched: within the budget that is at most 10 MB for n <= 120,
+    and 32 MB at worst (n = 181).
     """
     if g.n < 1:
         raise ValueError("metric dimension needs at least one vertex")
     dm = dm or all_pairs_distances(g)
     n = g.n
-    # same[w, x]: packed mask of the vertices y with d(w, y) == d(w, x)
-    same = np.stack([np.packbits(row[:, None] == row, axis=1)
-                     for row in np.array(dm.dist, dtype=float)])
-    identity = np.packbits(np.eye(n, dtype=bool), axis=1)
-    per_block = max(1, _WITNESS_BLOCK_BYTES // identity.nbytes)
-    tried = 0
-    for size in range(1, n + 1):
-        sets = math.comb(n, size)
-        if tried + sets > MAX_PROBE_SETS:
-            raise BudgetExceededError(
-                f"{tried} witness sets of size < {size} plus C({n},{size}) = "
-                f"{sets} exceed the limit of {MAX_PROBE_SETS}"
-            )
-        tried += sets
-        witness_sets = combinations(range(n), size)
-        # blocks double from one set up to per_block: on random n = 22
-        # tournaments beta is 5 and the witness lies among the first 3 000
-        # of the 26 334 sets of size 5, well inside one full block
-        count = 1
-        while True:
-            block = np.fromiter(
-                chain.from_iterable(islice(witness_sets, count)), dtype=np.intp
-            ).reshape(-1, size)
+    tried, stop = 0, 1  # the sizes below stop fit the budget together
+    while stop <= n and tried + math.comb(n, stop) <= MAX_PROBE_SETS:
+        tried += math.comb(n, stop)
+        stop += 1
+    least = _beta_lower_bound(dm)
+    ws = _least_resolving(dm, least, stop) if least < stop else None
+    if ws is None:
+        raise BudgetExceededError(
+            f"{tried} witness sets of size < {stop} plus C({n},{stop}) = "
+            f"{math.comb(n, stop)} exceed the limit of {MAX_PROBE_SETS}"
+        )
+    if not is_resolving(dm, ws):
+        raise AssertionError(f"packed search accepted non-resolving {ws}")
+    return len(ws), ResolvingSet(frozenset(ws), True)
+
+
+def _beta_lower_bound(dm: DistanceMatrix) -> int:
+    """Least k such that n - k is at most the product of the k largest
+    counts of distinct nonzero distances in a row (unreachable counts as one
+    value): no smaller set resolves.
+
+    The n - k vertices outside a resolving set W need distinct vectors, and
+    coordinate w of such a vector is a nonzero distance from w.
+    """
+    n = dm.n
+    counts = (np.diff(np.sort(dm.array, axis=1), axis=1) != 0).sum(axis=1)
+    product = 1
+    for k, count in enumerate(sorted(counts.tolist(), reverse=True), 1):
+        product *= count
+        if n - k <= product:
+            return k
+    return n
+
+
+def _least_resolving(dm: DistanceMatrix, least: int, stop: int) -> list[int] | None:
+    """The first resolving set of a size in ``least..stop-1``, in
+    size-then-lexicographic order, or None.  The smaller sizes are built, in
+    blocks as large as allowed, but not tested."""
+    n = dm.n
+    separated = _separation(dm, "witness-to-pair")
+    words = -(-separated.shape[1] // 64)
+    padded = np.ones((n, 64 * words), dtype=bool)  # spare bits count as separated
+    padded[:, : separated.shape[1]] = separated
+    rows = np.packbits(padded, axis=1).view(np.uint64)
+    per_block = max(1, _WITNESS_BLOCK_BYTES // max(1, rows[0].nbytes))
+    full = ~np.uint64(0)
+    # the sets of the previous size: their masks and their last vertices
+    masks, last = np.zeros((1, words), dtype=np.uint64), np.array([-1])
+    for size in range(1, stop):
+        ends = np.cumsum(n - 1 - last)  # one past each set's extensions
+        sets = int(ends[-1])
+        if size + 1 < stop:  # the next size extends this one
+            next_masks = np.empty((sets, words), dtype=np.uint64)
+            next_last = np.empty(sets, dtype=np.intp)
+        done, count = 0, min(_FIRST_BLOCK, per_block) if size >= least else per_block
+        while done < sets:
+            index = np.arange(done, min(done + count, sets))
+            prefix = np.searchsorted(ends, index, side="right")
+            vertex = index - ends[prefix] + n
+            block = masks[prefix]
+            block |= rows[vertex]
+            if size >= least:
+                hits = np.flatnonzero((block == full).all(axis=1))
+                if len(hits):
+                    return _combination(done + int(hits[0]), n, size)
+            if size + 1 < stop:
+                next_masks[done : done + len(index)] = block
+                next_last[done : done + len(index)] = vertex
+            done += len(index)
             count = min(2 * count, per_block)
-            if not len(block):
-                break
-            rows = same[block[:, 0]]
-            for j in range(1, size):
-                rows &= same[block[:, j]]
-            hits = np.flatnonzero((rows == identity).all(axis=(1, 2)))
-            if len(hits):
-                ws = block[hits[0]].tolist()
-                if not is_resolving(dm, ws):
-                    raise AssertionError(f"packed search accepted non-resolving {ws}")
-                return size, ResolvingSet(frozenset(ws), True)
-    raise AssertionError("the full vertex set always resolves")
+        if size + 1 < stop:
+            masks, last = next_masks, next_last
+    return None
+
+
+def _combination(rank: int, n: int, k: int) -> list[int]:
+    """The k-subset of range(n) at ``rank`` in ``combinations`` order."""
+    out = []
+    for v in range(n):
+        if len(out) == k:
+            break
+        below = math.comb(n - v - 1, k - len(out) - 1)  # the sets taking v next
+        if rank < below:
+            out.append(v)
+        else:
+            rank -= below
+    return out
 
 
 def metric_dim_one_classifier(g: Digraph) -> str:
@@ -146,14 +213,15 @@ def _has_spine(g: Digraph) -> bool:
     return False
 
 
-def _compared_rows(dm: DistanceMatrix, direction: str) -> np.ndarray:
-    """Row w holds the distances compared for witness w: d(w, .) when the
-    witness probes the pair, d(., w) when the pair reaches the witness (INF
-    is a float infinity, equal only to itself)."""
+def _separation(dm: DistanceMatrix, direction: str) -> np.ndarray:
+    """separated[w, t]: witness w separates the t-th vertex pair of
+    ``combinations`` order.  Row w compares d(w, .) when the witness probes
+    the pair, d(., w) when the pair reaches the witness."""
     if direction not in ("witness-to-pair", "pair-to-witness"):
         raise ValueError(f"unknown direction {direction!r}")
-    dist = np.array(dm.dist, dtype=float)
-    return dist if direction == "witness-to-pair" else dist.T
+    rows = dm.array if direction == "witness-to-pair" else dm.array.T
+    xs, ys = np.triu_indices(dm.n, 1)
+    return rows[:, xs] != rows[:, ys]
 
 
 def distinguisher_hypergraph(
@@ -169,13 +237,9 @@ def distinguisher_hypergraph(
     convention (a vertex is at distance 0 only from itself).
     """
     dm = dm or all_pairs_distances(g)
-    rows = _compared_rows(dm, direction)
-    xs, ys = np.triu_indices(g.n, 1)
-    # separated[w, t]: witness w separates the t-th pair of combinations order
-    separated = np.empty((g.n, len(xs)), dtype=bool)
-    for w, row in enumerate(rows):
-        np.not_equal(row[xs], row[ys], out=separated[w])
-    return Hypergraph.from_incidence(separated.T, combinations(range(g.n), 2))
+    return Hypergraph.from_incidence(
+        _separation(dm, direction).T, combinations(range(g.n), 2)
+    )
 
 
 def c_parameter(
@@ -184,18 +248,11 @@ def c_parameter(
     direction: str = "witness-to-pair",
 ) -> Fraction:
     """Worst-case separation rate: min over pairs of |separating set| / n,
-    the smallest edge of ``distinguisher_hypergraph`` over n.
-
-    The separating-set sizes of all pairs are counted in one n x n
-    accumulator, one broadcast comparison per witness row.
-    """
+    the smallest edge of ``distinguisher_hypergraph`` over n."""
     if g.n < 2:
         return Fraction(1)
     dm = dm or all_pairs_distances(g)
-    separated = np.zeros((g.n, g.n), dtype=np.int64)
-    for row in _compared_rows(dm, direction):
-        separated += row[:, None] != row
-    return Fraction(int(separated[np.triu_indices(g.n, 1)].min()), g.n)
+    return Fraction(int(_separation(dm, direction).sum(axis=0).min()), g.n)
 
 
 def lp_upper_bound(g: Digraph, dm: DistanceMatrix | None = None) -> float:

@@ -1,10 +1,11 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 from hypothesis import strategies as st
 
-from locgame import Digraph
+from locgame import INF, Digraph
 
 
 def random_oriented_digraph(rng: random.Random, n: int, p: float) -> Digraph:
@@ -14,6 +15,24 @@ def random_oriented_digraph(rng: random.Random, n: int, p: float) -> Digraph:
             if rng.random() < p:
                 arcs.append((u, v) if rng.random() < 0.5 else (v, u))
     return Digraph(n, arcs)
+
+
+def bfs_distances(g: Digraph) -> list[list[float]]:
+    """Reference all-pairs distances: one Python BFS per source, INF where
+    a vertex is unreachable."""
+    dist = []
+    for s in range(g.n):
+        row = [INF] * g.n
+        row[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for v in g.out_neighbors(u):
+                if row[v] is INF:
+                    row[v] = row[u] + 1
+                    queue.append(v)
+        dist.append(row)
+    return dist
 
 
 @st.composite

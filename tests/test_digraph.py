@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import time
 
@@ -28,7 +29,7 @@ from locgame.digraph import (
     to_json,
 )
 
-from conftest import oriented_digraphs, random_oriented_digraph
+from conftest import bfs_distances, oriented_digraphs, random_oriented_digraph
 
 
 def cycle3():
@@ -124,6 +125,44 @@ class TestDistances:
     def test_diameter(self):
         assert diameter(cycle3()) == 2
         assert diameter(transitive_tournament(3)) is INF
+
+    def test_diameter_is_a_plain_int(self):
+        # read from the int32 array, it must still reach JSON as an int
+        d = diameter(random_tournament(12, 0.5, 3))
+        assert type(d) is int
+        assert json.dumps({"diameter": d}) == f'{{"diameter": {d}}}'
+        assert type(diameter(Digraph(1, []))) is int
+
+    @settings(max_examples=60, deadline=None)
+    @given(oriented_digraphs(max_n=30))
+    def test_matches_reference_bfs(self, g):
+        dm = all_pairs_distances(g)
+        assert dm.array.shape == (g.n, g.n)
+        assert [list(row) for row in dm.dist] == bfs_distances(g)
+        for u, row in enumerate(dm.dist):
+            for v, d in enumerate(row):
+                far = dm.array[u, v] == dm.UNREACHABLE
+                assert (d is INF) if far else (type(d) is int)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 30), st.data())
+    def test_long_paths_match_reference_bfs(self, n, data):
+        # a Hamiltonian path plus a few chords: many BFS levels with few
+        # arcs each, where the search gathers out-arcs instead of a product
+        order = data.draw(st.permutations(range(n)))
+        arcs = set(zip(order, order[1:]))
+        for _ in range(data.draw(st.integers(0, 3))):
+            u, v = data.draw(st.sampled_from(order)), data.draw(st.sampled_from(order))
+            if u != v and (v, u) not in arcs:
+                arcs.add((u, v))
+        g = Digraph(n, arcs)
+        assert [list(row) for row in all_pairs_distances(g).dist] == bfs_distances(g)
+
+    def test_array_is_read_only(self):
+        dm = all_pairs_distances(cycle3())
+        with pytest.raises(ValueError, match="read-only"):
+            dm.array[0, 1] = 5
+        assert dm.dist[0][1] == 1
 
 
 class TestFileFormats:

@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import random
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -12,6 +14,7 @@ from locgame import (
     Digraph,
     INF,
     all_pairs_distances,
+    blowup,
     c_parameter,
     distinguisher_hypergraph,
     greedy_vertex_cover,
@@ -20,12 +23,15 @@ from locgame import (
     metric_dim_one_classifier,
     metric_dimension_exact,
     paley_tournament,
+    random_tournament,
     rotation_tournament,
     transitive_tournament,
 )
 from locgame.resolve import CASE_NO, CASE_PATH, CASE_SOURCE_PLUS_PATH
 
 from conftest import oriented_digraphs, random_oriented_digraph
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
 def cycle3():
@@ -131,8 +137,10 @@ def reference_metric_dimension(g, dm):
 
 
 class TestPackedWitnessSearch:
-    # n = 8, 9, 16, 17 sit on either side of a byte of packed masks
-    @pytest.mark.parametrize("n", [1, 8, 9, 16, 17])
+    # a set's mask packs one bit per vertex pair into 64-bit words: the 55
+    # and 66 pairs of n = 11, 12 and the 120 and 136 of n = 16, 17 sit on
+    # either side of a word boundary
+    @pytest.mark.parametrize("n", [1, 2, 8, 9, 11, 12, 16, 17])
     @settings(max_examples=6, deadline=None)
     @given(data=st.data())
     def test_matches_reference_at_every_block_size(self, n, data):
@@ -142,12 +150,65 @@ class TestPackedWitnessSearch:
         dm = all_pairs_distances(g)
         want = reference_metric_dimension(g, dm)
         # blocks of at most 1 set, 3 sets and the default size; the packed
-        # rows of one witness set take n * ceil(n / 8) bytes
-        row_bytes = n * -(-n // 8)
-        for block_bytes in (1, 3 * row_bytes, resolve._WITNESS_BLOCK_BYTES):
+        # mask of one witness set takes 8 * ceil(C(n, 2) / 64) bytes
+        mask_bytes = 8 * -(-math.comb(n, 2) // 64)
+        for block_bytes in (1, 3 * mask_bytes, resolve._WITNESS_BLOCK_BYTES):
             with mock.patch.object(resolve, "_WITNESS_BLOCK_BYTES", block_bytes):
                 beta, witness = metric_dimension_exact(g, dm)
             assert (beta, witness.vertices) == want
+
+    def test_replays_the_pinned_benchmark_answers(self):
+        # the 64 pool tournaments (random n = 22) of the benchmark, whose
+        # beta and witness golden.json pins from the CLI
+        golden = json.loads((BENCHMARKS / "golden.json").read_text())["answers"]
+        pinned = {k: v["report"] for k, v in golden.items() if k.startswith("beta:random22-s")}
+        assert len(pinned) == 64
+        for key, report in pinned.items():
+            g = random_tournament(22, 0.5, int(key.rsplit("-s", 1)[1]))
+            beta, witness = metric_dimension_exact(g)
+            assert (beta, sorted(witness.vertices)) == (report["beta"], report["witness"])
+
+
+class TestBetaLowerBound:
+    @settings(max_examples=150, deadline=None)
+    @given(oriented_digraphs(min_n=1, max_n=9))
+    def test_at_most_beta(self, g):
+        from locgame import resolve
+
+        dm = all_pairs_distances(g)
+        assert 1 <= resolve._beta_lower_bound(dm) <= reference_metric_dimension(g, dm)[0]
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            (40, "760098 witness sets of size < 6 plus C(40,6) = 3838380 exceed the limit of 1000000"),
+            (60, "523685 witness sets of size < 5 plus C(60,5) = 5461512 exceed the limit of 1000000"),
+        ],
+    )
+    def test_random_tournaments_fail_fast(self, n, message):
+        # every row holds the distances 1 and 2 only, so no set of fewer
+        # than 6 vertices resolves, and the budget stops short of 6 (n = 40)
+        # or 5 (n = 60): the error comes without a search
+        from locgame import resolve
+
+        g = random_tournament(n, 0.5, 0)
+        with mock.patch.object(resolve, "_least_resolving", side_effect=AssertionError):
+            with pytest.raises(BudgetExceededError) as err:
+                metric_dimension_exact(g)
+        assert str(err.value) == message
+
+    def test_budget_reached_after_search(self, monkeypatch):
+        # the blow-up of the 3-cycle by 3 has beta = 6 but a bound of 2, so
+        # sizes 1 and 2 are searched before the budget stops size 3
+        from locgame import resolve
+
+        monkeypatch.setattr(resolve, "MAX_PROBE_SETS", 9 + 36)
+        searched = mock.Mock(wraps=resolve._least_resolving)
+        monkeypatch.setattr(resolve, "_least_resolving", searched)
+        with pytest.raises(BudgetExceededError) as err:
+            metric_dimension_exact(blowup(rotation_tournament(1), 3))
+        assert str(err.value) == "45 witness sets of size < 3 plus C(9,3) = 84 exceed the limit of 45"
+        assert searched.call_count == 1
 
 
 class TestDimOneClassifier:
