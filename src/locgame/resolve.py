@@ -141,7 +141,8 @@ def _least_resolving(dm: DistanceMatrix, least: int, stop: int) -> list[int] | N
     for size in range(1, stop):
         ends = np.cumsum(n - 1 - last)  # one past each set's extensions
         sets = int(ends[-1])
-        if size + 1 < stop:  # the next size extends this one
+        keep = size + 1 < stop  # the next size extends this one
+        if keep:
             next_masks = np.empty((sets, words), dtype=np.uint64)
             next_last = np.empty(sets, dtype=np.intp)
         done, count = 0, min(_FIRST_BLOCK, per_block) if size >= least else per_block
@@ -155,12 +156,12 @@ def _least_resolving(dm: DistanceMatrix, least: int, stop: int) -> list[int] | N
                 hits = np.flatnonzero((block == full).all(axis=1))
                 if len(hits):
                     return _combination(done + int(hits[0]), n, size)
-            if size + 1 < stop:
+            if keep:
                 next_masks[done : done + len(index)] = block
                 next_last[done : done + len(index)] = vertex
             done += len(index)
             count = min(2 * count, per_block)
-        if size + 1 < stop:
+        if keep:
             masks, last = next_masks, next_last
     return None
 
