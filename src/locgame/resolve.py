@@ -222,7 +222,12 @@ def _separation(dm: DistanceMatrix, direction: str) -> np.ndarray:
         raise ValueError(f"unknown direction {direction!r}")
     rows = dm.array if direction == "witness-to-pair" else dm.array.T
     xs, ys = np.triu_indices(dm.n, 1)
-    return rows[:, xs] != rows[:, ys]
+    # row by row: comparing all rows at once would gather two n x C(n, 2)
+    # int32 temporaries, 32 MB at n = 200
+    separated = np.empty((dm.n, len(xs)), dtype=bool)
+    for w, row in enumerate(rows):
+        np.not_equal(row[xs], row[ys], out=separated[w])
+    return separated
 
 
 def distinguisher_hypergraph(
