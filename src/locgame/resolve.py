@@ -150,14 +150,13 @@ def _least_resolving(dm: DistanceMatrix, least: int, stop: int) -> list[int] | N
             index = np.arange(done, min(done + count, sets))
             prefix = np.searchsorted(ends, index, side="right")
             vertex = index - ends[prefix] + n
-            block = masks[prefix]
-            block |= rows[vertex]
+            out = next_masks[done : done + len(index)] if keep else None
+            block = np.bitwise_or(masks[prefix], rows[vertex], out=out)
             if size >= least:
                 hits = np.flatnonzero((block == full).all(axis=1))
                 if len(hits):
                     return _combination(done + int(hits[0]), n, size)
             if keep:
-                next_masks[done : done + len(index)] = block
                 next_last[done : done + len(index)] = vertex
             done += len(index)
             count = min(2 * count, per_block)
