@@ -149,6 +149,7 @@ def _least_resolving(dm: DistanceMatrix, least: int, stop: int) -> list[int] | N
         while done < sets:
             index = np.arange(done, min(done + count, sets))
             prefix = np.searchsorted(ends, index, side="right")
+            # a prefix's extensions add its last + 1 .. n - 1 and end at ends[prefix]
             vertex = index - ends[prefix] + n
             out = next_masks[done : done + len(index)] if keep else None
             block = np.bitwise_or(masks[prefix], rows[vertex], out=out)
