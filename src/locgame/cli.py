@@ -14,6 +14,7 @@ requested strategy, or a family, experiment or count parameter out of range.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -198,7 +199,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ids = sorted(CHECKS) if args.checks == ["all"] else args.checks
+    ids = sorted(CHECKS) if "all" in args.checks else args.checks
     results = run_checks(ids)
     for r in results:
         print(r.line())
@@ -291,7 +292,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="run named verification suites")
-    p.add_argument("checks", nargs="+", help=f"check ids or 'all'; known: {sorted(CHECKS)}")
+    p.add_argument(
+        "checks",
+        nargs="+",
+        choices=sorted(CHECKS) + ["all"],
+        metavar="checks",
+        help=f"check ids or 'all'; known: {sorted(CHECKS)}",
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("play", help="run a cop strategy against the exact robber")
@@ -319,8 +326,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built by the first :func:`main` call, not at import, and
+    reused by later calls, since building it costs milliseconds."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (BudgetExceededError, UsageError) as exc:

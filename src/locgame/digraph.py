@@ -1,11 +1,11 @@
 """Immutable oriented digraphs, directed distances, and graph file formats.
 
 Vertices are dense integers ``0..n-1``.  Graphs are *oriented*: at most one
-arc per unordered vertex pair, no self-loops.  Unreachability is represented
-by the module-level sentinel :data:`INF` (``math.inf``), which compares equal
-only to itself, sorts above every finite distance, and absorbs addition;
-:class:`DistanceMatrix` stores it as an int sentinel with the same order and
-equality, and hands out INF wherever it returns Python values.
+arc per unordered vertex pair, no self-loops.  :class:`DistanceMatrix` holds
+unreachability as the int sentinel :attr:`DistanceMatrix.UNREACHABLE`, which
+sorts above every finite distance and equals only itself.  Python values
+leaving the package (probe answers, diameter, spread) carry the module-level
+:data:`INF` (``math.inf``) in its place, which orders the same way.
 """
 
 from __future__ import annotations
@@ -74,9 +74,6 @@ class Digraph:
     def has_arc(self, u: int, v: int) -> bool:
         return (u, v) in self.arcs
 
-    def is_sink(self, u: int) -> bool:
-        return not self._out[u]
-
     def is_source(self, u: int) -> bool:
         return not self._in[u]
 
@@ -132,12 +129,10 @@ class DistanceMatrix:
 
     ``array[u, v]`` is the length of a shortest path from u to v, or
     :attr:`UNREACHABLE` when there is none; that sentinel lies above every
-    finite distance and equals only itself, as INF does.  ``dist`` is the
-    same table as a tuple of tuples of Python ints, with the INF object in
-    place of the sentinel; it is derived on first access and cached.
+    finite distance and equals only itself, as INF does.
     """
 
-    __slots__ = ("n", "array", "_dist", "_automorphisms")
+    __slots__ = ("n", "array", "_automorphisms")
 
     UNREACHABLE = np.iinfo(np.int32).max
 
@@ -147,21 +142,7 @@ class DistanceMatrix:
         array.flags.writeable = False
         self.n = len(array)
         self.array = array
-        self._dist: tuple[tuple[float, ...], ...] | None = None
         self._automorphisms: tuple[tuple[int, ...], ...] | None = None
-
-    @property
-    def dist(self) -> tuple[tuple[float, ...], ...]:
-        """``dist[u][v]``: an int, or INF when v is unreachable from u."""
-        if self._dist is None:
-            far = self.UNREACHABLE
-            self._dist = tuple(
-                tuple(INF if d == far else d for d in row) for row in self.array.tolist()
-            )
-        return self._dist
-
-    def __getitem__(self, u: int) -> tuple[float, ...]:
-        return self.dist[u]
 
     def automorphisms(self) -> tuple[tuple[int, ...], ...]:
         """Vertex permutations preserving every distance, identity first.
@@ -174,12 +155,13 @@ class DistanceMatrix:
         Computed on the first call and cached.
         """
         if self._automorphisms is None:
-            self._automorphisms = _search_automorphisms(self.dist)
+            self._automorphisms = _search_automorphisms(self.array.tolist())
         return self._automorphisms
 
 
-def _search_automorphisms(dist) -> tuple[tuple[int, ...], ...]:
-    """Backtracking over vertex images in vertex order with forward checking.
+def _search_automorphisms(dist: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """Backtracking over vertex images in vertex order with forward checking,
+    on the distance array as nested lists.
 
     ``fits[w][(a, b)]`` is the mask of vertices x with d(w, x) = a and
     d(x, w) = b.  Mapping v to w narrows the domain of every later vertex u
@@ -192,7 +174,7 @@ def _search_automorphisms(dist) -> tuple[tuple[int, ...], ...]:
     are scanned lowest vertex first, so the identity is the first leaf.
     """
     n = len(dist)
-    fits: list[dict[tuple[float, float], int]] = [{} for _ in range(n)]
+    fits: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
     for w in range(n):
         for x in range(n):
             key = (dist[w][x], dist[x][w])

@@ -60,15 +60,20 @@ def partition_by_probe(
 ) -> list[tuple[Vector, frozenset[int]]]:
     """Group candidates by their distance vector from the sorted probe.
 
-    Returned classes are ordered by vector (unreachable sorts last), so the
-    output is deterministic.
+    A vector holds ints, and INF where the candidate is unreachable from a
+    probe vertex.  Returned classes are ordered by vector (unreachable sorts
+    last), so the output is deterministic.
     """
     probe = _normalize_probe(probe, dm.n)
-    cells: dict[Vector, set[int]] = {}
+    columns = dm.array[list(probe)].T.tolist()
+    cells: dict[tuple[int, ...], set[int]] = {}
     for x in candidates:
-        vec = tuple(dm.dist[u][x] for u in probe)
-        cells.setdefault(vec, set()).add(x)
-    return [(vec, frozenset(cells[vec])) for vec in sorted(cells)]
+        cells.setdefault(tuple(columns[x]), set()).add(x)
+    far = dm.UNREACHABLE
+    return [
+        (tuple(INF if d == far else d for d in vec), frozenset(cells[vec]))
+        for vec in sorted(cells)
+    ]
 
 
 def robber_step(g: Digraph, vertices: Iterable[int]) -> frozenset[int]:

@@ -52,14 +52,7 @@ def is_resolving(dm: DistanceMatrix, witnesses: Iterable[int]) -> bool:
     ws = sorted(set(witnesses))
     if any(not 0 <= w < dm.n for w in ws):
         raise ValueError(f"witnesses {ws} out of range")
-    dist = dm.dist
-    seen = set()
-    for x in range(dm.n):
-        vec = tuple(dist[w][x] for w in ws)
-        if vec in seen:
-            return False
-        seen.add(vec)
-    return True
+    return len(set(map(tuple, dm.array[ws].T.tolist()))) == dm.n
 
 
 def metric_dimension_exact(
@@ -202,14 +195,11 @@ def _has_spine(g: Digraph) -> bool:
     """A start whose distances are 0..n-1 with no skip-forward arc."""
     if g.n == 0:
         return False
-    dm = all_pairs_distances(g)
-    for s in range(g.n):
-        row = dm.dist[s]
-        if sorted(row) != list(range(g.n)):
-            continue
-        order = sorted(range(g.n), key=lambda v: row[v])
-        pos = {v: i for i, v in enumerate(order)}
-        if all(pos[v] - pos[u] <= 1 for (u, v) in g.arcs):
+    for row in all_pairs_distances(g).array.tolist():
+        # when the row is a permutation of 0..n-1, row[v] is v's place on the spine
+        if sorted(row) == list(range(g.n)) and all(
+            row[v] - row[u] <= 1 for (u, v) in g.arcs
+        ):
             return True
     return False
 

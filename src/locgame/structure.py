@@ -157,19 +157,16 @@ def spread_m(g: Digraph, dm: DistanceMatrix | None = None) -> float:
     if g.n == 0:
         raise ValueError("spread of the empty digraph is undefined")
     dm = dm or all_pairs_distances(g)
-    worst = 0.0
+    far = DistanceMatrix.UNREACHABLE
+    worst = 0
     for v in range(g.n):
-        closed = (v, *g.out_neighbors(v))
-        for u in range(g.n):
-            row = dm.dist[u]
-            hi = max(row[w] for w in closed)
-            lo = min(row[w] for w in closed)
-            if hi == INF:
-                if lo == INF:
-                    continue
-                return INF
-            worst = max(worst, hi - lo)
-    return int(worst) + 1
+        closed = dm.array[:, [v, *g.out_neighbors(v)]]
+        hi, lo = closed.max(axis=1), closed.min(axis=1)
+        if ((hi == far) & (lo != far)).any():
+            return INF
+        # rows with every vertex unreachable read far - far = 0
+        worst = max(worst, int((hi - lo).max()))
+    return worst + 1
 
 
 def localization_lower_bound(g: Digraph, dm: DistanceMatrix | None = None) -> float:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from locgame import paley_tournament, random_tournament, rotation_tournament
+from locgame import cli
 from locgame.cli import main
 from locgame.digraph import from_edge_list, from_json, to_edge_list, to_json, write_digraph
 
@@ -158,8 +159,26 @@ class TestVerify:
         assert "PASS d3/i=1" in out and "PASS d3/i=2" in out
 
     def test_unknown_check(self, capsys):
-        with pytest.raises(ValueError, match="unknown check"):
-            main(["verify", "nonsense"])
+        # a malformed command line: argparse rejects it, no traceback
+        code, err = run_as_process(["verify", "nonsense"])
+        assert code == 2
+        assert "invalid choice: 'nonsense'" in err
+        assert "Traceback" not in err
+
+    def test_all_among_other_ids_runs_every_check(self, monkeypatch, capsys):
+        asked = []
+        monkeypatch.setattr(cli, "run_checks", lambda ids: asked.append(ids) or [])
+        assert main(["verify", "d3", "all"]) == 0
+        assert asked == [sorted(cli.CHECKS)]
+
+
+def test_parser_is_built_once(monkeypatch, capsys):
+    real, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    assert main(["gen", "rotation", "1"]) == 0
+    assert main(["gen", "rotation", "2"]) == 0
+    assert len(built) == 1
 
 
 class TestBudgetGuard:
@@ -494,7 +513,7 @@ COUNTS = st.integers(-1, 4).map(str)
 @st.composite
 def command_lines(draw):
     """argv for the CLI, with "{graph}" standing for the graph file."""
-    kind = draw(st.sampled_from(["report", "play", "gen", "experiment"]))
+    kind = draw(st.sampled_from(["report", "play", "gen", "experiment", "verify"]))
     if kind == "report":
         argv = [draw(st.sampled_from(["zeta", "beta", "bounds", "stats"])), "{graph}"]
         if argv[0] in ("zeta", "bounds") and draw(st.booleans()):
@@ -508,8 +527,10 @@ def command_lines(draw):
     elif kind == "gen":
         family = draw(st.sampled_from(["rotation", "d3", "blowup", "sc_tight", "paley", "transitive"]))
         argv = ["gen", family] + draw(st.lists(COUNTS, min_size=1, max_size=2))
-    else:
+    elif kind == "experiment":
         argv = ["experiment", "--n", draw(st.integers(-1, 6).map(str)), "--trials", draw(COUNTS)]
+    else:
+        argv = ["verify"] + draw(st.lists(st.sampled_from(["d3", "nonsense"]), min_size=1, max_size=2))
     return argv
 
 

@@ -1,8 +1,8 @@
 import itertools
 import json
-import math
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -34,6 +34,12 @@ from conftest import bfs_distances, oriented_digraphs, random_oriented_digraph
 
 def cycle3():
     return Digraph(3, [(0, 1), (1, 2), (2, 0)])
+
+
+def listed(dm):
+    """The distance array as lists, INF in place of the unreachable sentinel,
+    to compare with the reference oracles."""
+    return [[INF if d == dm.UNREACHABLE else d for d in row] for row in dm.array.tolist()]
 
 
 def floyd_warshall(g):
@@ -87,16 +93,20 @@ class TestDigraph:
 class TestDistances:
     def test_cycle_distances(self):
         dm = all_pairs_distances(cycle3())
-        assert dm.dist[0] == (0, 1, 2)
+        assert dm.array[0].tolist() == [0, 1, 2]
 
     def test_unreachable_is_inf(self):
-        dm = all_pairs_distances(Digraph(2, [(0, 1)]))
-        assert dm.dist[1][0] is INF
-        assert dm.dist[1][0] == math.inf
+        # the array holds the int sentinel; values handed out carry INF
+        g = Digraph(2, [(0, 1)])
+        dm = all_pairs_distances(g)
+        assert dm.array.dtype == np.int32
+        assert dm.array.tolist() == [[0, 1], [dm.UNREACHABLE, 0]]
+        assert dm.UNREACHABLE == np.iinfo(np.int32).max
+        assert diameter(g, dm) is INF
 
     def test_rotation_t5_distance(self):
         dm = all_pairs_distances(rotation_tournament(2))
-        assert dm.dist[0][4] == 2
+        assert dm.array[0, 4] == 2
 
     def test_arc_iff_distance_one(self, rng):
         g = random_oriented_digraph(rng, 7, 0.4)
@@ -104,23 +114,21 @@ class TestDistances:
         for u in range(7):
             for v in range(7):
                 if u != v:
-                    assert (dm.dist[u][v] == 1) == g.has_arc(u, v)
+                    assert (dm.array[u, v] == 1) == g.has_arc(u, v)
 
     def test_matches_floyd_warshall_oracle(self, rng):
         for _ in range(30):
             g = random_oriented_digraph(rng, rng.randint(1, 8), rng.uniform(0.1, 0.9))
-            dm = all_pairs_distances(g)
-            oracle = floyd_warshall(g)
-            assert [list(row) for row in dm.dist] == oracle
+            assert listed(all_pairs_distances(g)) == floyd_warshall(g)
 
     def test_triangle_inequality(self, rng):
         for _ in range(20):
             g = random_oriented_digraph(rng, rng.randint(2, 8), 0.5)
-            dm = all_pairs_distances(g)
+            d = listed(all_pairs_distances(g))
             for u in range(g.n):
                 for v in range(g.n):
                     for w in range(g.n):
-                        assert dm.dist[u][w] <= dm.dist[u][v] + dm.dist[v][w]
+                        assert d[u][w] <= d[u][v] + d[v][w]
 
     def test_diameter(self):
         assert diameter(cycle3()) == 2
@@ -138,11 +146,7 @@ class TestDistances:
     def test_matches_reference_bfs(self, g):
         dm = all_pairs_distances(g)
         assert dm.array.shape == (g.n, g.n)
-        assert [list(row) for row in dm.dist] == bfs_distances(g)
-        for u, row in enumerate(dm.dist):
-            for v, d in enumerate(row):
-                far = dm.array[u, v] == dm.UNREACHABLE
-                assert (d is INF) if far else (type(d) is int)
+        assert listed(dm) == bfs_distances(g)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(1, 30), st.data())
@@ -156,13 +160,13 @@ class TestDistances:
             if u != v and (v, u) not in arcs:
                 arcs.add((u, v))
         g = Digraph(n, arcs)
-        assert [list(row) for row in all_pairs_distances(g).dist] == bfs_distances(g)
+        assert listed(all_pairs_distances(g)) == bfs_distances(g)
 
     def test_array_is_read_only(self):
         dm = all_pairs_distances(cycle3())
         with pytest.raises(ValueError, match="read-only"):
             dm.array[0, 1] = 5
-        assert dm.dist[0][1] == 1
+        assert dm.array[0, 1] == 1
 
 
 class TestFileFormats:

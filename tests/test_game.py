@@ -13,6 +13,7 @@ from locgame import (
     all_pairs_distances,
     blowup,
     cops_win,
+    is_resolving,
     localization_number_exact,
     metric_dimension_exact,
     optimal_robber,
@@ -28,7 +29,7 @@ from locgame import (
 from locgame import digraph, game
 from locgame.verify import random_dag
 
-from conftest import oriented_digraphs, random_oriented_digraph
+from conftest import bfs_distances, oriented_digraphs, random_oriented_digraph
 
 
 def cycle3():
@@ -60,6 +61,26 @@ class TestPartition:
         dm = all_pairs_distances(cycle3())
         with pytest.raises(ProbeError, match="two cops"):
             partition_by_probe(dm, {0, 1}, (1, 1))
+
+    @settings(max_examples=80, deadline=None)
+    @given(oriented_digraphs(max_n=8, min_n=1), st.data())
+    def test_matches_grouping_by_reference_vectors(self, g, data):
+        # oriented digraphs leave pairs unreachable, so vectors hold INF
+        vertices = st.sampled_from(range(g.n))
+        probe = sorted(data.draw(st.sets(vertices, min_size=1)))
+        candidates = data.draw(st.sets(vertices))
+        dist = bfs_distances(g)
+        cells = {}
+        for x in candidates:
+            cells.setdefault(tuple(dist[u][x] for u in probe), set()).add(x)
+        dm = all_pairs_distances(g)
+        parts = partition_by_probe(dm, candidates, probe)
+        assert parts == [(vec, frozenset(cells[vec])) for vec in sorted(cells)]
+        for vec, _ in parts:
+            assert all(d is INF or type(d) is int for d in vec)
+        witnesses = data.draw(st.sets(vertices))
+        vectors = {tuple(dist[w][x] for w in witnesses) for x in range(g.n)}
+        assert is_resolving(dm, witnesses) == (len(vectors) == g.n)
 
 
 class TestRobberStep:
@@ -131,7 +152,7 @@ def oracle_win_sets(g, k):
     from itertools import combinations
 
     n = g.n
-    dm = all_pairs_distances(g)
+    dist = bfs_distances(g)
     closed = [(1 << v) | sum(1 << w for w in g.out_neighbors(v)) for v in range(n)]
     step = [0] * (1 << n)
     for s in range(1, 1 << n):
@@ -141,7 +162,7 @@ def oracle_win_sets(g, k):
     for p in combinations(range(n), k):
         cells = {}
         for x in range(n):
-            vec = tuple(dm.dist[u][x] for u in p)
+            vec = tuple(dist[u][x] for u in p)
             cells[vec] = cells.get(vec, 0) | (1 << x)
         probe_cells.append(list(cells.values()))
     win = set()
@@ -268,17 +289,19 @@ def test_relabeling_keeps_zeta_and_wins(g, rnd):
             assert sh.wins(perm[x] for x in s) == sg.wins(s)
 
 
-def reference_partitions(dm, k):
+def reference_partitions(g, k):
     """Non-singleton cells of each distinct probe partition, by the
-    definition: group by distance vector, keep the first probe of each
-    partition in combinations order, cells in order of their lowest vertex."""
+    definition: group by reference distance vector, keep the first probe of
+    each partition in combinations order, cells in order of their lowest
+    vertex."""
     from itertools import combinations
 
+    dist = bfs_distances(g)
     seen = {}
-    for p in combinations(range(dm.n), k):
+    for p in combinations(range(g.n), k):
         cells = {}
-        for x in range(dm.n):
-            cells.setdefault(tuple(dm.dist[u][x] for u in p), []).append(x)
+        for x in range(g.n):
+            cells.setdefault(tuple(dist[u][x] for u in p), []).append(x)
         key = frozenset(frozenset(c) for c in cells.values())
         if key not in seen:
             seen[key] = tuple(sum(1 << x for x in c) for c in cells.values() if len(c) > 1)
@@ -292,9 +315,10 @@ def listed_partitions(dm, k):
 
 class TestProbePartitions:
     def test_rotation_counts(self):
-        dm = all_pairs_distances(rotation_tournament(9))
+        g = rotation_tournament(9)
+        dm = all_pairs_distances(g)
         assert len(game._probe_partitions(dm, 4)) == 2888  # of C(19, 4) = 3876
-        assert listed_partitions(dm, 2) == reference_partitions(dm, 2)
+        assert listed_partitions(dm, 2) == reference_partitions(g, 2)
 
     @pytest.mark.parametrize("block", [1, 3, 1 << 16])
     def test_matches_reference_across_blocks(self, monkeypatch, block):
@@ -302,9 +326,10 @@ class TestProbePartitions:
         rng = random.Random(7)
         for _ in range(20):
             n = rng.randint(1, 8)
-            dm = all_pairs_distances(random_oriented_digraph(rng, n, rng.uniform(0.1, 0.9)))
+            g = random_oriented_digraph(rng, n, rng.uniform(0.1, 0.9))
+            dm = all_pairs_distances(g)
             for k in range(1, n + 1):
-                assert listed_partitions(dm, k) == reference_partitions(dm, k)
+                assert listed_partitions(dm, k) == reference_partitions(g, k)
 
 
 class TestSolverStats:

@@ -18,7 +18,7 @@ from locgame import (
     tripartite_cycle,
 )
 
-from conftest import random_oriented_digraph
+from conftest import bfs_distances, random_oriented_digraph
 
 
 def cycle3():
@@ -125,13 +125,11 @@ class TestOutDegeneracy:
 
 
 def brute_spread(g):
-    from locgame import all_pairs_distances
-
-    dm = all_pairs_distances(g)
+    dist = bfs_distances(g)
     best = 0
     for u in range(g.n):
         for v in range(g.n):
-            vals = [dm.dist[u][w] for w in (v, *g.out_neighbors(v))]
+            vals = [dist[u][w] for w in (v, *g.out_neighbors(v))]
             hi, lo = max(vals), min(vals)
             if hi is INF and lo is INF:
                 continue
@@ -154,7 +152,9 @@ class TestSpread:
     def test_against_brute_oracle(self, rng):
         for _ in range(25):
             g = random_oriented_digraph(rng, rng.randint(1, 7), rng.uniform(0.2, 0.9))
-            assert spread_m(g) == brute_spread(g)
+            m = spread_m(g)
+            assert m == brute_spread(g)
+            assert m is INF or type(m) is int
 
     def test_lower_bound_vacuous_on_infinite_spread(self):
         assert localization_lower_bound(transitive_tournament(4)) == 0.0
