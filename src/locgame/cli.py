@@ -239,7 +239,7 @@ def cmd_play(args) -> int:
         # the graph, decomposition or cop budget does not fit the strategy
         raise InputError(f"{args.strategy}: {exc}") from exc
     robber = optimal_robber(g, strategy.cops)
-    transcript = play(g, strategy, robber, max_rounds=max_rounds or 5 * g.n)
+    transcript = play(g, strategy, robber, max_rounds=max_rounds or 5 * g.n, dm=robber.dm)
     _write(transcript.to_json_lines(), args.out)
     return 0 if transcript.outcome.captured else 1
 

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-from .digraph import Digraph
-from .structure import CyclicGraphError, topological_sort
+import numpy as np
+
+from .digraph import Digraph, DistanceMatrix, all_pairs_distances
 
 
 class PathDecomposition:
@@ -79,13 +80,9 @@ def validate_path_decomposition(g: Digraph, pd: PathDecomposition) -> Validation
     bags = pd.bags
     width = pd.width
 
-    covered = frozenset().union(*bags)
-    missing = set(range(g.n)) - covered
-    if missing:
-        return ValidationResult(False, width, f"vertices {sorted(missing)} not in any bag")
-    extra = covered - set(range(g.n))
-    if extra:
-        return ValidationResult(False, width, f"bags mention unknown vertices {sorted(extra)}")
+    violation = _coverage_violation(g, bags)
+    if violation:
+        return ValidationResult(False, width, violation)
 
     first: dict[int, int] = {}
     last: dict[int, int] = {}
@@ -93,7 +90,7 @@ def validate_path_decomposition(g: Digraph, pd: PathDecomposition) -> Validation
         for v in bag:
             first.setdefault(v, i)
             last[v] = i
-    for v in covered:
+    for v in range(g.n):
         for j in range(first[v] + 1, last[v]):
             if v not in bags[j]:
                 return ValidationResult(
@@ -121,30 +118,24 @@ def validate_dag_decomposition(g: Digraph, dd: DagDecomposition) -> ValidationRe
     bags = dd.bags
     width = dd.width
 
-    try:
-        topological_sort(d)
-    except CyclicGraphError:
+    reach = all_pairs_distances(d).array != DistanceMatrix.UNREACHABLE
+    # an oriented digraph has a cycle iff two distinct nodes reach each other
+    if np.count_nonzero(reach & reach.T) > d.n:
         return ValidationResult(False, width, "index digraph has a directed cycle")
 
-    covered = frozenset().union(*bags) if bags else frozenset()
-    missing = set(range(g.n)) - covered
-    if missing:
-        return ValidationResult(False, width, f"vertices {sorted(missing)} not in any bag")
-    extra = covered - set(range(g.n))
-    if extra:
-        return ValidationResult(False, width, f"bags mention unknown vertices {sorted(extra)}")
-
-    reach = _reachability(d)
+    violation = _coverage_violation(g, bags)
+    if violation:
+        return ValidationResult(False, width, violation)
 
     # connectivity: for index nodes a <= b <= c in the reach order,
     # X_a ∩ X_c ⊆ X_b
     for a in range(d.n):
         for c in range(d.n):
             shared = bags[a] & bags[c]
-            if not shared or not reach[a][c]:
+            if not shared or not reach[a, c]:
                 continue
             for b in range(d.n):
-                if b in (a, c) or not (reach[a][b] and reach[b][c]):
+                if b in (a, c) or not (reach[a, b] and reach[b, c]):
                     continue
                 if not shared <= bags[b]:
                     lost = sorted(shared - bags[b])
@@ -155,16 +146,10 @@ def validate_dag_decomposition(g: Digraph, dd: DagDecomposition) -> ValidationRe
 
     # successor-bag condition: a vertex introduced at an index node must have
     # all its out-arcs covered by bags at or after that node
-    succ_union = [
-        frozenset().union(*(bags[k] for k in range(d.n) if reach[j][k]))
-        for j in range(d.n)
-    ]
+    succ_union = _down_sets(bags, reach)
     for j in range(d.n):
-        intro_sets = []
-        if d.is_source(j):
-            intro_sets.append(bags[j])
-        for i in d.in_neighbors(j):
-            intro_sets.append(bags[j] - bags[i])
+        parents = d.in_neighbors(j)
+        intro_sets = [bags[j] - bags[i] for i in parents] if parents else [bags[j]]
         for intro in intro_sets:
             for u in sorted(intro):
                 for v in g.out_neighbors(u):
@@ -185,11 +170,7 @@ def dag_guard_condition(g: Digraph, dd: DagDecomposition) -> bool:
     """
     d = dd.index_dag
     bags = dd.bags
-    reach = _reachability(d)
-    down = [
-        frozenset().union(*(bags[k] for k in range(d.n) if reach[j][k]))
-        for j in range(d.n)
-    ]
+    down = _down_sets(bags, all_pairs_distances(d).array != DistanceMatrix.UNREACHABLE)
 
     def guards(w: frozenset, vs: frozenset) -> bool:
         return all(
@@ -207,21 +188,22 @@ def dag_guard_condition(g: Digraph, dd: DagDecomposition) -> bool:
     return True
 
 
-def _reachability(d: Digraph) -> list[list[bool]]:
-    """Reflexive-transitive reachability table of an index digraph."""
-    table = []
-    for s in range(d.n):
-        seen = [False] * d.n
-        seen[s] = True
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in d.out_neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        table.append(seen)
-    return table
+def _coverage_violation(g: Digraph, bags: tuple[frozenset[int], ...]) -> str | None:
+    """Why the bags fail to cover exactly the vertices of g, or None."""
+    covered = frozenset().union(*bags)
+    missing = set(range(g.n)) - covered
+    if missing:
+        return f"vertices {sorted(missing)} not in any bag"
+    extra = covered - set(range(g.n))
+    if extra:
+        return f"bags mention unknown vertices {sorted(extra)}"
+    return None
+
+
+def _down_sets(bags: tuple[frozenset[int], ...], reach: np.ndarray) -> list[frozenset[int]]:
+    """For each index node, the union of the bags of the nodes it reaches,
+    itself included; ``reach`` is the index digraph's reachability matrix."""
+    return [frozenset().union(*(bags[k] for k in np.flatnonzero(row).tolist())) for row in reach]
 
 
 # -- JSON files ------------------------------------------------------------

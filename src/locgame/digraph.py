@@ -1,18 +1,19 @@
 """Immutable oriented digraphs, directed distances, and graph file formats.
 
 Vertices are dense integers ``0..n-1``.  Graphs are *oriented*: at most one
-arc per unordered vertex pair, no self-loops.  :class:`DistanceMatrix` holds
-unreachability as the int sentinel :attr:`DistanceMatrix.UNREACHABLE`, which
-sorts above every finite distance and equals only itself.  Python values
-leaving the package (probe answers, diameter, spread) carry the module-level
-:data:`INF` (``math.inf``) in its place, which orders the same way.
+arc per unordered vertex pair, no self-loops.  :class:`Digraph` holds them
+as one read-only n x n bool matrix, the only adjacency format.
+:class:`DistanceMatrix` holds unreachability as the int sentinel
+:attr:`DistanceMatrix.UNREACHABLE`, which sorts above every finite distance
+and equals only itself.  Python values leaving the package (probe answers,
+diameter, spread) carry the module-level :data:`INF` (``math.inf``) in its
+place, which orders the same way.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -24,58 +25,48 @@ INF = math.inf
 class Digraph:
     """An immutable simple oriented digraph.
 
-    Stores both forward and reverse adjacency so ``N+`` and ``N-`` queries
-    are O(1).  Construction validates simplicity and orientation; instances
+    ``adjacency[u, v]`` is True exactly when u -> v is an arc; the matrix is
+    read-only.  Construction validates every arc and orientation; instances
     are safe to share between threads.
     """
 
-    __slots__ = ("n", "arcs", "_out", "_in")
+    __slots__ = ("n", "adjacency")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        arc_set = set()
-        out_adj: list[list[int]] = [[] for _ in range(n)]
-        in_adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in arcs:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"arc ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if (v, u) in arc_set:
-                raise ValueError(f"digon between {u} and {v} (graph must be oriented)")
-            if (u, v) in arc_set:
-                continue
-            arc_set.add((u, v))
-            out_adj[u].append(v)
-            in_adj[v].append(u)
+        arcs = list(arcs)
+        tails, heads = ends = _endpoints(n, arcs)
+        adjacency = np.zeros((n, n), dtype=bool)
+        in_range = ((ends >= 0) & (ends < n)).all()
+        if in_range:
+            adjacency[tails, heads] = True
+        # a self-loop or a digon puts an arc u -> v with v -> u in the matrix
+        if not in_range or (adjacency & adjacency.T).any():
+            raise ValueError(_first_fault(n, arcs, ends))
+        adjacency.flags.writeable = False
         self.n = n
-        self.arcs = frozenset(arc_set)
-        self._out = tuple(tuple(sorted(a)) for a in out_adj)
-        self._in = tuple(tuple(sorted(a)) for a in in_adj)
+        self.adjacency = adjacency
 
     # -- queries -----------------------------------------------------------
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def out_neighbors(self, u: int) -> tuple[int, ...]:
-        return self._out[u]
+        return tuple(self.adjacency[u].nonzero()[0].tolist())
 
     def in_neighbors(self, u: int) -> tuple[int, ...]:
-        return self._in[u]
+        return tuple(self.adjacency[:, u].nonzero()[0].tolist())
 
     def out_degree(self, u: int) -> int:
-        return len(self._out[u])
+        return int(np.count_nonzero(self.adjacency[u]))
 
     def in_degree(self, u: int) -> int:
-        return len(self._in[u])
+        return int(np.count_nonzero(self.adjacency[:, u]))
 
     def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self.arcs
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self.adjacency[u, v])
 
     def is_source(self, u: int) -> bool:
-        return not self._in[u]
+        return not self.adjacency[:, u].any()
 
     def is_tournament(self) -> bool:
         """True iff exactly one arc joins every pair of distinct vertices.
@@ -83,14 +74,18 @@ class Digraph:
         The constructor admits at most one arc per pair, so counting the
         arcs suffices.
         """
-        return len(self.arcs) == self.n * (self.n - 1) // 2
+        return self.arc_count == self.n * (self.n - 1) // 2
 
     @property
     def arc_count(self) -> int:
-        return len(self.arcs)
+        return int(np.count_nonzero(self.adjacency))
+
+    @property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.sorted_arcs())
 
     def sorted_arcs(self) -> list[tuple[int, int]]:
-        return sorted(self.arcs)
+        return list(map(tuple, np.argwhere(self.adjacency).tolist()))
 
     def induced(self, vertices: Iterable[int]) -> tuple["Digraph", list[int]]:
         """Induced subgraph on ``vertices``.
@@ -99,24 +94,56 @@ class Digraph:
         list mapping new ids back to the original ids.
         """
         keep = sorted(set(vertices))
-        index = {v: i for i, v in enumerate(keep)}
-        arcs = [
-            (index[u], index[v])
-            for (u, v) in self.arcs
-            if u in index and v in index
-        ]
-        return Digraph(len(keep), arcs), keep
+        sub = self.adjacency[np.ix_(keep, keep)]
+        return Digraph(len(keep), np.argwhere(sub).tolist()), keep
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Digraph):
             return NotImplemented
-        return self.n == other.n and self.arcs == other.arcs
+        return self.n == other.n and np.array_equal(self.adjacency, other.adjacency)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.arcs))
+        return hash((self.n, self.adjacency.tobytes()))
 
     def __repr__(self) -> str:
         return f"Digraph(n={self.n}, arcs={self.arc_count})"
+
+
+def _endpoints(n: int, arcs: list) -> np.ndarray:
+    """The tails and heads of the arcs as the two rows of an intp array;
+    raises unless every arc is a pair of integers."""
+    if set(map(len, arcs)) - {2}:
+        # unpacking the first arc that is not a pair raises the error for it
+        u, v = next(arc for arc in arcs if len(arc) != 2)
+    ends = sum(zip(*arcs), ())  # every tail, then every head
+    kinds = set(map(type, ends))
+    odd = [t.__name__ for t in kinds if t is bool or not issubclass(t, (int, np.integer))]
+    if odd:
+        raise ValueError(f"arc endpoints must be integers, not {', '.join(sorted(odd))}")
+    try:
+        ends = np.fromiter(ends, np.intp, len(ends))
+    except OverflowError:
+        # an endpoint too large for intp is out of range: -1 stands for it
+        ends = np.fromiter((x if 0 <= x < n else -1 for x in ends), np.intp, len(ends))
+    return ends.reshape(2, -1)
+
+
+def _first_fault(n: int, arcs: list, ends: np.ndarray) -> str:
+    """The error for the first arc, in input order, that is out of range, a
+    self-loop or the later arc of a digon."""
+    tails, heads = ends
+    bad = ((ends < 0) | (ends >= n)).any(axis=0) | (tails == heads)
+    kept = np.flatnonzero(~bad)
+    # first[u, v]: index of the first arc u -> v, len(arcs) when there is none
+    first = np.full((n, n), len(arcs))
+    np.minimum.at(first, (tails[kept], heads[kept]), kept)
+    bad[kept] = first[heads[kept], tails[kept]] < kept
+    u, v = arcs[int(np.argmax(bad))]
+    if not (0 <= u < n and 0 <= v < n):
+        return f"arc ({u},{v}) out of range for n={n}"
+    if u == v:
+        return f"self-loop at vertex {u}"
+    return f"digon between {u} and {v} (graph must be oriented)"
 
 
 # budget of the automorphism search: maps kept, and search-tree nodes visited
@@ -233,11 +260,11 @@ def all_pairs_distances(g: Digraph) -> DistanceMatrix:
     level would cost O(n**4) in all; gathering keeps it to O(n * arcs).
     """
     n = g.n
-    degree = np.fromiter(map(len, g._out), np.intp, n)
-    heads = np.fromiter(chain.from_iterable(g._out), np.intp, g.arc_count)
+    degree = np.count_nonzero(g.adjacency, axis=1)
+    # the out-arcs in row-major order: grouped by tail, heads ascending
+    heads = np.nonzero(g.adjacency)[1]
     first_arc = np.cumsum(degree) - degree
-    adjacency = np.zeros((n, n), dtype=np.float32)
-    adjacency[np.repeat(np.arange(n), degree), heads] = 1
+    adjacency = g.adjacency.astype(np.float32)
     dist = np.full(n * n, DistanceMatrix.UNREACHABLE, dtype=np.int32)
     reached = np.eye(n, dtype=bool).ravel()
     frontier = np.flatnonzero(reached)
@@ -245,7 +272,7 @@ def all_pairs_distances(g: Digraph) -> DistanceMatrix:
     level = 0
     while len(frontier):
         level += 1
-        if 64 * len(frontier) * g.arc_count < n**4:
+        if 64 * len(frontier) * len(heads) < n**4:
             sources, tails = np.divmod(frontier, n)
             steps = degree[tails]
             # gathered arc j is out-arc j - start of its pair's tail, where

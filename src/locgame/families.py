@@ -11,6 +11,8 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .digraph import Digraph
 
 
@@ -49,13 +51,8 @@ def blowup(t: Digraph, k: int) -> Digraph:
         raise ValueError(f"independent-set size must be at least 3, got {k}")
     if not t.is_tournament():
         raise ValueError("blowup base must be a tournament")
-    arcs = [
-        (u * k + a, v * k + b)
-        for (u, v) in t.arcs
-        for a in range(k)
-        for b in range(k)
-    ]
-    return Digraph(t.n * k, arcs)
+    arcs = np.argwhere(np.kron(t.adjacency, np.ones((k, k), dtype=bool)))
+    return Digraph(t.n * k, arcs.tolist())
 
 
 def sc_tight(m: int, delta: int) -> Digraph:

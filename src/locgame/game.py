@@ -62,12 +62,15 @@ def partition_by_probe(
 
     A vector holds ints, and INF where the candidate is unreachable from a
     probe vertex.  Returned classes are ordered by vector (unreachable sorts
-    last), so the output is deterministic.
+    last), so the output is deterministic.  A candidate outside 0..n-1
+    raises ValueError.
     """
     probe = _normalize_probe(probe, dm.n)
     columns = dm.array[list(probe)].T.tolist()
     cells: dict[tuple[int, ...], set[int]] = {}
     for x in candidates:
+        if not 0 <= x < dm.n:
+            raise ValueError(f"candidate {x} out of range for n={dm.n}")
         cells.setdefault(tuple(columns[x]), set()).add(x)
     far = dm.UNREACHABLE
     return [
@@ -78,11 +81,8 @@ def partition_by_probe(
 
 def robber_step(g: Digraph, vertices: Iterable[int]) -> frozenset[int]:
     """One robber move: union of closed out-neighborhoods."""
-    out: set[int] = set()
-    for v in vertices:
-        out.add(v)
-        out.update(g.out_neighbors(v))
-    return frozenset(out)
+    vertices = list(vertices)
+    return frozenset(vertices + g.adjacency[vertices].nonzero()[1].tolist())
 
 
 def _normalize_probe(probe: Sequence[int], n: int) -> tuple[int, ...]:
@@ -213,8 +213,9 @@ class LocalizationSolver:
         self._full = (1 << n) - 1
         # the classes of any S are the nonempty intersections with these cells
         self._cells = _probe_partitions(self.dm, k)
-        closed = [(1 << v) | sum(1 << w for w in g.out_neighbors(v)) for v in range(n)]
-        self._step = tuple(t[0] for t in _byte_tables(np.array([closed], dtype=np.int64)))
+        # closed[v]: mask of v and its out-neighbours
+        closed = (g.adjacency | np.eye(n, dtype=bool)) @ (np.int64(1) << np.arange(n))
+        self._step = tuple(t[0] for t in _byte_tables(closed[None]))
         maps = np.array(self.dm.automorphisms(), dtype=np.int64)
         self._automorphisms = len(maps)
         # the kept maps need not be closed under inverses (a truncated search

@@ -25,11 +25,8 @@ def _indicator_matrix(g: Digraph) -> np.ndarray:
     """The +-1 indicator matrix C of a tournament: C[u, v] = 1 for an arc
     u -> v, -1 for v -> u, and 0 on the diagonal."""
     _require_tournament(g)
-    tails, heads = np.array(list(g.arcs), dtype=np.int64).reshape(-1, 2).T
-    c = np.zeros((g.n, g.n), dtype=np.int64)
-    c[tails, heads] = 1
-    c[heads, tails] = -1
-    return c
+    a = g.adjacency.astype(np.int64)
+    return a - a.T
 
 
 def arc_indicator(g: Digraph, u: int, v: int) -> int:
@@ -112,7 +109,8 @@ def doubly_regular_check(g: Digraph) -> bool:
     With A the 0/1 arc matrix, (A A^T)[x, y] counts common out-neighbors
     and (A^T A)[x, y] common in-neighbors.
     """
-    a = (_indicator_matrix(g) == 1).astype(np.int64)
+    _require_tournament(g)
+    a = g.adjacency.astype(np.int64)
     n = g.n
     if (n - 3) % 4 != 0:
         return False

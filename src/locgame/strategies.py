@@ -8,7 +8,7 @@ reproduces the probes exactly.
 
 from __future__ import annotations
 
-from .digraph import INF, Digraph, all_pairs_distances
+from .digraph import INF, Digraph
 from .decomposition import (
     DagDecomposition,
     PathDecomposition,
@@ -62,10 +62,7 @@ class ScComposite:
     name = "sc_composite"
 
     def __init__(self, g: Digraph):
-        self.g = g
-        self.dm = all_pairs_distances(g)
         scc = strong_components(g)
-        self.scc = scc
         self.bases: list[tuple[int, ...]] = []
         for comp in scc.components:
             sub, back = g.induced(comp)

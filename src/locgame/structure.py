@@ -7,6 +7,8 @@ from __future__ import annotations
 import heapq
 import math
 
+import numpy as np
+
 from .digraph import INF, Digraph, DistanceMatrix, all_pairs_distances
 
 
@@ -34,9 +36,7 @@ class SccDecomposition:
     @property
     def max_out_degree(self) -> int:
         """Largest out-degree in the condensation (0 for a single component)."""
-        return max(
-            (self.condensation.out_degree(i) for i in range(len(self))), default=0
-        )
+        return int(np.count_nonzero(self.condensation.adjacency, axis=1).max(initial=0))
 
 
 def strong_components(g: Digraph) -> SccDecomposition:
@@ -131,19 +131,15 @@ def out_degeneracy(g: Digraph) -> int:
     max-min quantity.
     """
     n = g.n
-    alive = [True] * n
-    outdeg = [g.out_degree(v) for v in range(n)]
+    alive = np.ones(n, dtype=bool)
+    outdeg = np.count_nonzero(g.adjacency, axis=1)
     best = 0
     for _ in range(n):
-        u = min(
-            (v for v in range(n) if alive[v]),
-            key=lambda v: (outdeg[v], v),
-        )
-        best = max(best, outdeg[u])
+        # removed vertices read n, above every out-degree; argmin takes the lowest id
+        u = int(np.argmin(np.where(alive, outdeg, n)))
+        best = max(best, int(outdeg[u]))
         alive[u] = False
-        for w in g.in_neighbors(u):
-            if alive[w]:
-                outdeg[w] -= 1
+        outdeg -= g.adjacency[:, u]
     return best
 
 

@@ -226,6 +226,8 @@ class TestBadInput:
         "bad_syntax.json": '{"n": 3, "arcs": [[0, 1]',
         "no_arcs.json": '{"n": 3}',
         "no_vertices.txt": "0\n",
+        "two_triples.json": '{"n": 6, "arcs": [[0, 1, 2], [3, 4, 5]]}',
+        "bool_endpoint.json": '{"n": 3, "arcs": [[true, 2]]}',
     }
 
     def run_bad(self, capsys, *argv):
@@ -506,6 +508,8 @@ class TestCsvRoundTrip:
 MALFORMED_GRAPHS = [
     "", "0\n", "-1\n", "x\n", "3\n0 1 2\n", "2\n0 1\n1 0\n", "2\n0 5\n",
     "{", "[]", '{"n": 2}', '{"n": 2, "arcs": [[0, 1, 2]]}', '{"n": -1, "arcs": []}',
+    '{"n": 6, "arcs": [[0, 1, 2], [3, 4, 5]]}', '{"n": 3, "arcs": [[0.5, 1]]}',
+    '{"n": 3, "arcs": [[true, 2]]}', '{"n": 3, "arcs": [["0", 1]]}', "3\n0 1\n1 0\n2 2\n",
 ]
 COUNTS = st.integers(-1, 4).map(str)
 

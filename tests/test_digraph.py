@@ -29,7 +29,13 @@ from locgame.digraph import (
     to_json,
 )
 
-from conftest import bfs_distances, oriented_digraphs, random_oriented_digraph
+from conftest import (
+    arc_lists,
+    bfs_distances,
+    oriented_digraphs,
+    random_oriented_digraph,
+    reference_arcs,
+)
 
 
 def cycle3():
@@ -68,6 +74,66 @@ class TestDigraph:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             Digraph(2, [(0, 2)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(arc_lists())
+    def test_matches_reference_constructor(self, case):
+        n, arcs = case
+        try:
+            expected = reference_arcs(n, arcs)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                Digraph(n, arcs)
+            assert str(info.value) == str(exc)
+            return
+        g = Digraph(n, arcs)
+        assert g.arcs == expected
+        assert g.sorted_arcs() == sorted(expected)
+        assert g.arc_count == len(expected)
+        for u in range(n):
+            out = tuple(sorted(v for (t, v) in expected if t == u))
+            into = tuple(sorted(t for (t, v) in expected if v == u))
+            assert g.out_neighbors(u) == out and g.out_degree(u) == len(out)
+            assert g.in_neighbors(u) == into and g.in_degree(u) == len(into)
+            assert g.is_source(u) == (not into)
+            assert all(type(v) is int for v in out + into)
+
+    @pytest.mark.parametrize(
+        "arcs",
+        [
+            [(0, 1, 2), (3, 4, 5)],
+            [(0, 1), (2,)],
+            [(0.0, 1)],
+            [(True, 2)],
+            [(0, False)],
+            [("0", 1)],
+            [(0, 1), (None, 2)],
+        ],
+    )
+    def test_rejects_arcs_that_are_not_integer_pairs(self, arcs):
+        with pytest.raises(ValueError):
+            Digraph(6, arcs)
+
+    def test_accepts_numpy_integer_endpoints(self):
+        g = Digraph(3, [(np.int64(0), np.int32(2))])
+        assert g.arcs == frozenset({(0, 2)})
+
+    def test_adjacency_is_the_only_state_and_read_only(self):
+        g = cycle3()
+        assert Digraph.__slots__ == ("n", "adjacency")
+        assert g.adjacency.dtype == bool and g.adjacency.shape == (3, 3)
+        with pytest.raises(ValueError):
+            g.adjacency[1, 0] = True
+        assert g.arcs == frozenset({(0, 1), (1, 2), (2, 0)})
+
+    def test_equality_and_hash_ignore_arc_order_and_repeats(self):
+        a = Digraph(4, [(0, 1), (2, 3), (1, 2)])
+        b = Digraph(4, [(1, 2), (0, 1), (2, 3), (0, 1), (1, 2)])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != Digraph(4, [(0, 1), (2, 3)])
+        assert a != Digraph(5, [(0, 1), (2, 3), (1, 2)])
+        assert a != Digraph(4, [(1, 0), (2, 3), (1, 2)])
 
     def test_adjacency_consistency(self, rng):
         for _ in range(20):

@@ -62,6 +62,12 @@ class TestPartition:
         with pytest.raises(ProbeError, match="two cops"):
             partition_by_probe(dm, {0, 1}, (1, 1))
 
+    @pytest.mark.parametrize("candidates", [{-1, 0}, {7}, {0, 5}])
+    def test_candidates_out_of_range_rejected(self, candidates):
+        dm = all_pairs_distances(rotation_tournament(2))
+        with pytest.raises(ValueError, match="candidate -?[0-9]+ out of range for n=5"):
+            partition_by_probe(dm, candidates, (0,))
+
     @settings(max_examples=80, deadline=None)
     @given(oriented_digraphs(max_n=8, min_n=1), st.data())
     def test_matches_grouping_by_reference_vectors(self, g, data):
