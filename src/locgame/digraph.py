@@ -33,6 +33,8 @@ class Digraph:
     __slots__ = ("n", "adjacency")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise ValueError(f"vertex count must be an integer, not {type(n).__name__}")
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         arcs = list(arcs)
@@ -51,22 +53,28 @@ class Digraph:
     # -- queries -----------------------------------------------------------
 
     def out_neighbors(self, u: int) -> tuple[int, ...]:
-        return tuple(self.adjacency[u].nonzero()[0].tolist())
+        return tuple(self.adjacency[self._vertex(u)].nonzero()[0].tolist())
 
     def in_neighbors(self, u: int) -> tuple[int, ...]:
-        return tuple(self.adjacency[:, u].nonzero()[0].tolist())
+        return tuple(self.adjacency[:, self._vertex(u)].nonzero()[0].tolist())
 
     def out_degree(self, u: int) -> int:
-        return int(np.count_nonzero(self.adjacency[u]))
+        return int(np.count_nonzero(self.adjacency[self._vertex(u)]))
 
     def in_degree(self, u: int) -> int:
-        return int(np.count_nonzero(self.adjacency[:, u]))
+        return int(np.count_nonzero(self.adjacency[:, self._vertex(u)]))
 
     def has_arc(self, u: int, v: int) -> bool:
         return 0 <= u < self.n and 0 <= v < self.n and bool(self.adjacency[u, v])
 
     def is_source(self, u: int) -> bool:
-        return not self.adjacency[:, u].any()
+        return not self.adjacency[:, self._vertex(u)].any()
+
+    def _vertex(self, u: int) -> int:
+        """u, once checked to lie in 0..n-1; numpy would wrap a negative id."""
+        if not 0 <= u < self.n:
+            raise ValueError(f"vertex {u} out of range for n={self.n}")
+        return u
 
     def is_tournament(self) -> bool:
         """True iff exactly one arc joins every pair of distinct vertices.
@@ -159,7 +167,7 @@ class DistanceMatrix:
     finite distance and equals only itself, as INF does.
     """
 
-    __slots__ = ("n", "array", "_automorphisms")
+    __slots__ = ("n", "array", "_automorphisms", "_truncated")
 
     UNREACHABLE = np.iinfo(np.int32).max
 
@@ -170,35 +178,72 @@ class DistanceMatrix:
         self.n = len(array)
         self.array = array
         self._automorphisms: tuple[tuple[int, ...], ...] | None = None
+        self._truncated = False
 
     def automorphisms(self) -> tuple[tuple[int, ...], ...]:
-        """Vertex permutations preserving every distance, identity first.
+        """Vertex permutations preserving every distance, in lexicographic
+        order, so the identity comes first.
 
         A map preserves distances exactly when it preserves arcs, since
-        d = 1 exactly on arcs.  The search stops once it has kept
-        :data:`MAX_AUTOMORPHISMS` maps or visited
-        :data:`MAX_AUTOMORPHISM_NODES` nodes, so on a large group the result
-        is a subset of it; every kept map is a verified automorphism.
-        Computed on the first call and cached.
+        d = 1 exactly on arcs.  On a group of at most
+        :data:`MAX_AUTOMORPHISMS` maps the result is the whole group.  On a
+        larger one it is the lexicographically least
+        :data:`MAX_AUTOMORPHISMS` maps, which all lie in the stabiliser of
+        some prefix 0..v-1 of the vertices.  When the search spends its
+        :data:`MAX_AUTOMORPHISM_NODES` nodes first, the result is the
+        stabiliser of the longest prefix it finished, a subgroup.  Every
+        kept map is a verified automorphism; :meth:`automorphisms_truncated`
+        tells whether a budget cut the search short.  Computed on the first
+        call and cached.
         """
         if self._automorphisms is None:
-            self._automorphisms = _search_automorphisms(self.array.tolist())
+            self._automorphisms, self._truncated = _search_automorphisms(
+                self.array.tolist()
+            )
         return self._automorphisms
 
+    def automorphisms_truncated(self) -> bool:
+        """True when a budget stopped the search of :meth:`automorphisms`,
+        so its maps may be only part of the group."""
+        self.automorphisms()
+        return self._truncated
 
-def _search_automorphisms(dist: list[list[int]]) -> tuple[tuple[int, ...], ...]:
-    """Backtracking over vertex images in vertex order with forward checking,
-    on the distance array as nested lists.
 
-    ``fits[w][(a, b)]`` is the mask of vertices x with d(w, x) = a and
-    d(x, w) = b.  Mapping v to w narrows the domain of every later vertex u
-    to ``fits[w][(d(v, u), d(u, v))]``, and its cell, the later vertices
-    that agree with u on every mapped vertex, to ``fits[v][...]`` alike; a
-    map onto a domain of another size than the cell cannot be a bijection,
-    so the branch is cut.  Domains and cells start as the vertices with the
-    same multiset of such pairs.  Only x = w is at distance 0 from w, so
-    images stay distinct and every leaf preserves all distances.  Domains
-    are scanned lowest vertex first, so the identity is the first leaf.
+class _NodeBudgetSpent(Exception):
+    """Ends the automorphism search once it has visited
+    :data:`MAX_AUTOMORPHISM_NODES` nodes."""
+
+
+def _search_automorphisms(
+    dist: list[list[int]],
+) -> tuple[tuple[tuple[int, ...], ...], bool]:
+    """The maps :meth:`DistanceMatrix.automorphisms` keeps, and whether a
+    budget cut the search short, from the distance array as nested lists.
+
+    A coset search along the base 0..n-1.  Images are assigned in vertex
+    order with forward checking: ``fits[w][(a, b)]`` is the mask of
+    vertices x with d(w, x) = a and d(x, w) = b.  Mapping v to w narrows
+    the domain of every later vertex u to ``fits[w][(d(v, u), d(u, v))]``,
+    and its cell, the later vertices that agree with u on every mapped
+    vertex, to ``fits[v][...]`` alike; a map onto a domain of another size
+    than the cell cannot be a bijection, so the branch is cut.  Domains and
+    cells start as the vertices with the same multiset of such pairs.  Only
+    x = w is at distance 0 from w, so images stay distinct and every leaf
+    preserves all distances.  Each assignment tried is one search node.
+
+    The domains are first narrowed along the identity.  Then, for v from
+    n-1 down to 0, the orbit of v under the maps found so far grows: for
+    each w in v's domain outside that orbit, a depth-first search looks for
+    one leaf that fixes 0..v-1 and sends v to w, and keeps it as a
+    generator.  Once v is done, its orbit is v's orbit under G_v, the
+    stabiliser of 0..v-1, and |G_v| is the product of the orbit sizes so
+    far; the search stops at the first v where that reaches
+    :data:`MAX_AUTOMORPHISMS`.  G_v is listed as the products of the orbit
+    transversals, sorted and cut to the budget.  A map that moves some
+    vertex below v sends the first such vertex higher, so it sorts above
+    all of G_v: the kept maps are the least of the whole group.  When the
+    node budget runs out, the stabiliser of the last finished level is
+    kept.
     """
     n = len(dist)
     fits: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
@@ -213,39 +258,97 @@ def _search_automorphisms(dist: list[list[int]]) -> tuple[tuple[int, ...], ...]:
     domains = [
         sum(1 << w for w in range(n) if profile[w] == profile[v]) for v in range(n)
     ]
-    found: list[tuple[int, ...]] = []
-    image = [0] * n
+    # every leaf searched fixes a prefix 0..v-1, so image[:v] is the identity
+    image = list(range(n))
     nodes = 0
 
-    def extend(v: int, domains: list[int], cells: list[int]) -> bool:
-        """Try every image of v; True once the budget stops the search."""
+    def visit() -> None:
         nonlocal nodes
+        nodes += 1
+        if nodes > MAX_AUTOMORPHISM_NODES:
+            raise _NodeBudgetSpent
+
+    def narrow(v: int, w: int, domains: list[int], cells: list[int]):
+        """The domains and cells after mapping v to w, or None when the
+        branch is cut."""
+        narrowed, split = domains[:], cells[:]
+        for u in range(v + 1, n):
+            key = (dist[v][u], dist[u][v])
+            narrowed[u] &= fits[w].get(key, 0)
+            split[u] &= fits[v][key]
+            if narrowed[u].bit_count() != split[u].bit_count():
+                return None
+        return narrowed, split
+
+    def first_leaf(v: int, domains: list[int], cells: list[int]):
+        """The least map extending ``image[:v]`` within the domains, or None."""
         if v == n:
-            found.append(tuple(image))
-            return len(found) >= MAX_AUTOMORPHISMS
+            return tuple(image)
         dom = domains[v]
         while dom:
             low = dom & -dom
             dom ^= low
-            nodes += 1
-            if nodes > MAX_AUTOMORPHISM_NODES:
-                return True
-            w = low.bit_length() - 1
-            image[v] = w
-            narrowed, split = domains[:], cells[:]
-            for u in range(v + 1, n):
-                key = (dist[v][u], dist[u][v])
-                narrowed[u] &= fits[w].get(key, 0)
-                split[u] &= fits[v][key]
-                if narrowed[u].bit_count() != split[u].bit_count():
-                    break
-            else:
-                if extend(v + 1, narrowed, split):
-                    return True
-        return False
+            visit()
+            image[v] = w = low.bit_length() - 1
+            step = narrow(v, w, domains, cells)
+            leaf = step and first_leaf(v + 1, *step)
+            if leaf:
+                return leaf
+        return None
 
-    extend(0, domains, domains)
-    return tuple(found) or (tuple(range(n)),)
+    # path[v]: the domains once 0..v-1 are fixed, which equal their cells
+    path = [domains]
+    generators: list[tuple[int, ...]] = []
+    transversals = []
+    order = 1
+    truncated = False
+    try:
+        for v in range(n):
+            visit()
+            path.append(narrow(v, v, path[v], path[v])[0])
+        for v in reversed(range(n)):
+            reps = _transversal(v, generators, n)
+            rest = path[v][v]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if low.bit_length() - 1 in reps:
+                    continue
+                only_w = path[v][:]
+                only_w[v] = low
+                leaf = first_leaf(v, only_w, path[v])
+                if leaf:
+                    generators.append(leaf)
+                    reps = _transversal(v, generators, n)
+            transversals.append(list(reps.values()))
+            order *= len(reps)
+            if order >= MAX_AUTOMORPHISMS and v > 0:
+                truncated = True
+                break
+    except _NodeBudgetSpent:
+        truncated = True
+    group = np.arange(n)[None]
+    for reps in transversals:
+        group = np.array(reps)[:, group].reshape(-1, n)
+    if len(group) > 1:
+        truncated |= len(group) > MAX_AUTOMORPHISMS
+        group = group[np.lexsort(group.T[::-1])][:MAX_AUTOMORPHISMS]
+    return tuple(map(tuple, group.tolist())), truncated
+
+
+def _transversal(
+    v: int, generators: list[tuple[int, ...]], n: int
+) -> dict[int, tuple[int, ...]]:
+    """For each w in the orbit of v under the generators, a product of them
+    that sends v to w."""
+    reps = {v: tuple(range(n))}
+    queue = [v]
+    for u in queue:
+        for g in generators:
+            if g[u] not in reps:
+                reps[g[u]] = tuple(g[x] for x in reps[u])
+                queue.append(g[u])
+    return reps
 
 
 def all_pairs_distances(g: Digraph) -> DistanceMatrix:

@@ -175,12 +175,14 @@ def _images(tables: tuple[np.ndarray, ...], masks):
 @dataclass(frozen=True)
 class SolverStats:
     """What a solver did: its probe sets, the distinct partitions they
-    induce, the automorphisms it quotients by, the states it explored, and
-    the seconds spent building it and answering ``wins``."""
+    induce, the automorphisms it quotients by and whether a budget cut
+    their search short, the states it explored, and the seconds spent
+    building it and answering ``wins``."""
 
     probe_sets: int
     partitions: int
     automorphisms: int
+    automorphisms_truncated: bool
     explored_states: int
     init_s: float
     solve_s: float
@@ -256,6 +258,7 @@ class LocalizationSolver:
             probe_sets=math.comb(self.g.n, self.k),
             partitions=len(self._cells),
             automorphisms=self._automorphisms,
+            automorphisms_truncated=self.dm.automorphisms_truncated(),
             explored_states=len(self._explored),
             init_s=self._init_s,
             solve_s=self._solve_s,

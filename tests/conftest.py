@@ -5,7 +5,7 @@ from collections import deque
 import pytest
 from hypothesis import strategies as st
 
-from locgame import INF, Digraph
+from locgame import INF, Digraph, digraph
 
 
 def random_oriented_digraph(rng: random.Random, n: int, p: float) -> Digraph:
@@ -52,6 +52,69 @@ def bfs_distances(g: Digraph) -> list[list[float]]:
     return dist
 
 
+def reference_automorphisms(dist: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """Reference automorphism search: backtracking over vertex images in
+    vertex order with forward checking, on the distance array as nested
+    lists, which yields every leaf in lexicographic order.  It stops once it
+    has kept ``digraph.MAX_AUTOMORPHISMS`` maps or visited
+    ``digraph.MAX_AUTOMORPHISM_NODES`` nodes.
+
+    ``fits[w][(a, b)]`` is the mask of vertices x with d(w, x) = a and
+    d(x, w) = b.  Mapping v to w narrows the domain of every later vertex u
+    to ``fits[w][(d(v, u), d(u, v))]``, and its cell, the later vertices
+    that agree with u on every mapped vertex, to ``fits[v][...]`` alike; a
+    map onto a domain of another size than the cell cannot be a bijection,
+    so the branch is cut.  Domains and cells start as the vertices with the
+    same multiset of such pairs.
+    """
+    n = len(dist)
+    fits: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
+    for w in range(n):
+        for x in range(n):
+            key = (dist[w][x], dist[x][w])
+            fits[w][key] = fits[w].get(key, 0) | (1 << x)
+    profile = [
+        sorted((key, mask.bit_count()) for key, mask in fits[v].items())
+        for v in range(n)
+    ]
+    domains = [
+        sum(1 << w for w in range(n) if profile[w] == profile[v]) for v in range(n)
+    ]
+    found: list[tuple[int, ...]] = []
+    image = [0] * n
+    nodes = 0
+
+    def extend(v: int, domains: list[int], cells: list[int]) -> bool:
+        """Try every image of v; True once the budget stops the search."""
+        nonlocal nodes
+        if v == n:
+            found.append(tuple(image))
+            return len(found) >= digraph.MAX_AUTOMORPHISMS
+        dom = domains[v]
+        while dom:
+            low = dom & -dom
+            dom ^= low
+            nodes += 1
+            if nodes > digraph.MAX_AUTOMORPHISM_NODES:
+                return True
+            w = low.bit_length() - 1
+            image[v] = w
+            narrowed, split = domains[:], cells[:]
+            for u in range(v + 1, n):
+                key = (dist[v][u], dist[u][v])
+                narrowed[u] &= fits[w].get(key, 0)
+                split[u] &= fits[v][key]
+                if narrowed[u].bit_count() != split[u].bit_count():
+                    break
+            else:
+                if extend(v + 1, narrowed, split):
+                    return True
+        return False
+
+    extend(0, domains, domains)
+    return tuple(found) or (tuple(range(n)),)
+
+
 @st.composite
 def oriented_digraphs(draw, max_n=10, min_n=0):
     """Hypothesis strategy: each pair gets an arc either way or none."""
@@ -59,6 +122,17 @@ def oriented_digraphs(draw, max_n=10, min_n=0):
     pairs = list(itertools.combinations(range(n), 2))
     kinds = draw(st.lists(st.sampled_from("+-0"), min_size=len(pairs), max_size=len(pairs)))
     return Digraph(n, [(u, v) if k == "+" else (v, u) for (u, v), k in zip(pairs, kinds) if k != "0"])
+
+
+@st.composite
+def circulants(draw, max_n=13):
+    """Hypothesis strategy: circulant oriented digraphs i -> i + d (mod n)
+    over a drawn set of steps d with no step and its negative both drawn."""
+    n = draw(st.integers(1, max_n))
+    half = (n - 1) // 2
+    kinds = draw(st.lists(st.sampled_from("+-0"), min_size=half, max_size=half))
+    steps = [d if k == "+" else n - d for d, k in enumerate(kinds, 1) if k != "0"]
+    return Digraph(n, [(i, (i + d) % n) for i in range(n) for d in steps])
 
 
 @st.composite

@@ -228,6 +228,9 @@ class TestBadInput:
         "no_vertices.txt": "0\n",
         "two_triples.json": '{"n": 6, "arcs": [[0, 1, 2], [3, 4, 5]]}',
         "bool_endpoint.json": '{"n": 3, "arcs": [[true, 2]]}',
+        "bool_count.json": '{"n": true, "arcs": []}',
+        "float_count.json": '{"n": 2.0, "arcs": []}',
+        "string_count.json": '{"n": "3", "arcs": []}',
     }
 
     def run_bad(self, capsys, *argv):
@@ -510,6 +513,7 @@ MALFORMED_GRAPHS = [
     "{", "[]", '{"n": 2}', '{"n": 2, "arcs": [[0, 1, 2]]}', '{"n": -1, "arcs": []}',
     '{"n": 6, "arcs": [[0, 1, 2], [3, 4, 5]]}', '{"n": 3, "arcs": [[0.5, 1]]}',
     '{"n": 3, "arcs": [[true, 2]]}', '{"n": 3, "arcs": [["0", 1]]}', "3\n0 1\n1 0\n2 2\n",
+    '{"n": true, "arcs": []}', '{"n": 2.0, "arcs": []}', '{"n": "3", "arcs": []}',
 ]
 COUNTS = st.integers(-1, 4).map(str)
 

@@ -19,6 +19,7 @@ from locgame import (
     rotation_tournament,
     sc_tight,
     transitive_tournament,
+    tripartite_cycle,
 )
 from locgame import digraph
 from locgame.digraph import (
@@ -32,9 +33,11 @@ from locgame.digraph import (
 from conftest import (
     arc_lists,
     bfs_distances,
+    circulants,
     oriented_digraphs,
     random_oriented_digraph,
     reference_arcs,
+    reference_automorphisms,
 )
 
 
@@ -113,6 +116,21 @@ class TestDigraph:
     def test_rejects_arcs_that_are_not_integer_pairs(self, arcs):
         with pytest.raises(ValueError):
             Digraph(6, arcs)
+
+    @pytest.mark.parametrize("n", [True, 2.0, "3", None])
+    def test_rejects_a_vertex_count_that_is_not_an_integer(self, n):
+        with pytest.raises(ValueError, match="vertex count must be an integer"):
+            Digraph(n, [])
+
+    @pytest.mark.parametrize("u", [-3, -2, -1, 3, 4])
+    @pytest.mark.parametrize(
+        "query", ["out_neighbors", "in_neighbors", "out_degree", "in_degree", "is_source"]
+    )
+    def test_vertex_queries_reject_ids_out_of_range(self, query, u):
+        g = Digraph(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match=f"vertex {u} out of range for n=3"):
+            getattr(g, query)(u)
+        assert not g.has_arc(u, 1) and not g.has_arc(1, u)
 
     def test_accepts_numpy_integer_endpoints(self):
         g = Digraph(3, [(np.int64(0), np.int32(2))])
@@ -326,10 +344,54 @@ class TestAutomorphisms:
         g = paley_tournament(19)
         monkeypatch.setattr(digraph, "MAX_AUTOMORPHISM_NODES", 10)
         assert all_pairs_distances(g).automorphisms() == (tuple(range(19)),)
-        monkeypatch.setattr(digraph, "MAX_AUTOMORPHISM_NODES", 100)
+        monkeypatch.setattr(digraph, "MAX_AUTOMORPHISM_NODES", 50)
         maps = all_pairs_distances(g).automorphisms()
         assert 1 < len(maps) < 171
         self.check_maps(g, maps)
+
+    @pytest.mark.parametrize(
+        "g, budget",
+        [(paley_tournament(19), b) for b in (10, 50, 70)]
+        + [(rotation_tournament(12), b) for b in (30, 115)]
+        + [(sc_tight(3, 2), b) for b in (40, 58)]
+        + [(tripartite_cycle(8), b) for b in (30, 35, 40)],
+        ids=["paley19-10", "paley19-50", "paley19-70", "rot12-30", "rot12-115",
+             "sc_tight-40", "sc_tight-58", "tripartite8-30", "tripartite8-35",
+             "tripartite8-40"],
+    )
+    def test_node_budget_keeps_a_subgroup(self, monkeypatch, g, budget):
+        # each budget runs out short of the whole group (or of 256 maps)
+        monkeypatch.setattr(digraph, "MAX_AUTOMORPHISM_NODES", budget)
+        dm = all_pairs_distances(g)
+        maps = set(dm.automorphisms())
+        assert dm.automorphisms_truncated()
+        for a in maps:
+            assert tuple(sorted(range(g.n), key=a.__getitem__)) in maps
+            assert all(tuple(a[x] for x in b) in maps for b in maps)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(oriented_digraphs(max_n=9), circulants()), st.sampled_from([2, 3, 256]))
+    def test_matches_the_reference_search(self, g, cap):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(digraph, "MAX_AUTOMORPHISMS", cap)
+            dm = all_pairs_distances(g)
+            assert dm.automorphisms() == reference_automorphisms(dm.array.tolist())
+
+    @pytest.mark.parametrize(
+        "g",
+        [rotation_tournament(m) for m in range(1, 13)]
+        + [paley_tournament(q) for q in (3, 7, 11, 19, 23)]
+        + [sc_tight(3, 2), tripartite_cycle(5), tripartite_cycle(8)]
+        + [blowup(rotation_tournament(1), 4)]
+        + [Digraph(n, []) for n in (0, 1, 24)],
+        ids=[f"rot{m}" for m in range(1, 13)]
+        + [f"paley{q}" for q in (3, 7, 11, 19, 23)]
+        + ["sc_tight", "tripartite5", "tripartite8", "blowup", "edgeless0", "edgeless1",
+           "edgeless24"],
+    )
+    def test_family_matches_the_reference_search(self, g):
+        dm = all_pairs_distances(g)
+        assert dm.automorphisms() == reference_automorphisms(dm.array.tolist())
 
     def test_searched_once_per_distance_matrix(self, monkeypatch):
         calls = []

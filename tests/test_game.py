@@ -364,6 +364,25 @@ class TestSolverStats:
     def test_no_symmetry(self):
         stats = LocalizationSolver(transitive_tournament(6), 2).stats
         assert (stats.probe_sets, stats.automorphisms) == (15, 1)
+        assert not stats.automorphisms_truncated
+
+    @pytest.mark.parametrize(
+        "g, truncated",
+        [
+            (paley_tournament(19), False),
+            (rotation_tournament(9), False),
+            (Digraph(24, []), True),
+            (tripartite_cycle(8), True),
+        ],
+        ids=["paley19", "rot9", "edgeless24", "tripartite8"],
+    )
+    def test_reports_a_truncated_automorphism_search(self, g, truncated):
+        assert LocalizationSolver(g, 1).stats.automorphisms_truncated is truncated
+
+    def test_reports_the_node_budget(self, monkeypatch):
+        monkeypatch.setattr(digraph, "MAX_AUTOMORPHISM_NODES", 50)
+        stats = LocalizationSolver(paley_tournament(19), 1).stats
+        assert stats.automorphisms_truncated and stats.automorphisms == 9
 
 
 class TestLocalizationNumber:
