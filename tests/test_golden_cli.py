@@ -121,6 +121,13 @@ def build_corpus() -> dict:
     for name in graphs:
         commands.append(["beta", f"@{name}"])
         commands.append(["zeta", f"@{name}"])
+    for check in ("rotation", "d3", "blowup", "sc_tight"):
+        commands.append(["verify", check])
+    for argv in (
+        "rotation 3", "d3 2", "blowup 1 3", "sc_tight 3 1", "paley 7", "transitive 5",
+        "random 10 0.5 --seed 1", "sc_tight 1 1 --format json",
+    ):
+        commands.append(["gen"] + argv.split())
 
     return {
         "graphs": {
