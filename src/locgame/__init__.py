@@ -33,7 +33,6 @@ from .decomposition import (
     validate_path_decomposition,
 )
 from .families import (
-    FamilySpec,
     binary_source_extension,
     blowup,
     paley_tournament,

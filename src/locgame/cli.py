@@ -28,7 +28,7 @@ from .digraph import (
     to_json,
 )
 from .experiment import ExperimentConfig, run_experiment, rows_to_csv
-from .families import FamilySpec, FAMILIES
+from .families import FAMILIES, binary_source_extension, random_tournament
 from .game import BudgetExceededError, localization_number_exact, optimal_robber, play
 from .hypergraph import greedy_vertex_cover
 from .resolve import c_parameter, distinguisher_hypergraph, metric_dimension_exact
@@ -64,6 +64,9 @@ def _read(reader, path):
         raise InputError(f"{path}: missing key {exc}") from exc
     except (ValueError, TypeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
+    except MemoryError as exc:
+        # a vertex count whose adjacency matrix cannot be allocated
+        raise InputError(f"{path}: {str(exc) or 'out of memory'}") from exc
 
 
 def _read_graph(path):
@@ -85,11 +88,7 @@ def _jsonable(value):
 
 
 def _emit(data, out: str | None) -> None:
-    text = json.dumps(data, indent=2) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(data, indent=2) + "\n", out)
 
 
 def _write(text: str, out: str | None) -> None:
@@ -110,14 +109,16 @@ def _family(args):
             raise UsageError(
                 "gen random needs <n> and a probability: gen random <n> <p> or --p <p>"
             )
-        return FamilySpec("random", (int(raw[0]),), p=p, seed=args.seed).build()
+        return random_tournament(int(raw[0]), p, args.seed)
     if args.family == "binary_source":
         if not args.base:
             raise UsageError("gen binary_source needs --base <graph-file>")
-        from .families import binary_source_extension
-
         return binary_source_extension(_read_graph(args.base))
-    return FamilySpec(args.family, tuple(int(x) for x in args.params)).build()
+    names, build = FAMILIES[args.family]
+    params = tuple(int(x) for x in args.params)
+    if len(params) != len(names):
+        raise ValueError(f"{args.family} expects parameters {names}, got {params}")
+    return build(*params)
 
 
 def cmd_gen(args) -> int:

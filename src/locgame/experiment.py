@@ -99,24 +99,3 @@ def rows_to_csv(rows: list[dict]) -> str:
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
-
-_INT_COLUMNS = {"n", "seed", "trial", "diameter", "beta_greedy", "s_min", "s_max"}
-
-
-def rows_from_csv(text: str) -> list[dict]:
-    lines = [line for line in text.splitlines() if line]
-    if not lines or tuple(lines[0].split(",")) != CSV_COLUMNS:
-        raise ValueError("unexpected CSV header")
-    rows = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        row = {}
-        for col, cell in zip(CSV_COLUMNS, cells):
-            if cell == "inf":
-                row[col] = INF
-            elif col in _INT_COLUMNS:
-                row[col] = int(cell)
-            else:
-                row[col] = float(cell)
-        rows.append(row)
-    return rows

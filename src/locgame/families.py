@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,8 +165,9 @@ def _is_prime(q: int) -> bool:
     return True
 
 
-# -- named family registry (CLI and FamilySpec) ----------------------------
+# -- the named families, read by gen and verify's closed-form checks --------
 
+# family -> (parameter names, constructor taking those integer parameters)
 FAMILIES: dict[str, tuple[tuple[str, ...], object]] = {
     "rotation": (("m",), rotation_tournament),
     "d3": (("i",), tripartite_cycle),
@@ -177,31 +177,3 @@ FAMILIES: dict[str, tuple[tuple[str, ...], object]] = {
     "transitive": (("n",), transitive_tournament),
 }
 
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """A named family instance: id, integer parameters, optional seed.
-
-    ``random`` uses (n,) plus a probability and seed; the purely parametric
-    families ignore both.
-    """
-
-    family: str
-    params: tuple[int, ...] = ()
-    p: float | None = None
-    seed: int | None = None
-
-    def build(self) -> Digraph:
-        if self.family == "random":
-            if len(self.params) != 1 or self.p is None:
-                raise ValueError("random family needs params=(n,) and p")
-            return random_tournament(self.params[0], self.p, self.seed or 0)
-        if self.family not in FAMILIES:
-            known = sorted(FAMILIES) + ["random"]
-            raise ValueError(f"unknown family {self.family!r}; known: {known}")
-        names, ctor = FAMILIES[self.family]
-        if len(self.params) != len(names):
-            raise ValueError(
-                f"{self.family} expects parameters {names}, got {self.params}"
-            )
-        return ctor(*self.params)

@@ -436,23 +436,17 @@ class OptimalRobber:
     def choose(
         self, candidates: frozenset[int], probe: Sequence[int]
     ) -> tuple[Vector, frozenset[int]]:
-        parts = partition_by_probe(self.dm, candidates, probe)
-
         def order(item):
+            # escape (a class the cops cannot win), else stall on a
+            # non-singleton, else concede; wins is asked of every
+            # non-singleton, in partition order.  The classes are disjoint,
+            # so the least vertex orders them as their sorted tuples would.
             _, cls = item
-            return (-len(cls), tuple(sorted(cls)))
+            single = len(cls) == 1
+            caught = single or self.solver.wins(robber_step(self.g, cls))
+            return (caught, single, -len(cls), min(cls))
 
-        escaping = [
-            (vec, cls)
-            for vec, cls in parts
-            if len(cls) > 1 and not self.solver.wins(robber_step(self.g, cls))
-        ]
-        if escaping:
-            return min(escaping, key=order)
-        stalling = [(vec, cls) for vec, cls in parts if len(cls) > 1]
-        if stalling:
-            return min(stalling, key=order)
-        return min(parts, key=order)
+        return min(partition_by_probe(self.dm, candidates, probe), key=order)
 
 
 def optimal_robber(g: Digraph, k: int, dm: DistanceMatrix | None = None) -> OptimalRobber:

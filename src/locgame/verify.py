@@ -9,17 +9,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .digraph import Digraph, DistanceMatrix, all_pairs_distances, diameter
 from .decomposition import DagDecomposition, PathDecomposition
 from .families import (
-    blowup,
+    FAMILIES,
     paley_tournament,
     rotation_tournament,
     sc_tight,
     transitive_tournament,
-    tripartite_cycle,
 )
 from .game import localization_number_exact, optimal_robber, play
 from .hypergraph import fractional_vertex_cover, greedy_vertex_cover, lovasz_bound
@@ -65,51 +65,45 @@ def _result(check: str, name: str, passed: bool, detail: str) -> CheckResult:
     return CheckResult(check, name, bool(passed), detail)
 
 
-# -- exact-value instances ---------------------------------------------------
+# -- closed forms --------------------------------------------------------------
+
+# (family, parameters, localization number); rotation has zeta = m // 2 + 1
+CLOSED_FORMS: tuple[tuple[str, tuple[int, ...], int], ...] = (
+    ("rotation", (1,), 1),
+    ("rotation", (2,), 2),
+    ("rotation", (3,), 2),
+    ("d3", (1,), 1),
+    ("d3", (2,), 2),
+    ("blowup", (1, 3), 3),
+    ("sc_tight", (3, 1), 3),
+)
 
 
-def exact_instances() -> list[tuple[str, Digraph, int]]:
-    """(name, digraph, expected localization number) for the closed forms."""
-    rows: list[tuple[str, Digraph, int]] = []
-    for m in (1, 2, 3):
-        rows.append((f"rotation_m{m}", rotation_tournament(m), m // 2 + 1))
-    for i in (1, 2):
-        rows.append((f"d3_i{i}", tripartite_cycle(i), i))
-    rows.append(("blowup_j1_k3", blowup(rotation_tournament(1), 3), 3))
-    rows.append(("sc_tight_m3_d1", sc_tight(3, 1), 3))
+def closed_form_instances() -> list[tuple[str, Digraph]]:
+    """The closed-form digraphs, each named by its family and parameter
+    initials (``blowup_j1_k3``)."""
+    rows = []
+    for family, params, _ in CLOSED_FORMS:
+        names, build = FAMILIES[family]
+        label = "_".join(f"{name[0]}{value}" for name, value in zip(names, params))
+        rows.append((f"{family}_{label}", build(*params)))
     return rows
 
 
-def check_rotation() -> list[CheckResult]:
+def check_closed_form(family: str) -> list[CheckResult]:
+    """zeta of each of the family's closed-form instances."""
+    names, build = FAMILIES[family]
     out = []
-    for m in (1, 2, 3):
-        expected = m // 2 + 1
-        zeta = localization_number_exact(rotation_tournament(m))
-        out.append(
-            _result(
-                "rotation", f"m={m}", zeta == expected,
-                f"zeta={zeta} expected={expected}",
+    for fam, params, expected in CLOSED_FORMS:
+        if fam == family:
+            zeta = localization_number_exact(build(*params))
+            out.append(
+                _result(
+                    family, ",".join(f"{name}={value}" for name, value in zip(names, params)),
+                    zeta == expected, f"zeta={zeta} expected={expected}",
+                )
             )
-        )
     return out
-
-
-def check_d3() -> list[CheckResult]:
-    out = []
-    for i in (1, 2):
-        zeta = localization_number_exact(tripartite_cycle(i))
-        out.append(_result("d3", f"i={i}", zeta == i, f"zeta={zeta} expected={i}"))
-    return out
-
-
-def check_blowup() -> list[CheckResult]:
-    zeta = localization_number_exact(blowup(rotation_tournament(1), 3))
-    return [_result("blowup", "j=1,k=3", zeta == 3, f"zeta={zeta} expected=3")]
-
-
-def check_sc_tight() -> list[CheckResult]:
-    zeta = localization_number_exact(sc_tight(3, 1))
-    return [_result("sc_tight", "m=3,delta=1", zeta == 3, f"zeta={zeta} expected=3")]
 
 
 # -- the bound report ----------------------------------------------------------
@@ -224,9 +218,7 @@ def check_dim1(trials: int = 200, seed: int = 20241) -> list[CheckResult]:
 def check_chain(seed: int = 20242) -> list[CheckResult]:
     """The bound report is consistent on every exactly solved instance."""
     out = []
-    instances: list[tuple[str, Digraph]] = [
-        (name, g) for name, g, _ in exact_instances()
-    ]
+    instances = closed_form_instances()
     rng = random.Random(seed)
     for t in range(10):
         instances.append((f"dag_{t}", random_dag(rng, rng.randint(2, 8), 0.5)))
@@ -354,9 +346,7 @@ def _two_cycles() -> Digraph:
 
 
 def check_lovasz(seed: int = 20247) -> list[CheckResult]:
-    instances: list[tuple[str, Digraph]] = [
-        (name, g) for name, g, _ in exact_instances()
-    ]
+    instances = closed_form_instances()
     instances += [("paley_7", paley_tournament(7)), ("paley_11", paley_tournament(11))]
     rng = random.Random(seed)
     for t in range(5):
@@ -444,10 +434,7 @@ def check_random_empirical(seed: int = 20249) -> list[CheckResult]:
 
 
 CHECKS: dict[str, Callable[[], list[CheckResult]]] = {
-    "rotation": check_rotation,
-    "d3": check_d3,
-    "blowup": check_blowup,
-    "sc_tight": check_sc_tight,
+    **{family: partial(check_closed_form, family) for family, _, _ in CLOSED_FORMS},
     "dag": check_dag,
     "dim1": check_dim1,
     "chain": check_chain,

@@ -24,18 +24,15 @@ from locgame import (
 )
 from locgame.verify import (
     CheckResult,
-    check_blowup,
-    check_d3,
+    check_closed_form,
     check_dag,
     check_dim1,
     check_lovasz,
     check_paley,
     check_random_empirical,
-    check_rotation,
     check_sc_bound,
-    check_sc_tight,
     check_strategies,
-    exact_instances,
+    closed_form_instances,
 )
 
 LP_TOL = 1e-9
@@ -51,16 +48,28 @@ def report(criterion: str, results: list[CheckResult]) -> None:
 
 class TestCriterion1ExactValues:
     def test_rotation_tournaments(self):
-        report("criterion 1a: zeta of circulant tournaments (m=1,2,3)", check_rotation())
+        report(
+            "criterion 1a: zeta of circulant tournaments (m=1,2,3)",
+            check_closed_form("rotation"),
+        )
 
     def test_tripartite(self):
-        report("criterion 1b: zeta of the tripartite cycle (i=1,2)", check_d3())
+        report(
+            "criterion 1b: zeta of the tripartite cycle (i=1,2)",
+            check_closed_form("d3"),
+        )
 
     def test_blowup(self):
-        report("criterion 1c: zeta of the 9-vertex blow-up", check_blowup())
+        report(
+            "criterion 1c: zeta of the 9-vertex blow-up",
+            check_closed_form("blowup"),
+        )
 
     def test_sc_tight(self):
-        report("criterion 1d: zeta of the 14-vertex layered instance", check_sc_tight())
+        report(
+            "criterion 1d: zeta of the 14-vertex layered instance",
+            check_closed_form("sc_tight"),
+        )
 
 
 def test_criterion_2_acyclic_digraphs():
@@ -73,7 +82,7 @@ def test_criterion_3_dimension_one_classifier():
 
 def test_criterion_4_bound_chain():
     rows = []
-    instances = [(name, g) for name, g, _ in exact_instances()]
+    instances = closed_form_instances()
     rng = random.Random(20242)
     from locgame.verify import random_dag, random_digraph
 

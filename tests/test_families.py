@@ -2,7 +2,6 @@ import pytest
 
 from locgame import (
     Digraph,
-    FamilySpec,
     binary_source_extension,
     blowup,
     paley_tournament,
@@ -172,21 +171,3 @@ class TestRandomTournament:
             g = random_tournament(rng.randint(1, 10), rng.random(), rng.getrandbits(64))
             assert g.is_tournament()
 
-
-class TestFamilySpec:
-    def test_build_named_families(self):
-        assert FamilySpec("rotation", (2,)).build() == rotation_tournament(2)
-        assert FamilySpec("d3", (2,)).build() == tripartite_cycle(2)
-        assert FamilySpec("blowup", (1, 3)).build() == blowup(rotation_tournament(1), 3)
-
-    def test_build_random(self):
-        spec = FamilySpec("random", (6,), p=0.5, seed=9)
-        assert spec.build() == random_tournament(6, 0.5, 9)
-
-    def test_unknown_family(self):
-        with pytest.raises(ValueError, match="unknown family"):
-            FamilySpec("mystery", ()).build()
-
-    def test_wrong_arity(self):
-        with pytest.raises(ValueError, match="expects parameters"):
-            FamilySpec("rotation", (1, 2)).build()
