@@ -19,14 +19,7 @@ import json
 import sys
 from pathlib import Path
 
-from .digraph import (
-    INF,
-    all_pairs_distances,
-    diameter,
-    read_digraph,
-    to_edge_list,
-    to_json,
-)
+from .digraph import INF, diameter, read_digraph, to_edge_list, to_json
 from .experiment import ExperimentConfig, run_experiment, rows_to_csv
 from .families import FAMILIES, binary_source_extension, random_tournament
 from .game import BudgetExceededError, localization_number_exact, optimal_robber, play
@@ -166,20 +159,19 @@ def cmd_bounds(args) -> int:
 
 def cmd_stats(args) -> int:
     g = _read_graph(args.graph)
-    dm = all_pairs_distances(g)
     tournament = g.is_tournament()
-    c = c_parameter(g, dm)
+    c = c_parameter(g)
     report: dict = {
         "n": g.n,
         "arcs": g.arc_count,
         "tournament": tournament,
-        "diameter": _jsonable(diameter(g, dm)),
+        "diameter": _jsonable(diameter(g)),
         "c_parameter": float(c),
-        "beta_greedy": len(greedy_vertex_cover(distinguisher_hypergraph(g, dm))),
+        "beta_greedy": len(greedy_vertex_cover(distinguisher_hypergraph(g))),
     }
     # the separation rate under the reversed distance convention, when it
     # disagrees with the default witness-to-pair reading
-    c_reverse = c_parameter(g, dm, direction="pair-to-witness")
+    c_reverse = c_parameter(g, direction="pair-to-witness")
     if c_reverse != c:
         report["c_parameter_pair_to_witness"] = float(c_reverse)
     if tournament:
@@ -240,7 +232,7 @@ def cmd_play(args) -> int:
         # the graph, decomposition or cop budget does not fit the strategy
         raise InputError(f"{args.strategy}: {exc}") from exc
     robber = optimal_robber(g, strategy.cops)
-    transcript = play(g, strategy, robber, max_rounds=max_rounds or 5 * g.n, dm=robber.dm)
+    transcript = play(g, strategy, robber, max_rounds=max_rounds or 5 * g.n)
     _write(transcript.to_json_lines(), args.out)
     return 0 if transcript.outcome.captured else 1
 

@@ -27,10 +27,11 @@ class Digraph:
 
     ``adjacency[u, v]`` is True exactly when u -> v is an arc; the matrix is
     read-only.  Construction validates every arc and orientation; instances
-    are safe to share between threads.
+    are safe to share between threads.  The distances are computed once per
+    graph, on the first call to :meth:`distances`.
     """
 
-    __slots__ = ("n", "adjacency")
+    __slots__ = ("n", "adjacency", "_distances")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
@@ -49,6 +50,7 @@ class Digraph:
         adjacency.flags.writeable = False
         self.n = n
         self.adjacency = adjacency
+        self._distances: DistanceMatrix | None = None
 
     # -- queries -----------------------------------------------------------
 
@@ -94,6 +96,14 @@ class Digraph:
 
     def sorted_arcs(self) -> list[tuple[int, int]]:
         return list(map(tuple, np.argwhere(self.adjacency).tolist()))
+
+    def distances(self) -> DistanceMatrix:
+        """All-pairs directed distances, by :func:`all_pairs_distances` on
+        the first call and cached; two threads racing here compute the same
+        matrix twice."""
+        if self._distances is None:
+            self._distances = all_pairs_distances(self)
+        return self._distances
 
     def induced(self, vertices: Iterable[int]) -> tuple["Digraph", list[int]]:
         """Induced subgraph on ``vertices``.
@@ -394,13 +404,12 @@ def all_pairs_distances(g: Digraph) -> DistanceMatrix:
     return DistanceMatrix(dist.reshape(n, n))
 
 
-def diameter(g: Digraph, dm: DistanceMatrix | None = None) -> float:
+def diameter(g: Digraph) -> float:
     """Largest pairwise distance as an int; INF if any ordered pair is
     unreachable."""
     if g.n == 0:
         raise ValueError("diameter of the empty digraph is undefined")
-    dm = dm or all_pairs_distances(g)
-    d = int(dm.array.max())
+    d = int(g.distances().array.max())
     return INF if d == DistanceMatrix.UNREACHABLE else d
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .digraph import INF, all_pairs_distances, diameter
+from .digraph import INF, diameter
 from .families import random_tournament
 from .hypergraph import greedy_vertex_cover
 from .resolve import distinguisher_hypergraph
@@ -60,17 +60,16 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
         hi = (1 + eps) * (config.p ** 2 + (1 - config.p) ** 2) * (n - 2)
         for trial in range(config.trials):
             g = random_tournament(n, config.p, config.seed + trial)
-            dm = all_pairs_distances(g)
             s_values = pair_sameness(g).tolist()
             in_bracket = sum(1 for s in s_values if lo <= s <= hi)
-            cover = greedy_vertex_cover(distinguisher_hypergraph(g, dm))
+            cover = greedy_vertex_cover(distinguisher_hypergraph(g))
             rows.append(
                 {
                     "n": n,
                     "p": config.p,
                     "seed": config.seed,
                     "trial": trial,
-                    "diameter": diameter(g, dm),
+                    "diameter": diameter(g),
                     "beta_greedy": len(cover),
                     "k_bound": probe_bound(n, config.p, eps),
                     "s_min": min(s_values),

@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .digraph import INF, Digraph, DistanceMatrix, all_pairs_distances
+from .digraph import INF, Digraph, DistanceMatrix
 
 MAX_SOLVER_VERTICES = 24  # three bytes of a state mask; see _byte_tables
 MAX_PROBE_SETS = 1_000_000
@@ -196,7 +196,7 @@ class LocalizationSolver:
     engine can keep asking about new sets mid-game.
     """
 
-    def __init__(self, g: Digraph, k: int, dm: DistanceMatrix | None = None):
+    def __init__(self, g: Digraph, k: int):
         started = time.perf_counter()
         if not 1 <= k <= g.n:
             raise ValueError(f"cop count {k} out of range 1..{g.n}")
@@ -210,15 +210,14 @@ class LocalizationSolver:
             )
         self.g = g
         self.k = k
-        self.dm = dm or all_pairs_distances(g)
         n = g.n
         self._full = (1 << n) - 1
         # the classes of any S are the nonempty intersections with these cells
-        self._cells = _probe_partitions(self.dm, k)
+        self._cells = _probe_partitions(g.distances(), k)
         # closed[v]: mask of v and its out-neighbours
         closed = (g.adjacency | np.eye(n, dtype=bool)) @ (np.int64(1) << np.arange(n))
         self._step = tuple(t[0] for t in _byte_tables(closed[None]))
-        maps = np.array(self.dm.automorphisms(), dtype=np.int64)
+        maps = np.array(g.distances().automorphisms(), dtype=np.int64)
         self._automorphisms = len(maps)
         # the kept maps need not be closed under inverses (a truncated search
         # keeps a subset of the group); with the inverses added, every mask
@@ -258,7 +257,7 @@ class LocalizationSolver:
             probe_sets=math.comb(self.g.n, self.k),
             partitions=len(self._cells),
             automorphisms=self._automorphisms,
-            automorphisms_truncated=self.dm.automorphisms_truncated(),
+            automorphisms_truncated=self.g.distances().automorphisms_truncated(),
             explored_states=len(self._explored),
             init_s=self._init_s,
             solve_s=self._solve_s,
@@ -322,24 +321,21 @@ class LocalizationSolver:
             pending = left
 
 
-def cops_win(g: Digraph, k: int, dm: DistanceMatrix | None = None) -> bool:
+def cops_win(g: Digraph, k: int) -> bool:
     """Do k cops win the localization game on g from a cold start?"""
-    return LocalizationSolver(g, k, dm).cops_win()
+    return LocalizationSolver(g, k).cops_win()
 
 
-def localization_number_exact(
-    g: Digraph, k_max: int | None = None, dm: DistanceMatrix | None = None
-) -> int | None:
+def localization_number_exact(g: Digraph, k_max: int | None = None) -> int | None:
     """Least winning cop count, or None when it exceeds k_max.
 
     Winning is monotone in k, so the first winning count is the answer.
     """
     if g.n < 1:
         raise ValueError("localization number needs at least one vertex")
-    dm = dm or all_pairs_distances(g)
     k_max = g.n if k_max is None else min(k_max, g.n)
     for k in range(1, k_max + 1):
-        if LocalizationSolver(g, k, dm).cops_win():
+        if LocalizationSolver(g, k).cops_win():
             return k
     return None
 
@@ -421,20 +417,19 @@ class GameTranscript:
 class OptimalRobber:
     """Information-set adversary backed by the exact solver.
 
-    Facing a probe, it picks a class whose post-move candidate set the cops
+    Facing the classes of a probe, it picks one whose post-move set the cops
     cannot win (largest class first, then lexicographically smallest); when
     every class is winnable it stalls on the largest non-singleton class,
     and concedes only when every class is a single vertex.
     """
 
-    def __init__(self, g: Digraph, k: int, dm: DistanceMatrix | None = None):
+    def __init__(self, g: Digraph, k: int):
         self.g = g
         self.k = k
-        self.dm = dm or all_pairs_distances(g)
-        self.solver = LocalizationSolver(g, k, self.dm)
+        self.solver = LocalizationSolver(g, k)
 
     def choose(
-        self, candidates: frozenset[int], probe: Sequence[int]
+        self, classes: list[tuple[Vector, frozenset[int]]]
     ) -> tuple[Vector, frozenset[int]]:
         def order(item):
             # escape (a class the cops cannot win), else stall on a
@@ -446,31 +441,26 @@ class OptimalRobber:
             caught = single or self.solver.wins(robber_step(self.g, cls))
             return (caught, single, -len(cls), min(cls))
 
-        return min(partition_by_probe(self.dm, candidates, probe), key=order)
+        return min(classes, key=order)
 
 
-def optimal_robber(g: Digraph, k: int, dm: DistanceMatrix | None = None) -> OptimalRobber:
-    return OptimalRobber(g, k, dm)
+def optimal_robber(g: Digraph, k: int) -> OptimalRobber:
+    return OptimalRobber(g, k)
 
 
-def play(
-    g: Digraph,
-    cop_strategy,
-    robber,
-    max_rounds: int,
-    dm: DistanceMatrix | None = None,
-) -> GameTranscript:
+def play(g: Digraph, cop_strategy, robber, max_rounds: int) -> GameTranscript:
     """Run the game until capture or the round limit.
 
     The strategy object must expose ``cops`` (its budget) and
     ``next(transcript) -> probe``; the robber must expose
-    ``choose(candidates, probe) -> (vector, class)``.  Capture happens the
+    ``choose(classes) -> (vector, class)``, where ``classes`` is the
+    partition of the candidates by the probe as :func:`partition_by_probe`
+    returns it, and answer with one of its pairs.  Capture happens the
     moment the chosen class is a single vertex; the robber does not move
     again that round.
     """
     if max_rounds < 1:
         raise ValueError("max_rounds must be positive")
-    dm = dm or all_pairs_distances(g)
     transcript = GameTranscript()
     candidates = frozenset(range(g.n))
     for number in range(1, max_rounds + 1):
@@ -479,9 +469,9 @@ def play(
             raise ProbeError(
                 f"strategy probed {len(probe)} vertices with budget {cop_strategy.cops}"
             )
-        vector, chosen = robber.choose(candidates, probe)
-        legal = dict(partition_by_probe(dm, candidates, probe))
-        if legal.get(vector) != chosen:
+        classes = partition_by_probe(g.distances(), candidates, probe)
+        vector, chosen = robber.choose(classes)
+        if (vector, chosen) not in classes:
             raise ValueError("robber chose a class not in the current partition")
         if len(chosen) == 1:
             transcript.rounds.append(Round(number, probe, vector, chosen, chosen))

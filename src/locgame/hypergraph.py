@@ -21,45 +21,32 @@ class Hypergraph:
     """Vertex set 0..n-1 plus a list of hyperedges, stored as a read-only
     boolean edge x vertex incidence matrix: row i marks the vertices of
     edge i.
-
-    ``labels``, when present, names each edge; distinguisher hypergraphs
-    label edge t with the vertex pair it separates.
     """
 
-    __slots__ = ("n", "labels", "_incidence")
+    __slots__ = ("n", "_incidence")
 
-    def __init__(
-        self,
-        n: int,
-        edges: Iterable[Iterable[int]],
-        labels: Iterable[tuple[int, int]] | None = None,
-    ):
+    def __init__(self, n: int, edges: Iterable[Iterable[int]]):
         edges = [sorted(set(e)) for e in edges]
         inc = np.zeros((len(edges), n), dtype=bool)
         for i, e in enumerate(edges):
             if any(not 0 <= v < n for v in e):
                 raise ValueError(f"edge {e} out of range for n={n}")
             inc[i, e] = True
-        self._init(inc, labels)
+        self._init(inc)
 
     @classmethod
-    def from_incidence(
-        cls, incidence: np.ndarray, labels: Iterable[tuple[int, int]] | None = None
-    ) -> Hypergraph:
+    def from_incidence(cls, incidence: np.ndarray) -> Hypergraph:
         """The hypergraph whose edge i is the set of columns marked in row i
         of a boolean edge x vertex matrix (held as a read-only view, not a
         copy)."""
         h = cls.__new__(cls)
-        h._init(np.asarray(incidence, dtype=bool).view(), labels)
+        h._init(np.asarray(incidence, dtype=bool).view())
         return h
 
-    def _init(self, incidence: np.ndarray, labels: Iterable[tuple[int, int]] | None) -> None:
+    def _init(self, incidence: np.ndarray) -> None:
         incidence.flags.writeable = False
         self.n = incidence.shape[1]
         self._incidence = incidence
-        self.labels = tuple(tuple(l) for l in labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != self.edge_count:
-            raise ValueError("one label per edge required")
 
     @property
     def edges(self) -> tuple[frozenset[int], ...]:

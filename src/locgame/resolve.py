@@ -17,12 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable
 
 import numpy as np
 
-from .digraph import Digraph, DistanceMatrix, all_pairs_distances
+from .digraph import Digraph, DistanceMatrix
 from .game import MAX_PROBE_SETS, BudgetExceededError
 from .hypergraph import Hypergraph
 
@@ -55,9 +54,7 @@ def is_resolving(dm: DistanceMatrix, witnesses: Iterable[int]) -> bool:
     return len(set(map(tuple, dm.array[ws].T.tolist()))) == dm.n
 
 
-def metric_dimension_exact(
-    g: Digraph, dm: DistanceMatrix | None = None
-) -> tuple[int, ResolvingSet]:
+def metric_dimension_exact(g: Digraph) -> tuple[int, ResolvingSet]:
     """Smallest resolving set by cardinality-ascending, lexicographic search.
 
     The witness is the lexicographically least optimum.  The probe set V
@@ -81,7 +78,7 @@ def metric_dimension_exact(
     """
     if g.n < 1:
         raise ValueError("metric dimension needs at least one vertex")
-    dm = dm or all_pairs_distances(g)
+    dm = g.distances()
     n = g.n
     tried, stop = 0, 1  # the sizes below stop fit the budget together
     while stop <= n and tried + math.comb(n, stop) <= MAX_PROBE_SETS:
@@ -195,7 +192,7 @@ def _has_spine(g: Digraph) -> bool:
     """A start whose distances are 0..n-1 with no skip-forward arc."""
     if g.n == 0:
         return False
-    for row in all_pairs_distances(g).array.tolist():
+    for row in g.distances().array.tolist():
         # when the row is a permutation of 0..n-1, row[v] is v's place on the spine
         if sorted(row) == list(range(g.n)) and all(
             row[v] - row[u] <= 1 for (u, v) in g.arcs
@@ -225,37 +222,33 @@ def distinguisher_hypergraph(
     dm: DistanceMatrix | None = None,
     direction: str = "witness-to-pair",
 ) -> Hypergraph:
-    """One labeled hyperedge per vertex pair: the witnesses separating it.
+    """One hyperedge per vertex pair: the witnesses separating it.  Edge t
+    belongs to the t-th pair (x, y) of ``combinations(range(n), 2)``.
 
     ``direction="witness-to-pair"`` puts w in edge (x, y) when
     d(w, x) != d(w, y); ``"pair-to-witness"`` compares d(x, w) and d(y, w)
     instead.  Note every edge contains x and y themselves under either
-    convention (a vertex is at distance 0 only from itself).
+    convention (a vertex is at distance 0 only from itself).  ``dm``, when
+    given, must be ``g``'s distance matrix; it defaults to ``g.distances()``
+    and is kept for callers that pass one positionally.
     """
-    dm = dm or all_pairs_distances(g)
-    return Hypergraph.from_incidence(
-        _separation(dm, direction).T, combinations(range(g.n), 2)
-    )
+    dm = dm or g.distances()
+    return Hypergraph.from_incidence(_separation(dm, direction).T)
 
 
-def c_parameter(
-    g: Digraph,
-    dm: DistanceMatrix | None = None,
-    direction: str = "witness-to-pair",
-) -> Fraction:
+def c_parameter(g: Digraph, direction: str = "witness-to-pair") -> Fraction:
     """Worst-case separation rate: min over pairs of |separating set| / n,
     the smallest edge of ``distinguisher_hypergraph`` over n."""
     if g.n < 2:
         return Fraction(1)
-    dm = dm or all_pairs_distances(g)
-    return Fraction(int(_separation(dm, direction).sum(axis=0).min()), g.n)
+    return Fraction(int(_separation(g.distances(), direction).sum(axis=0).min()), g.n)
 
 
-def lp_upper_bound(g: Digraph, dm: DistanceMatrix | None = None) -> float:
+def lp_upper_bound(g: Digraph) -> float:
     """Covering bound on the metric dimension: (1 + 2 ln n) / c.
 
     Always finite: every distinguisher edge contains its own pair x, y, so
     c >= 2/n.
     """
-    c = c_parameter(g, dm)
+    c = c_parameter(g)
     return (1.0 + 2.0 * math.log(g.n)) / float(c)

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .digraph import INF, Digraph, DistanceMatrix, all_pairs_distances
+from .digraph import INF, Digraph, DistanceMatrix
 
 
 class CyclicGraphError(ValueError):
@@ -143,7 +143,7 @@ def out_degeneracy(g: Digraph) -> int:
     return best
 
 
-def spread_m(g: Digraph, dm: DistanceMatrix | None = None) -> float:
+def spread_m(g: Digraph) -> float:
     """Distance-spread parameter: 1 + the largest range of d(u, .) over a
     closed out-neighborhood N+[v], maximized over ordered pairs (u, v).
 
@@ -152,11 +152,11 @@ def spread_m(g: Digraph, dm: DistanceMatrix | None = None) -> float:
     """
     if g.n == 0:
         raise ValueError("spread of the empty digraph is undefined")
-    dm = dm or all_pairs_distances(g)
+    dist = g.distances().array
     far = DistanceMatrix.UNREACHABLE
     worst = 0
     for v in range(g.n):
-        closed = dm.array[:, [v, *g.out_neighbors(v)]]
+        closed = dist[:, [v, *g.out_neighbors(v)]]
         hi, lo = closed.max(axis=1), closed.min(axis=1)
         if ((hi == far) & (lo != far)).any():
             return INF
@@ -165,14 +165,14 @@ def spread_m(g: Digraph, dm: DistanceMatrix | None = None) -> float:
     return worst + 1
 
 
-def localization_lower_bound(g: Digraph, dm: DistanceMatrix | None = None) -> float:
+def localization_lower_bound(g: Digraph) -> float:
     """Probe-count lower bound log_M(k+1), with k the out-degeneracy and M
     the distance spread; 0 (vacuous) when M is infinite or the digraph has
     no arcs."""
     k = out_degeneracy(g)
     if k == 0:
         return 0.0
-    m = spread_m(g, dm)
+    m = spread_m(g)
     if m == INF:
         return 0.0
     # k >= 1 forces m >= 2: the pair (v, v) already spreads over N+[v].

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
-from .digraph import Digraph, DistanceMatrix, all_pairs_distances, diameter
+from .digraph import Digraph, diameter
 from .decomposition import DagDecomposition, PathDecomposition
 from .families import (
     FAMILIES,
@@ -109,9 +109,7 @@ def check_closed_form(family: str) -> list[CheckResult]:
 # -- the bound report ----------------------------------------------------------
 
 
-def bounds_report(
-    g: Digraph, dm: DistanceMatrix | None = None, k_max: int | None = None
-) -> dict:
+def bounds_report(g: Digraph, k_max: int | None = None) -> dict:
     """zeta and beta with every bound around them, as the ``bounds`` command
     reports them (unreachable values stay INF).
 
@@ -126,11 +124,10 @@ def bounds_report(
     ``game.MAX_PROBE_SETS`` bound them instead: past either, they raise
     ``game.BudgetExceededError``.
     """
-    dm = dm or all_pairs_distances(g)
-    zeta = localization_number_exact(g, k_max=k_max, dm=dm)
-    beta, _ = metric_dimension_exact(g, dm)
-    lower_dt = localization_lower_bound(g, dm)
-    upper_lp = lp_upper_bound(g, dm)
+    zeta = localization_number_exact(g, k_max=k_max)
+    beta, _ = metric_dimension_exact(g)
+    lower_dt = localization_lower_bound(g)
+    upper_lp = lp_upper_bound(g)
     scc = strong_components(g)
     if len(scc.components) == 1 and zeta is not None:
         # the only component is g itself, already solved
@@ -145,7 +142,7 @@ def bounds_report(
         "lower_dt": lower_dt,
         "upper_lp": upper_lp,
         "upper_sc": upper_sc,
-        "spread": spread_m(g, dm),
+        "spread": spread_m(g),
         "out_degeneracy": out_degeneracy(g),
         "consistent": (
             zeta is not None
@@ -357,13 +354,12 @@ def check_lovasz(seed: int = 20247) -> list[CheckResult]:
 
     out = []
     for name, g in instances:
-        dm = all_pairs_distances(g)
-        h = distinguisher_hypergraph(g, dm)
+        h = distinguisher_hypergraph(g)
         cover = greedy_vertex_cover(h)
         frac = fractional_vertex_cover(h)
         bound = lovasz_bound(h, frac.value)
         ok_bound = len(cover) <= bound + LP_TOL
-        ok_resolving = is_resolving(dm, cover)
+        ok_resolving = is_resolving(g.distances(), cover)
         out.append(
             _result(
                 "lovasz", name, ok_bound and ok_resolving,
@@ -378,11 +374,10 @@ def check_paley() -> list[CheckResult]:
     out = []
     for q in (7, 11, 19):
         g = paley_tournament(q)
-        dm = all_pairs_distances(g)
         dr = doubly_regular_check(g)
         target = (q - 3) // 2
         s_ok = bool((pair_sameness(g) == target).all())
-        diam = diameter(g, dm)
+        diam = diameter(g)
         out.append(
             _result(
                 "paley", f"q={q}", dr and s_ok and diam == 2,

@@ -11,7 +11,6 @@ import random
 import pytest
 
 from locgame import (
-    all_pairs_distances,
     blowup,
     localization_lower_bound,
     localization_number_exact,
@@ -93,11 +92,10 @@ def test_criterion_4_bound_chain():
         instances.append((f"small_{t}", random_digraph(rng, n, rng.uniform(0.2, 0.9))))
     bad = []
     for name, g in instances:
-        dm = all_pairs_distances(g)
-        zeta = localization_number_exact(g, dm=dm)
-        beta, _ = metric_dimension_exact(g, dm)
-        lower = localization_lower_bound(g, dm)
-        upper = min(lp_upper_bound(g, dm), float(g.n))
+        zeta = localization_number_exact(g)
+        beta, _ = metric_dimension_exact(g)
+        lower = localization_lower_bound(g)
+        upper = min(lp_upper_bound(g), float(g.n))
         if not (lower <= zeta <= beta <= upper):
             bad.append((name, lower, zeta, beta, upper))
     result = CheckResult(

@@ -15,13 +15,16 @@ from locgame import (
     localization_number_exact,
     optimal_robber,
     paley_tournament,
+    play,
     random_tournament,
+    rotation_strategy,
     rotation_tournament,
     sc_tight,
     transitive_tournament,
     tripartite_cycle,
+    write_digraph,
 )
-from locgame import digraph
+from locgame import cli, digraph
 from locgame.digraph import (
     MAX_AUTOMORPHISMS,
     from_edge_list,
@@ -29,6 +32,7 @@ from locgame.digraph import (
     to_edge_list,
     to_json,
 )
+from locgame.verify import bounds_report
 
 from conftest import (
     arc_lists,
@@ -138,7 +142,7 @@ class TestDigraph:
 
     def test_adjacency_is_the_only_state_and_read_only(self):
         g = cycle3()
-        assert Digraph.__slots__ == ("n", "adjacency")
+        assert Digraph.__slots__ == ("n", "adjacency", "_distances")
         assert g.adjacency.dtype == bool and g.adjacency.shape == (3, 3)
         with pytest.raises(ValueError):
             g.adjacency[1, 0] = True
@@ -186,7 +190,7 @@ class TestDistances:
         assert dm.array.dtype == np.int32
         assert dm.array.tolist() == [[0, 1], [dm.UNREACHABLE, 0]]
         assert dm.UNREACHABLE == np.iinfo(np.int32).max
-        assert diameter(g, dm) is INF
+        assert diameter(g) is INF
 
     def test_rotation_t5_distance(self):
         dm = all_pairs_distances(rotation_tournament(2))
@@ -251,6 +255,44 @@ class TestDistances:
         with pytest.raises(ValueError, match="read-only"):
             dm.array[0, 1] = 5
         assert dm.array[0, 1] == 1
+
+
+class TestDistanceCache:
+    def test_computed_once_and_kept(self):
+        g = rotation_tournament(3)
+        assert g.distances() is g.distances()
+        assert listed(g.distances()) == bfs_distances(g)
+
+    def test_equality_and_hash_ignore_the_cache(self):
+        a, b = paley_tournament(7), paley_tournament(7)
+        a.distances()
+        assert a == b and hash(a) == hash(b)
+
+    @pytest.fixture
+    def apsp_calls(self, monkeypatch):
+        calls = []
+        apsp = digraph.all_pairs_distances
+        monkeypatch.setattr(
+            digraph, "all_pairs_distances", lambda g: calls.append(g) or apsp(g)
+        )
+        return calls
+
+    def test_bounds_report_computes_once(self, apsp_calls):
+        report = bounds_report(paley_tournament(7))  # one strong component
+        assert report["zeta"] == 2 and report["consistent"]
+        assert len(apsp_calls) == 1
+
+    def test_stats_command_computes_once(self, apsp_calls, tmp_path):
+        path = tmp_path / "paley7.edges"
+        write_digraph(paley_tournament(7), path)
+        assert cli.main(["stats", str(path), "--out", str(tmp_path / "out.json")]) == 0
+        assert len(apsp_calls) == 1
+
+    def test_play_computes_once(self, apsp_calls):
+        g = rotation_tournament(2)
+        transcript = play(g, rotation_strategy(2), optimal_robber(g, 2), 10)
+        assert transcript.outcome.captured
+        assert len(apsp_calls) == 1
 
 
 class TestFileFormats:
@@ -393,14 +435,13 @@ class TestAutomorphisms:
         dm = all_pairs_distances(g)
         assert dm.automorphisms() == reference_automorphisms(dm.array.tolist())
 
-    def test_searched_once_per_distance_matrix(self, monkeypatch):
+    def test_searched_once_per_graph(self, monkeypatch):
         calls = []
         search = digraph._search_automorphisms
         monkeypatch.setattr(
             digraph, "_search_automorphisms", lambda dist: calls.append(1) or search(dist)
         )
         g = paley_tournament(7)
-        dm = all_pairs_distances(g)
-        assert localization_number_exact(g, dm=dm) == 2  # solvers for k = 1, 2
-        assert optimal_robber(g, 1, dm).solver.wins(range(7)) is False
+        assert localization_number_exact(g) == 2  # solvers for k = 1, 2
+        assert optimal_robber(g, 1).solver.wins(range(7)) is False
         assert len(calls) == 1

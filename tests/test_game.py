@@ -354,7 +354,7 @@ class TestSolverStats:
     def test_representative_is_least_orbit_image(self):
         # 19 vertices, so all three byte tables take part
         solver = LocalizationSolver(paley_tournament(19), 1)
-        maps = solver.dm.automorphisms()
+        maps = solver.g.distances().automorphisms()
         rng = random.Random(5)
         for _ in range(100):
             mask = rng.randrange(1, 1 << 19)
@@ -450,7 +450,7 @@ class TestPlayEngine:
     def test_optimal_robber_concedes_only_when_resolved(self):
         g = cycle3()
         robber = optimal_robber(g, 1)
-        vec, cls = robber.choose(frozenset(range(3)), (0,))
+        vec, cls = robber.choose(partition_by_probe(g.distances(), frozenset(range(3)), (0,)))
         assert len(cls) == 1  # every class is a singleton here
 
     def test_evasion_on_t5_single_cop(self):
@@ -477,6 +477,31 @@ class TestPlayEngine:
 
         with pytest.raises(ProbeError, match="budget"):
             play(g, Greedy(), optimal_robber(g, 1), max_rounds=5)
+
+    @pytest.mark.parametrize(
+        "cheat",
+        [
+            # a class that is not in the partition
+            lambda classes: (classes[0][0], frozenset({0, 2})),
+            # a real class paired with another class's vector
+            lambda classes: (classes[1][0], classes[0][1]),
+        ],
+    )
+    def test_robber_answer_outside_the_partition_rejected(self, cheat):
+        g = rotation_tournament(2)  # probe 0 splits V into {0}, {1, 2}, {3, 4}
+
+        class Probe0:
+            cops = 1
+
+            def next(self, transcript):
+                return (0,)
+
+        class Cheat:
+            def choose(self, classes):
+                return cheat(classes)
+
+        with pytest.raises(ValueError, match="not in the current partition"):
+            play(g, Probe0(), Cheat(), max_rounds=3)
 
     def test_transcript_round_trip(self):
         g = transitive_tournament(4)

@@ -268,10 +268,6 @@ class TestHypergraphBasics:
         with pytest.raises(ValueError, match="out of range"):
             Hypergraph(2, [{0, 5}])
 
-    def test_label_arity(self):
-        with pytest.raises(ValueError, match="label"):
-            Hypergraph(2, [{0}], labels=[])
-
 
 def _random_hypergraph(rng: random.Random) -> Hypergraph:
     n = rng.randint(2, 8)
@@ -289,5 +285,5 @@ def test_incidence_round_trip(rng):
         inc = h.incidence()
         assert inc.shape == (len(h.edges), h.n) and not inc.flags.writeable
         assert [set(np.flatnonzero(row)) for row in inc] == [set(e) for e in h.edges]
-        again = Hypergraph.from_incidence(inc, labels=[(i, i) for i in range(len(h.edges))])
+        again = Hypergraph.from_incidence(inc)
         assert again.edges == h.edges and again.n == h.n

@@ -1,0 +1,73 @@
+"""Distances belong to the graph: ``Digraph.distances()`` computes them once,
+so no public callable takes an optional distance matrix beside its graph.
+
+The kernels that take a distance matrix as their required first input
+(``partition_by_probe``, ``is_resolving``) are not affected.
+"""
+
+import importlib
+import inspect
+import pkgutil
+
+import locgame
+from locgame import digraph
+
+MODULES = [
+    importlib.import_module(f"locgame.{info.name}")
+    for info in pkgutil.iter_modules(locgame.__path__)
+    if info.name != "__main__"  # importing it runs the CLI
+]
+
+# kept because benchmarks/workloads.py passes a matrix positionally
+OPTIONAL_DM_ALLOWED = {"locgame.resolve.distinguisher_hypergraph"}
+
+
+def public_callables():
+    """(qualified name, callable) for every public function and class defined
+    in a locgame module, and every public method of those classes."""
+    for module in [locgame, *MODULES]:
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not callable(obj):
+                continue
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            yield f"{module.__name__}.{name}", obj
+            if inspect.isclass(obj):
+                for meth, fn in vars(obj).items():
+                    if not meth.startswith("_") and inspect.isfunction(fn):
+                        yield f"{module.__name__}.{name}.{meth}", fn
+
+
+def test_the_walk_reaches_the_callables_that_read_distances():
+    names = {name for name, _ in public_callables()}
+    assert {
+        "locgame.digraph.diameter",
+        "locgame.game.LocalizationSolver",
+        "locgame.game.OptimalRobber",
+        "locgame.game.OptimalRobber.choose",
+        "locgame.game.play",
+        "locgame.verify.bounds_report",
+        "locgame.resolve.distinguisher_hypergraph",
+    } <= names
+
+
+def test_no_optional_distance_matrix_parameter():
+    optional = []
+    for name, obj in public_callables():
+        try:
+            params = inspect.signature(obj).parameters
+        except (TypeError, ValueError):
+            continue
+        if "dm" in params and params["dm"].default is None:
+            optional.append(name)
+    assert sorted(optional) == sorted(OPTIONAL_DM_ALLOWED)
+
+
+def test_distances_are_computed_only_through_the_graph():
+    # every other module reaches all_pairs_distances through g.distances()
+    holders = [
+        m.__name__
+        for m in [locgame, *MODULES]
+        if vars(m).get("all_pairs_distances") is digraph.all_pairs_distances
+    ]
+    assert sorted(holders) == ["locgame", "locgame.digraph"]

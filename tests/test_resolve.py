@@ -154,7 +154,7 @@ class TestPackedWitnessSearch:
         mask_bytes = 8 * -(-math.comb(n, 2) // 64)
         for block_bytes in (1, 3 * mask_bytes, resolve._WITNESS_BLOCK_BYTES):
             with mock.patch.object(resolve, "_WITNESS_BLOCK_BYTES", block_bytes):
-                beta, witness = metric_dimension_exact(g, dm)
+                beta, witness = metric_dimension_exact(g)
             assert (beta, witness.vertices) == want
 
     def test_replays_the_pinned_benchmark_answers(self):
@@ -248,13 +248,12 @@ class TestDistinguisherHypergraph:
         h = distinguisher_hypergraph(cycle3())
         assert len(h.edges) == 3
         assert all(e == frozenset({0, 1, 2}) for e in h.edges)
-        assert h.labels == ((0, 1), (0, 2), (1, 2))
 
     def test_edges_always_contain_their_pair(self, rng):
         for _ in range(20):
             g = random_oriented_digraph(rng, rng.randint(2, 6), 0.5)
             h = distinguisher_hypergraph(g)
-            for (x, y), e in zip(h.labels, h.edges):
+            for (x, y), e in zip(itertools.combinations(range(g.n), 2), h.edges):
                 assert x in e and y in e
 
     def test_rotation_t5_edges_nonempty(self):
