@@ -123,6 +123,8 @@ def build_corpus() -> dict:
         commands.append(["zeta", f"@{name}"])
     for check in ("rotation", "d3", "blowup", "sc_tight"):
         commands.append(["verify", check])
+    for check in ("dag", "dim1", "paley", "random"):
+        commands.append(["verify", check])
     for argv in (
         "rotation 3", "d3 2", "blowup 1 3", "sc_tight 3 1", "paley 7", "transitive 5",
         "random 10 0.5 --seed 1", "sc_tight 1 1 --format json",
@@ -184,6 +186,13 @@ def test_cli_output_is_pinned(case, corpus_paths):
     code, out = run_command(case["argv"], corpus_paths)
     assert code == case["exit"]
     assert out == case["stdout"]
+
+
+def test_every_verify_check_is_pinned():
+    from locgame.verify import CHECKS
+
+    pinned = {c["argv"][1] for c in _load_cases() if c["argv"][0] == "verify"}
+    assert pinned == set(CHECKS)
 
 
 def _write_golden() -> None:
