@@ -9,8 +9,8 @@ that frame both parameters.
 
 from .digraph import (
     INF,
+    UNREACHABLE,
     Digraph,
-    DistanceMatrix,
     all_pairs_distances,
     diameter,
     read_digraph,

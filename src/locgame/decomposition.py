@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .digraph import Digraph, DistanceMatrix
+from .digraph import UNREACHABLE, Digraph
 
 
 class PathDecomposition:
@@ -118,7 +118,7 @@ def validate_dag_decomposition(g: Digraph, dd: DagDecomposition) -> ValidationRe
     bags = dd.bags
     width = dd.width
 
-    reach = d.distances().array != DistanceMatrix.UNREACHABLE
+    reach = d.distances() != UNREACHABLE
     # an oriented digraph has a cycle iff two distinct nodes reach each other
     if np.count_nonzero(reach & reach.T) > d.n:
         return ValidationResult(False, width, "index digraph has a directed cycle")
@@ -170,7 +170,7 @@ def dag_guard_condition(g: Digraph, dd: DagDecomposition) -> bool:
     """
     d = dd.index_dag
     bags = dd.bags
-    down = _down_sets(bags, d.distances().array != DistanceMatrix.UNREACHABLE)
+    down = _down_sets(bags, d.distances() != UNREACHABLE)
 
     def guards(w: frozenset, vs: frozenset) -> bool:
         return all(

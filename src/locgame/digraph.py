@@ -2,12 +2,12 @@
 
 Vertices are dense integers ``0..n-1``.  Graphs are *oriented*: at most one
 arc per unordered vertex pair, no self-loops.  :class:`Digraph` holds them
-as one read-only n x n bool matrix, the only adjacency format.
-:class:`DistanceMatrix` holds unreachability as the int sentinel
-:attr:`DistanceMatrix.UNREACHABLE`, which sorts above every finite distance
-and equals only itself.  Python values leaving the package (probe answers,
-diameter, spread) carry the module-level :data:`INF` (``math.inf``) in its
-place, which orders the same way.
+as one read-only n x n bool matrix, the only adjacency format, and caches
+what is derived from it: its distance array and its automorphisms.  The
+distance array holds unreachability as the int sentinel
+:data:`UNREACHABLE`, which sorts above every finite distance and equals only
+itself.  Python values leaving the package (probe answers, diameter, spread)
+carry :data:`INF` (``math.inf``) in its place, which orders the same way.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import Iterable
 import numpy as np
 
 INF = math.inf
+UNREACHABLE = np.iinfo(np.int32).max
 
 
 class Digraph:
@@ -27,11 +28,11 @@ class Digraph:
 
     ``adjacency[u, v]`` is True exactly when u -> v is an arc; the matrix is
     read-only.  Construction validates every arc and orientation; instances
-    are safe to share between threads.  The distances are computed once per
-    graph, on the first call to :meth:`distances`.
+    are safe to share between threads.  The distances and the automorphisms
+    are computed once per graph, on the first call that needs them.
     """
 
-    __slots__ = ("n", "adjacency", "_distances")
+    __slots__ = ("n", "adjacency", "_distances", "_automorphisms")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
@@ -50,7 +51,9 @@ class Digraph:
         adjacency.flags.writeable = False
         self.n = n
         self.adjacency = adjacency
-        self._distances: DistanceMatrix | None = None
+        self._distances: np.ndarray | None = None
+        # the maps automorphisms() keeps, and whether a budget cut them short
+        self._automorphisms: tuple[tuple[tuple[int, ...], ...], bool] | None = None
 
     # -- queries -----------------------------------------------------------
 
@@ -97,13 +100,39 @@ class Digraph:
     def sorted_arcs(self) -> list[tuple[int, int]]:
         return list(map(tuple, np.argwhere(self.adjacency).tolist()))
 
-    def distances(self) -> DistanceMatrix:
+    def distances(self) -> np.ndarray:
         """All-pairs directed distances, by :func:`all_pairs_distances` on
         the first call and cached; two threads racing here compute the same
-        matrix twice."""
+        array twice."""
         if self._distances is None:
             self._distances = all_pairs_distances(self)
         return self._distances
+
+    def automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        """Vertex permutations preserving every distance, in lexicographic
+        order, so the identity comes first.
+
+        A map preserves distances exactly when it preserves arcs, since
+        d = 1 exactly on arcs.  On a group of at most
+        :data:`MAX_AUTOMORPHISMS` maps the result is the whole group.  On a
+        larger one it is the lexicographically least
+        :data:`MAX_AUTOMORPHISMS` maps, which all lie in the stabiliser of
+        some prefix 0..v-1 of the vertices.  When the search spends its
+        :data:`MAX_AUTOMORPHISM_NODES` nodes first, the result is the
+        stabiliser of the longest prefix it finished, a subgroup.  Every
+        kept map is a verified automorphism; :meth:`automorphisms_truncated`
+        tells whether a budget cut the search short.  Computed on the first
+        call and cached.
+        """
+        if self._automorphisms is None:
+            self._automorphisms = _search_automorphisms(self.distances().tolist())
+        return self._automorphisms[0]
+
+    def automorphisms_truncated(self) -> bool:
+        """True when a budget stopped the search of :meth:`automorphisms`,
+        so its maps may be only part of the group."""
+        self.automorphisms()
+        return self._automorphisms[1]
 
     def induced(self, vertices: Iterable[int]) -> tuple["Digraph", list[int]]:
         """Induced subgraph on ``vertices``.
@@ -169,56 +198,6 @@ MAX_AUTOMORPHISMS = 256
 MAX_AUTOMORPHISM_NODES = 20_000
 
 
-class DistanceMatrix:
-    """All-pairs directed distances, held as one read-only int32 array.
-
-    ``array[u, v]`` is the length of a shortest path from u to v, or
-    :attr:`UNREACHABLE` when there is none; that sentinel lies above every
-    finite distance and equals only itself, as INF does.
-    """
-
-    __slots__ = ("n", "array", "_automorphisms", "_truncated")
-
-    UNREACHABLE = np.iinfo(np.int32).max
-
-    def __init__(self, array: np.ndarray):
-        # a read-only view: the caller's array is neither copied nor frozen
-        array = np.asarray(array, dtype=np.int32).view()
-        array.flags.writeable = False
-        self.n = len(array)
-        self.array = array
-        self._automorphisms: tuple[tuple[int, ...], ...] | None = None
-        self._truncated = False
-
-    def automorphisms(self) -> tuple[tuple[int, ...], ...]:
-        """Vertex permutations preserving every distance, in lexicographic
-        order, so the identity comes first.
-
-        A map preserves distances exactly when it preserves arcs, since
-        d = 1 exactly on arcs.  On a group of at most
-        :data:`MAX_AUTOMORPHISMS` maps the result is the whole group.  On a
-        larger one it is the lexicographically least
-        :data:`MAX_AUTOMORPHISMS` maps, which all lie in the stabiliser of
-        some prefix 0..v-1 of the vertices.  When the search spends its
-        :data:`MAX_AUTOMORPHISM_NODES` nodes first, the result is the
-        stabiliser of the longest prefix it finished, a subgroup.  Every
-        kept map is a verified automorphism; :meth:`automorphisms_truncated`
-        tells whether a budget cut the search short.  Computed on the first
-        call and cached.
-        """
-        if self._automorphisms is None:
-            self._automorphisms, self._truncated = _search_automorphisms(
-                self.array.tolist()
-            )
-        return self._automorphisms
-
-    def automorphisms_truncated(self) -> bool:
-        """True when a budget stopped the search of :meth:`automorphisms`,
-        so its maps may be only part of the group."""
-        self.automorphisms()
-        return self._truncated
-
-
 class _NodeBudgetSpent(Exception):
     """Ends the automorphism search once it has visited
     :data:`MAX_AUTOMORPHISM_NODES` nodes."""
@@ -227,7 +206,7 @@ class _NodeBudgetSpent(Exception):
 def _search_automorphisms(
     dist: list[list[int]],
 ) -> tuple[tuple[tuple[int, ...], ...], bool]:
-    """The maps :meth:`DistanceMatrix.automorphisms` keeps, and whether a
+    """The maps :meth:`Digraph.automorphisms` keeps, and whether a
     budget cut the search short, from the distance array as nested lists.
 
     A coset search along the base 0..n-1.  Images are assigned in vertex
@@ -361,8 +340,9 @@ def _transversal(
     return reps
 
 
-def all_pairs_distances(g: Digraph) -> DistanceMatrix:
-    """Shortest directed path lengths, by a BFS from every vertex at once.
+def all_pairs_distances(g: Digraph) -> np.ndarray:
+    """Shortest directed path lengths as a read-only int32 n x n array,
+    :data:`UNREACHABLE` where there is no path, by a BFS from every vertex.
 
     The frontier holds the pairs (s, v), as flat indices s * n + v, with v
     first reached from s at the current level.  The next level is the
@@ -378,7 +358,7 @@ def all_pairs_distances(g: Digraph) -> DistanceMatrix:
     heads = np.nonzero(g.adjacency)[1]
     first_arc = np.cumsum(degree) - degree
     adjacency = g.adjacency.astype(np.float32)
-    dist = np.full(n * n, DistanceMatrix.UNREACHABLE, dtype=np.int32)
+    dist = np.full(n * n, UNREACHABLE, dtype=np.int32)
     reached = np.eye(n, dtype=bool).ravel()
     frontier = np.flatnonzero(reached)
     dist[frontier] = 0
@@ -401,7 +381,9 @@ def all_pairs_distances(g: Digraph) -> DistanceMatrix:
         frontier = step[~reached[step]]
         reached[frontier] = True
         dist[frontier] = level
-    return DistanceMatrix(dist.reshape(n, n))
+    dist = dist.reshape(n, n)
+    dist.flags.writeable = False
+    return dist
 
 
 def diameter(g: Digraph) -> float:
@@ -409,8 +391,8 @@ def diameter(g: Digraph) -> float:
     unreachable."""
     if g.n == 0:
         raise ValueError("diameter of the empty digraph is undefined")
-    d = int(g.distances().array.max())
-    return INF if d == DistanceMatrix.UNREACHABLE else d
+    d = int(g.distances().max())
+    return INF if d == UNREACHABLE else d
 
 
 # -- file formats ----------------------------------------------------------
@@ -453,19 +435,17 @@ def from_json(text: str) -> Digraph:
     return Digraph(data["n"], [tuple(a) for a in data["arcs"]])
 
 
-def write_digraph(g: Digraph, path: str | Path, fmt: str | None = None) -> None:
+def write_digraph(g: Digraph, path: str | Path) -> None:
     path = Path(path)
-    fmt = fmt or _format_for(path)
-    text = to_json(g) + "\n" if fmt == "json" else to_edge_list(g)
+    text = to_json(g) + "\n" if _is_json(path) else to_edge_list(g)
     path.write_text(text)
 
 
-def read_digraph(path: str | Path, fmt: str | None = None) -> Digraph:
+def read_digraph(path: str | Path) -> Digraph:
     path = Path(path)
-    fmt = fmt or _format_for(path)
     text = path.read_text()
-    return from_json(text) if fmt == "json" else from_edge_list(text)
+    return from_json(text) if _is_json(path) else from_edge_list(text)
 
 
-def _format_for(path: Path) -> str:
-    return "json" if path.suffix.lower() == ".json" else "edgelist"
+def _is_json(path: Path) -> bool:
+    return path.suffix.lower() == ".json"

@@ -8,16 +8,16 @@ either a single vertex or leads, after the robber's move, to another winning
 set.  The least fixpoint of that rule decides the game: any play that never
 reaches it is a robber win.
 
-States are vertex bitmasks.  Each distinct partition the probes induce is
-one row of a zero-padded matrix of its non-singleton cells, so ``cells & S``
-holds the parts of S under every probe at once, and three byte tables of
-closed out-neighbourhoods step all of them through the robber's move.  An
-automorphism of the digraph maps winning sets to winning sets, so each state
-is replaced by its representative: its least image under the automorphisms
-:meth:`DistanceMatrix.automorphisms` keeps and their inverses.  Wins live in
-a bool table over all 2^n masks (16 MB at n = 24).  When a representative
-wins, every image of it is marked, so a stepped part is looked up directly,
-without computing its representative.
+States are vertex bitmasks.  Each distinct partition the probes induce on
+the graph's cached distance array is one row of a zero-padded matrix of its
+non-singleton cells, so ``cells & S`` holds the parts of S under every probe
+at once, and three byte tables of closed out-neighbourhoods step all of them
+through the robber's move.  An automorphism of the digraph maps winning sets
+to winning sets, so each state is replaced by its representative: its least
+image under the graph's cached automorphisms (:meth:`Digraph.automorphisms`)
+and their inverses.  Wins live in a bool table over all 2^n masks (16 MB at
+n = 24).  When a representative wins, every image of it is marked, so a
+stepped part is looked up directly, without computing its representative.
 
 The fixpoint is computed by sweeps.  A query explores the representatives
 newly reachable from it, breadth first, then re-evaluates only those, last
@@ -37,7 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .digraph import INF, Digraph, DistanceMatrix
+from .digraph import INF, UNREACHABLE, Digraph
 
 MAX_SOLVER_VERTICES = 24  # three bytes of a state mask; see _byte_tables
 MAX_PROBE_SETS = 1_000_000
@@ -56,7 +56,7 @@ Vector = tuple[float, ...]
 
 
 def partition_by_probe(
-    dm: DistanceMatrix, candidates: Iterable[int], probe: Sequence[int]
+    g: Digraph, candidates: Iterable[int], probe: Sequence[int]
 ) -> list[tuple[Vector, frozenset[int]]]:
     """Group candidates by their distance vector from the sorted probe.
 
@@ -65,16 +65,15 @@ def partition_by_probe(
     last), so the output is deterministic.  A candidate outside 0..n-1
     raises ValueError.
     """
-    probe = _normalize_probe(probe, dm.n)
-    columns = dm.array[list(probe)].T.tolist()
+    probe = _normalize_probe(probe, g.n)
+    columns = g.distances()[list(probe)].T.tolist()
     cells: dict[tuple[int, ...], set[int]] = {}
     for x in candidates:
-        if not 0 <= x < dm.n:
-            raise ValueError(f"candidate {x} out of range for n={dm.n}")
+        if not 0 <= x < g.n:
+            raise ValueError(f"candidate {x} out of range for n={g.n}")
         cells.setdefault(tuple(columns[x]), set()).add(x)
-    far = dm.UNREACHABLE
     return [
-        (tuple(INF if d == far else d for d in vec), frozenset(cells[vec]))
+        (tuple(INF if d == UNREACHABLE else d for d in vec), frozenset(cells[vec]))
         for vec in sorted(cells)
     ]
 
@@ -105,7 +104,7 @@ def _first_rows(a: np.ndarray) -> np.ndarray:
     return np.sort(order[starts])
 
 
-def _probe_partitions(dm: DistanceMatrix, k: int) -> np.ndarray:
+def _probe_partitions(g: Digraph, k: int) -> np.ndarray:
     """The non-singleton cells of each distinct partition of V by k probes,
     one zero-padded row of cell masks per partition.
 
@@ -116,8 +115,8 @@ def _probe_partitions(dm: DistanceMatrix, k: int) -> np.ndarray:
     in the order of the first probe (in ``combinations`` order) inducing it.
     Each cell is listed once, at its lowest vertex, in vertex order.
     """
-    n = dm.n
-    dist = dm.array
+    n = g.n
+    dist = g.distances()
     bits = np.int64(1) << np.arange(n, dtype=np.int64)
     # same[u, x]: mask of the vertices y with d(u, y) == d(u, x)
     same = ((dist[:, :, None] == dist[:, None, :]) * bits).sum(axis=2)
@@ -213,11 +212,11 @@ class LocalizationSolver:
         n = g.n
         self._full = (1 << n) - 1
         # the classes of any S are the nonempty intersections with these cells
-        self._cells = _probe_partitions(g.distances(), k)
+        self._cells = _probe_partitions(g, k)
         # closed[v]: mask of v and its out-neighbours
         closed = (g.adjacency | np.eye(n, dtype=bool)) @ (np.int64(1) << np.arange(n))
         self._step = tuple(t[0] for t in _byte_tables(closed[None]))
-        maps = np.array(g.distances().automorphisms(), dtype=np.int64)
+        maps = np.array(g.automorphisms(), dtype=np.int64)
         self._automorphisms = len(maps)
         # the kept maps need not be closed under inverses (a truncated search
         # keeps a subset of the group); with the inverses added, every mask
@@ -257,7 +256,7 @@ class LocalizationSolver:
             probe_sets=math.comb(self.g.n, self.k),
             partitions=len(self._cells),
             automorphisms=self._automorphisms,
-            automorphisms_truncated=self.g.distances().automorphisms_truncated(),
+            automorphisms_truncated=self.g.automorphisms_truncated(),
             explored_states=len(self._explored),
             init_s=self._init_s,
             solve_s=self._solve_s,
@@ -469,7 +468,7 @@ def play(g: Digraph, cop_strategy, robber, max_rounds: int) -> GameTranscript:
             raise ProbeError(
                 f"strategy probed {len(probe)} vertices with budget {cop_strategy.cops}"
             )
-        classes = partition_by_probe(g.distances(), candidates, probe)
+        classes = partition_by_probe(g, candidates, probe)
         vector, chosen = robber.choose(classes)
         if (vector, chosen) not in classes:
             raise ValueError("robber chose a class not in the current partition")

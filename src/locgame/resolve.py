@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .digraph import Digraph, DistanceMatrix
+from .digraph import Digraph
 from .game import MAX_PROBE_SETS, BudgetExceededError
 from .hypergraph import Hypergraph
 
@@ -46,12 +46,12 @@ class ResolvingSet:
         return len(self.vertices)
 
 
-def is_resolving(dm: DistanceMatrix, witnesses: Iterable[int]) -> bool:
+def is_resolving(g: Digraph, witnesses: Iterable[int]) -> bool:
     """True iff no two vertices share their distance vector from the witness set."""
     ws = sorted(set(witnesses))
-    if any(not 0 <= w < dm.n for w in ws):
+    if any(not 0 <= w < g.n for w in ws):
         raise ValueError(f"witnesses {ws} out of range")
-    return len(set(map(tuple, dm.array[ws].T.tolist()))) == dm.n
+    return len(set(map(tuple, g.distances()[ws].T.tolist()))) == g.n
 
 
 def metric_dimension_exact(g: Digraph) -> tuple[int, ResolvingSet]:
@@ -78,25 +78,25 @@ def metric_dimension_exact(g: Digraph) -> tuple[int, ResolvingSet]:
     """
     if g.n < 1:
         raise ValueError("metric dimension needs at least one vertex")
-    dm = g.distances()
+    dist = g.distances()
     n = g.n
     tried, stop = 0, 1  # the sizes below stop fit the budget together
     while stop <= n and tried + math.comb(n, stop) <= MAX_PROBE_SETS:
         tried += math.comb(n, stop)
         stop += 1
-    least = _beta_lower_bound(dm)
-    ws = _least_resolving(dm, least, stop) if least < stop else None
+    least = _beta_lower_bound(dist)
+    ws = _least_resolving(dist, least, stop) if least < stop else None
     if ws is None:
         raise BudgetExceededError(
             f"{tried} witness sets of size < {stop} plus C({n},{stop}) = "
             f"{math.comb(n, stop)} exceed the limit of {MAX_PROBE_SETS}"
         )
-    if not is_resolving(dm, ws):
+    if not is_resolving(g, ws):
         raise AssertionError(f"packed search accepted non-resolving {ws}")
     return len(ws), ResolvingSet(frozenset(ws), True)
 
 
-def _beta_lower_bound(dm: DistanceMatrix) -> int:
+def _beta_lower_bound(dist: np.ndarray) -> int:
     """Least k such that n - k is at most the product of the k largest
     counts of distinct nonzero distances in a row (unreachable counts as one
     value): no smaller set resolves.
@@ -104,8 +104,8 @@ def _beta_lower_bound(dm: DistanceMatrix) -> int:
     The n - k vertices outside a resolving set W need distinct vectors, and
     coordinate w of such a vector is a nonzero distance from w.
     """
-    n = dm.n
-    counts = (np.diff(np.sort(dm.array, axis=1), axis=1) != 0).sum(axis=1)
+    n = len(dist)
+    counts = (np.diff(np.sort(dist, axis=1), axis=1) != 0).sum(axis=1)
     product = 1
     for k, count in enumerate(sorted(counts.tolist(), reverse=True), 1):
         product *= count
@@ -114,12 +114,12 @@ def _beta_lower_bound(dm: DistanceMatrix) -> int:
     return n
 
 
-def _least_resolving(dm: DistanceMatrix, least: int, stop: int) -> list[int] | None:
+def _least_resolving(dist: np.ndarray, least: int, stop: int) -> list[int] | None:
     """The first resolving set of a size in ``least..stop-1``, in
     size-then-lexicographic order, or None.  The smaller sizes are built, in
     blocks as large as allowed, but not tested."""
-    n = dm.n
-    separated = _separation(dm, "witness-to-pair")
+    n = len(dist)
+    separated = _separation(dist, "witness-to-pair")
     words = -(-separated.shape[1] // 64)
     padded = np.ones((n, 64 * words), dtype=bool)  # spare bits count as separated
     padded[:, : separated.shape[1]] = separated
@@ -192,7 +192,7 @@ def _has_spine(g: Digraph) -> bool:
     """A start whose distances are 0..n-1 with no skip-forward arc."""
     if g.n == 0:
         return False
-    for row in g.distances().array.tolist():
+    for row in g.distances().tolist():
         # when the row is a permutation of 0..n-1, row[v] is v's place on the spine
         if sorted(row) == list(range(g.n)) and all(
             row[v] - row[u] <= 1 for (u, v) in g.arcs
@@ -201,17 +201,17 @@ def _has_spine(g: Digraph) -> bool:
     return False
 
 
-def _separation(dm: DistanceMatrix, direction: str) -> np.ndarray:
+def _separation(dist: np.ndarray, direction: str) -> np.ndarray:
     """separated[w, t]: witness w separates the t-th vertex pair of
     ``combinations`` order.  Row w compares d(w, .) when the witness probes
     the pair, d(., w) when the pair reaches the witness."""
     if direction not in ("witness-to-pair", "pair-to-witness"):
         raise ValueError(f"unknown direction {direction!r}")
-    rows = dm.array if direction == "witness-to-pair" else dm.array.T
-    xs, ys = np.triu_indices(dm.n, 1)
+    rows = dist if direction == "witness-to-pair" else dist.T
+    xs, ys = np.triu_indices(len(dist), 1)
     # row by row: comparing all rows at once would gather two n x C(n, 2)
     # int32 temporaries, 32 MB at n = 200
-    separated = np.empty((dm.n, len(xs)), dtype=bool)
+    separated = np.empty((len(dist), len(xs)), dtype=bool)
     for w, row in enumerate(rows):
         np.not_equal(row[xs], row[ys], out=separated[w])
     return separated
@@ -219,7 +219,7 @@ def _separation(dm: DistanceMatrix, direction: str) -> np.ndarray:
 
 def distinguisher_hypergraph(
     g: Digraph,
-    dm: DistanceMatrix | None = None,
+    dm: np.ndarray | None = None,
     direction: str = "witness-to-pair",
 ) -> Hypergraph:
     """One hyperedge per vertex pair: the witnesses separating it.  Edge t
@@ -229,10 +229,14 @@ def distinguisher_hypergraph(
     d(w, x) != d(w, y); ``"pair-to-witness"`` compares d(x, w) and d(y, w)
     instead.  Note every edge contains x and y themselves under either
     convention (a vertex is at distance 0 only from itself).  ``dm``, when
-    given, must be ``g``'s distance matrix; it defaults to ``g.distances()``
-    and is kept for callers that pass one positionally.
+    given, must be ``g``'s distance array; it defaults to ``g.distances()``
+    and is kept for callers that pass one positionally.  An array of another
+    shape than n x n raises ValueError.
     """
-    dm = dm or g.distances()
+    if dm is None:
+        dm = g.distances()
+    elif dm.shape != (g.n, g.n):
+        raise ValueError(f"distance array of shape {dm.shape} for n={g.n}")
     return Hypergraph.from_incidence(_separation(dm, direction).T)
 
 

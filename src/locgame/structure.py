@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from .digraph import INF, Digraph, DistanceMatrix
+from .digraph import INF, UNREACHABLE, Digraph
 
 
 class CyclicGraphError(ValueError):
@@ -152,15 +152,14 @@ def spread_m(g: Digraph) -> float:
     """
     if g.n == 0:
         raise ValueError("spread of the empty digraph is undefined")
-    dist = g.distances().array
-    far = DistanceMatrix.UNREACHABLE
+    dist = g.distances()
     worst = 0
     for v in range(g.n):
         closed = dist[:, [v, *g.out_neighbors(v)]]
         hi, lo = closed.max(axis=1), closed.min(axis=1)
-        if ((hi == far) & (lo != far)).any():
+        if ((hi == UNREACHABLE) & (lo != UNREACHABLE)).any():
             return INF
-        # rows with every vertex unreachable read far - far = 0
+        # rows with every vertex unreachable read UNREACHABLE - UNREACHABLE = 0
         worst = max(worst, int((hi - lo).max()))
     return worst + 1
 

@@ -178,8 +178,9 @@ def random_dag(rng: random.Random, n: int, p: float) -> Digraph:
     return Digraph(n, arcs)
 
 
-def check_dag(trials: int = 50, seed: int = 20240) -> list[CheckResult]:
-    rng = random.Random(seed)
+def check_dag() -> list[CheckResult]:
+    trials = 50
+    rng = random.Random(20240)
     failures = []
     for t in range(trials):
         n = rng.randint(2, 8)
@@ -196,8 +197,9 @@ def check_dag(trials: int = 50, seed: int = 20240) -> list[CheckResult]:
     ]
 
 
-def check_dim1(trials: int = 200, seed: int = 20241) -> list[CheckResult]:
-    rng = random.Random(seed)
+def check_dim1() -> list[CheckResult]:
+    trials = 200
+    rng = random.Random(20241)
     disagreements = []
     for t in range(trials):
         n = rng.randint(1, 5)
@@ -212,11 +214,11 @@ def check_dim1(trials: int = 200, seed: int = 20241) -> list[CheckResult]:
     return [_result("dim1", "classifier_vs_exact", not disagreements, detail)]
 
 
-def check_chain(seed: int = 20242) -> list[CheckResult]:
+def check_chain() -> list[CheckResult]:
     """The bound report is consistent on every exactly solved instance."""
     out = []
     instances = closed_form_instances()
-    rng = random.Random(seed)
+    rng = random.Random(20242)
     for t in range(10):
         instances.append((f"dag_{t}", random_dag(rng, rng.randint(2, 8), 0.5)))
     for t in range(20):
@@ -235,8 +237,9 @@ def check_chain(seed: int = 20242) -> list[CheckResult]:
     ]
 
 
-def check_sc_bound(trials: int = 100, seed: int = 20243) -> list[CheckResult]:
-    rng = random.Random(seed)
+def check_sc_bound() -> list[CheckResult]:
+    trials = 100
+    rng = random.Random(20243)
     bad = []
     done = 0
     while done < trials:
@@ -342,10 +345,10 @@ def _two_cycles() -> Digraph:
 # -- covering bounds -----------------------------------------------------------
 
 
-def check_lovasz(seed: int = 20247) -> list[CheckResult]:
+def check_lovasz() -> list[CheckResult]:
     instances = closed_form_instances()
     instances += [("paley_7", paley_tournament(7)), ("paley_11", paley_tournament(11))]
-    rng = random.Random(seed)
+    rng = random.Random(20247)
     for t in range(5):
         instances.append((f"dag_{t}", random_dag(rng, rng.randint(2, 8), 0.5)))
     for t in range(10):
@@ -359,7 +362,7 @@ def check_lovasz(seed: int = 20247) -> list[CheckResult]:
         frac = fractional_vertex_cover(h)
         bound = lovasz_bound(h, frac.value)
         ok_bound = len(cover) <= bound + LP_TOL
-        ok_resolving = is_resolving(g.distances(), cover)
+        ok_resolving = is_resolving(g, cover)
         out.append(
             _result(
                 "lovasz", name, ok_bound and ok_resolving,
@@ -397,11 +400,11 @@ def check_paley() -> list[CheckResult]:
     return out
 
 
-def check_random_empirical(seed: int = 20249) -> list[CheckResult]:
+def check_random_empirical() -> list[CheckResult]:
     """Seed-pinned empirical screens on T(n, 1/2); only determinism is strict."""
     from .experiment import ExperimentConfig, run_experiment, rows_to_csv
 
-    config = ExperimentConfig(sizes=(30, 50), p=0.5, trials=10, seed=seed)
+    config = ExperimentConfig(sizes=(30, 50), p=0.5, trials=10, seed=20249)
     rows = run_experiment(config)
     rows_again = run_experiment(config)
     deterministic = rows_to_csv(rows) == rows_to_csv(rows_again)

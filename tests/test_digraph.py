@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from locgame import (
     INF,
+    UNREACHABLE,
     Digraph,
     all_pairs_distances,
     blowup,
@@ -49,10 +50,10 @@ def cycle3():
     return Digraph(3, [(0, 1), (1, 2), (2, 0)])
 
 
-def listed(dm):
+def listed(dist):
     """The distance array as lists, INF in place of the unreachable sentinel,
     to compare with the reference oracles."""
-    return [[INF if d == dm.UNREACHABLE else d for d in row] for row in dm.array.tolist()]
+    return [[INF if d == UNREACHABLE else d for d in row] for row in dist.tolist()]
 
 
 def floyd_warshall(g):
@@ -142,7 +143,7 @@ class TestDigraph:
 
     def test_adjacency_is_the_only_state_and_read_only(self):
         g = cycle3()
-        assert Digraph.__slots__ == ("n", "adjacency", "_distances")
+        assert Digraph.__slots__ == ("n", "adjacency", "_distances", "_automorphisms")
         assert g.adjacency.dtype == bool and g.adjacency.shape == (3, 3)
         with pytest.raises(ValueError):
             g.adjacency[1, 0] = True
@@ -180,29 +181,29 @@ class TestDigraph:
 
 class TestDistances:
     def test_cycle_distances(self):
-        dm = all_pairs_distances(cycle3())
-        assert dm.array[0].tolist() == [0, 1, 2]
+        dist = all_pairs_distances(cycle3())
+        assert dist[0].tolist() == [0, 1, 2]
 
     def test_unreachable_is_inf(self):
         # the array holds the int sentinel; values handed out carry INF
         g = Digraph(2, [(0, 1)])
-        dm = all_pairs_distances(g)
-        assert dm.array.dtype == np.int32
-        assert dm.array.tolist() == [[0, 1], [dm.UNREACHABLE, 0]]
-        assert dm.UNREACHABLE == np.iinfo(np.int32).max
+        dist = all_pairs_distances(g)
+        assert dist.dtype == np.int32
+        assert dist.tolist() == [[0, 1], [UNREACHABLE, 0]]
+        assert UNREACHABLE == np.iinfo(np.int32).max
         assert diameter(g) is INF
 
     def test_rotation_t5_distance(self):
-        dm = all_pairs_distances(rotation_tournament(2))
-        assert dm.array[0, 4] == 2
+        dist = all_pairs_distances(rotation_tournament(2))
+        assert dist[0, 4] == 2
 
     def test_arc_iff_distance_one(self, rng):
         g = random_oriented_digraph(rng, 7, 0.4)
-        dm = all_pairs_distances(g)
+        dist = all_pairs_distances(g)
         for u in range(7):
             for v in range(7):
                 if u != v:
-                    assert (dm.array[u, v] == 1) == g.has_arc(u, v)
+                    assert (dist[u, v] == 1) == g.has_arc(u, v)
 
     def test_matches_floyd_warshall_oracle(self, rng):
         for _ in range(30):
@@ -232,9 +233,9 @@ class TestDistances:
     @settings(max_examples=60, deadline=None)
     @given(oriented_digraphs(max_n=30))
     def test_matches_reference_bfs(self, g):
-        dm = all_pairs_distances(g)
-        assert dm.array.shape == (g.n, g.n)
-        assert listed(dm) == bfs_distances(g)
+        dist = all_pairs_distances(g)
+        assert dist.shape == (g.n, g.n)
+        assert listed(dist) == bfs_distances(g)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(1, 30), st.data())
@@ -251,10 +252,10 @@ class TestDistances:
         assert listed(all_pairs_distances(g)) == bfs_distances(g)
 
     def test_array_is_read_only(self):
-        dm = all_pairs_distances(cycle3())
+        dist = all_pairs_distances(cycle3())
         with pytest.raises(ValueError, match="read-only"):
-            dm.array[0, 1] = 5
-        assert dm.array[0, 1] == 1
+            dist[0, 1] = 5
+        assert dist[0, 1] == 1
 
 
 class TestDistanceCache:
@@ -266,6 +267,7 @@ class TestDistanceCache:
     def test_equality_and_hash_ignore_the_cache(self):
         a, b = paley_tournament(7), paley_tournament(7)
         a.distances()
+        a.automorphisms()
         assert a == b and hash(a) == hash(b)
 
     @pytest.fixture
@@ -340,7 +342,10 @@ class TestTournamentPredicate:
 
 
 class TestAutomorphisms:
-    """The distance-preserving permutations ``DistanceMatrix.automorphisms`` finds."""
+    """The distance-preserving permutations ``Digraph.automorphisms`` finds.
+
+    A graph caches its automorphisms, so a test that patches a budget builds
+    its graph after the patch."""
 
     @staticmethod
     def check_maps(g, maps):
@@ -357,14 +362,14 @@ class TestAutomorphisms:
         + [(transitive_tournament(20), 1), (sc_tight(3, 2), 14)],
     )
     def test_group_orders(self, g, order):
-        maps = all_pairs_distances(g).automorphisms()
+        maps = g.automorphisms()
         assert len(maps) == order
         self.check_maps(g, maps)
 
     @settings(max_examples=40)
     @given(oriented_digraphs(max_n=6))
     def test_finds_every_automorphism(self, g):
-        maps = all_pairs_distances(g).automorphisms()
+        maps = g.automorphisms()
         self.check_maps(g, maps)
         brute = [
             p for p in itertools.permutations(range(g.n))
@@ -377,36 +382,36 @@ class TestAutomorphisms:
     )
     def test_map_budget_stops_large_groups(self, g):
         started = time.perf_counter()
-        maps = all_pairs_distances(g).automorphisms()
+        maps = g.automorphisms()
         assert time.perf_counter() - started < 5
         assert len(maps) == MAX_AUTOMORPHISMS
         self.check_maps(g, maps)
 
     def test_node_budget_keeps_the_identity(self, monkeypatch):
-        g = paley_tournament(19)
         monkeypatch.setattr(digraph, "MAX_AUTOMORPHISM_NODES", 10)
-        assert all_pairs_distances(g).automorphisms() == (tuple(range(19)),)
+        assert paley_tournament(19).automorphisms() == (tuple(range(19)),)
         monkeypatch.setattr(digraph, "MAX_AUTOMORPHISM_NODES", 50)
-        maps = all_pairs_distances(g).automorphisms()
+        g = paley_tournament(19)
+        maps = g.automorphisms()
         assert 1 < len(maps) < 171
         self.check_maps(g, maps)
 
     @pytest.mark.parametrize(
-        "g, budget",
-        [(paley_tournament(19), b) for b in (10, 50, 70)]
-        + [(rotation_tournament(12), b) for b in (30, 115)]
-        + [(sc_tight(3, 2), b) for b in (40, 58)]
-        + [(tripartite_cycle(8), b) for b in (30, 35, 40)],
+        "build, budget",
+        [(lambda: paley_tournament(19), b) for b in (10, 50, 70)]
+        + [(lambda: rotation_tournament(12), b) for b in (30, 115)]
+        + [(lambda: sc_tight(3, 2), b) for b in (40, 58)]
+        + [(lambda: tripartite_cycle(8), b) for b in (30, 35, 40)],
         ids=["paley19-10", "paley19-50", "paley19-70", "rot12-30", "rot12-115",
              "sc_tight-40", "sc_tight-58", "tripartite8-30", "tripartite8-35",
              "tripartite8-40"],
     )
-    def test_node_budget_keeps_a_subgroup(self, monkeypatch, g, budget):
+    def test_node_budget_keeps_a_subgroup(self, monkeypatch, build, budget):
         # each budget runs out short of the whole group (or of 256 maps)
         monkeypatch.setattr(digraph, "MAX_AUTOMORPHISM_NODES", budget)
-        dm = all_pairs_distances(g)
-        maps = set(dm.automorphisms())
-        assert dm.automorphisms_truncated()
+        g = build()
+        maps = set(g.automorphisms())
+        assert g.automorphisms_truncated()
         for a in maps:
             assert tuple(sorted(range(g.n), key=a.__getitem__)) in maps
             assert all(tuple(a[x] for x in b) in maps for b in maps)
@@ -416,8 +421,8 @@ class TestAutomorphisms:
     def test_matches_the_reference_search(self, g, cap):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(digraph, "MAX_AUTOMORPHISMS", cap)
-            dm = all_pairs_distances(g)
-            assert dm.automorphisms() == reference_automorphisms(dm.array.tolist())
+            g = Digraph(g.n, g.sorted_arcs())
+            assert g.automorphisms() == reference_automorphisms(g.distances().tolist())
 
     @pytest.mark.parametrize(
         "g",
@@ -432,8 +437,7 @@ class TestAutomorphisms:
            "edgeless24"],
     )
     def test_family_matches_the_reference_search(self, g):
-        dm = all_pairs_distances(g)
-        assert dm.automorphisms() == reference_automorphisms(dm.array.tolist())
+        assert g.automorphisms() == reference_automorphisms(g.distances().tolist())
 
     def test_searched_once_per_graph(self, monkeypatch):
         calls = []

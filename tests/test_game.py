@@ -10,7 +10,6 @@ from locgame import (
     INF,
     LocalizationSolver,
     ProbeError,
-    all_pairs_distances,
     blowup,
     cops_win,
     is_resolving,
@@ -38,35 +37,31 @@ def cycle3():
 
 class TestPartition:
     def test_cycle_fully_split(self):
-        dm = all_pairs_distances(cycle3())
-        parts = partition_by_probe(dm, {0, 1, 2}, (0,))
+        parts = partition_by_probe(cycle3(), {0, 1, 2}, (0,))
         assert [(vec, sorted(cls)) for vec, cls in parts] == [
             ((0,), [0]), ((1,), [1]), ((2,), [2]),
         ]
 
     def test_transitive_t3_merges(self):
-        dm = all_pairs_distances(transitive_tournament(3))
-        parts = partition_by_probe(dm, {1, 2}, (0,))
+        parts = partition_by_probe(transitive_tournament(3), {1, 2}, (0,))
         assert parts == [((1,), frozenset({1, 2}))]
 
     def test_classes_partition_candidates(self, rng):
         g = rotation_tournament(2)
-        dm = all_pairs_distances(g)
-        parts = partition_by_probe(dm, range(5), (0, 4))
+        parts = partition_by_probe(g, range(5), (0, 4))
         union = frozenset().union(*(cls for _, cls in parts))
         assert union == frozenset(range(5))
         assert sum(len(cls) for _, cls in parts) == 5
 
     def test_duplicate_probe_rejected(self):
-        dm = all_pairs_distances(cycle3())
         with pytest.raises(ProbeError, match="two cops"):
-            partition_by_probe(dm, {0, 1}, (1, 1))
+            partition_by_probe(cycle3(), {0, 1}, (1, 1))
 
     @pytest.mark.parametrize("candidates", [{-1, 0}, {7}, {0, 5}])
     def test_candidates_out_of_range_rejected(self, candidates):
-        dm = all_pairs_distances(rotation_tournament(2))
+        g = rotation_tournament(2)
         with pytest.raises(ValueError, match="candidate -?[0-9]+ out of range for n=5"):
-            partition_by_probe(dm, candidates, (0,))
+            partition_by_probe(g, candidates, (0,))
 
     @settings(max_examples=80, deadline=None)
     @given(oriented_digraphs(max_n=8, min_n=1), st.data())
@@ -79,14 +74,13 @@ class TestPartition:
         cells = {}
         for x in candidates:
             cells.setdefault(tuple(dist[u][x] for u in probe), set()).add(x)
-        dm = all_pairs_distances(g)
-        parts = partition_by_probe(dm, candidates, probe)
+        parts = partition_by_probe(g, candidates, probe)
         assert parts == [(vec, frozenset(cells[vec])) for vec in sorted(cells)]
         for vec, _ in parts:
             assert all(d is INF or type(d) is int for d in vec)
         witnesses = data.draw(st.sets(vertices))
         vectors = {tuple(dist[w][x] for w in witnesses) for x in range(g.n)}
-        assert is_resolving(dm, witnesses) == (len(vectors) == g.n)
+        assert is_resolving(g, witnesses) == (len(vectors) == g.n)
 
 
 class TestRobberStep:
@@ -233,7 +227,7 @@ class TestSolverOracle:
         # blown up by 2 is tripartite_cycle(2) (blowup itself wants k >= 3);
         # blown up by 3 it has 648 automorphisms, more than the search keeps,
         # so the solver quotients by a subset that is not a group
-        assert len(all_pairs_distances(g).automorphisms()) > 1
+        assert len(g.automorphisms()) > 1
         assert_every_set_agrees(g)
 
     def test_every_set_agrees_on_random_digraphs(self):
@@ -245,25 +239,28 @@ class TestSolverOracle:
 
     @pytest.mark.parametrize("cap", [2, 3])
     @pytest.mark.parametrize(
-        "g",
+        "build",
         [
-            paley_tournament(7),
-            rotation_tournament(3),
-            Digraph(9, [(i, (i + d) % 9) for i in range(9) for d in (6, 7)]),
+            lambda: paley_tournament(7),
+            lambda: rotation_tournament(3),
+            lambda: Digraph(9, [(i, (i + d) % 9) for i in range(9) for d in (6, 7)]),
         ],
         ids=["paley7", "rot3", "circulant9"],
     )
-    def test_every_set_agrees_under_truncated_symmetry(self, monkeypatch, g, cap):
+    def test_every_set_agrees_under_truncated_symmetry(self, monkeypatch, build, cap):
         # the truncated search keeps the identity and cap - 1 more maps; these
         # groups have odd order, so at cap 2 the second map's inverse is not
         # kept (at cap 3 Paley-7 happens to keep the subgroup x -> 2^i x).
         # On the circulant, a solver that left out the inverses would answer
-        # some sets wrongly at cap 2, k = 1
+        # some sets wrongly at cap 2, k = 1.  A graph caches its maps, so
+        # each case builds its own after the patch
         monkeypatch.setattr(digraph, "MAX_AUTOMORPHISMS", cap)
-        maps = all_pairs_distances(g).automorphisms()
+        g = build()
+        maps = g.automorphisms()
         inverses = {tuple(sorted(range(g.n), key=m.__getitem__)) for m in maps}
         assert len(maps) == cap
         assert cap != 2 or not inverses <= set(map(tuple, maps))
+        assert LocalizationSolver(g, 1).stats.automorphisms == cap
         assert_every_set_agrees(g)
 
     def test_lazy_queries_match_cold_solves(self):
@@ -314,17 +311,16 @@ def reference_partitions(g, k):
     return list(seen.values())
 
 
-def listed_partitions(dm, k):
+def listed_partitions(g, k):
     """The solver's cell matrix as a list of cell tuples, padding dropped."""
-    return [tuple(c for c in row if c) for row in game._probe_partitions(dm, k).tolist()]
+    return [tuple(c for c in row if c) for row in game._probe_partitions(g, k).tolist()]
 
 
 class TestProbePartitions:
     def test_rotation_counts(self):
         g = rotation_tournament(9)
-        dm = all_pairs_distances(g)
-        assert len(game._probe_partitions(dm, 4)) == 2888  # of C(19, 4) = 3876
-        assert listed_partitions(dm, 2) == reference_partitions(g, 2)
+        assert len(game._probe_partitions(g, 4)) == 2888  # of C(19, 4) = 3876
+        assert listed_partitions(g, 2) == reference_partitions(g, 2)
 
     @pytest.mark.parametrize("block", [1, 3, 1 << 16])
     def test_matches_reference_across_blocks(self, monkeypatch, block):
@@ -333,9 +329,8 @@ class TestProbePartitions:
         for _ in range(20):
             n = rng.randint(1, 8)
             g = random_oriented_digraph(rng, n, rng.uniform(0.1, 0.9))
-            dm = all_pairs_distances(g)
             for k in range(1, n + 1):
-                assert listed_partitions(dm, k) == reference_partitions(g, k)
+                assert listed_partitions(g, k) == reference_partitions(g, k)
 
 
 class TestSolverStats:
@@ -354,7 +349,7 @@ class TestSolverStats:
     def test_representative_is_least_orbit_image(self):
         # 19 vertices, so all three byte tables take part
         solver = LocalizationSolver(paley_tournament(19), 1)
-        maps = solver.g.distances().automorphisms()
+        maps = solver.g.automorphisms()
         rng = random.Random(5)
         for _ in range(100):
             mask = rng.randrange(1, 1 << 19)
@@ -450,7 +445,7 @@ class TestPlayEngine:
     def test_optimal_robber_concedes_only_when_resolved(self):
         g = cycle3()
         robber = optimal_robber(g, 1)
-        vec, cls = robber.choose(partition_by_probe(g.distances(), frozenset(range(3)), (0,)))
+        vec, cls = robber.choose(partition_by_probe(g, frozenset(range(3)), (0,)))
         assert len(cls) == 1  # every class is a singleton here
 
     def test_evasion_on_t5_single_cop(self):
@@ -530,10 +525,9 @@ class TestPlayEngine:
                 return (k % 7, (k + 3) % 7)
 
         transcript = play(g, Pair(), optimal_robber(g, 2), max_rounds=10)
-        dm = all_pairs_distances(g)
         candidates = frozenset(range(7))
         for r in transcript.rounds:
-            parts = dict(partition_by_probe(dm, candidates, r.probe))
+            parts = dict(partition_by_probe(g, candidates, r.probe))
             assert parts[r.vector] == r.chosen_class
             if len(r.chosen_class) > 1:
                 assert r.stepped == robber_step(g, r.chosen_class)

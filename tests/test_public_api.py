@@ -1,8 +1,6 @@
 """Distances belong to the graph: ``Digraph.distances()`` computes them once,
-so no public callable takes an optional distance matrix beside its graph.
-
-The kernels that take a distance matrix as their required first input
-(``partition_by_probe``, ``is_resolving``) are not affected.
+so no public callable takes a distance array, required or optional, beside
+or instead of its graph.
 """
 
 import importlib
@@ -18,7 +16,7 @@ MODULES = [
     if info.name != "__main__"  # importing it runs the CLI
 ]
 
-# kept because benchmarks/workloads.py passes a matrix positionally
+# kept because benchmarks/workloads.py passes an array positionally
 OPTIONAL_DM_ALLOWED = {"locgame.resolve.distinguisher_hypergraph"}
 
 
@@ -48,19 +46,31 @@ def test_the_walk_reaches_the_callables_that_read_distances():
         "locgame.game.play",
         "locgame.verify.bounds_report",
         "locgame.resolve.distinguisher_hypergraph",
+        "locgame.game.partition_by_probe",
+        "locgame.resolve.is_resolving",
     } <= names
 
 
-def test_no_optional_distance_matrix_parameter():
-    optional = []
+def dm_parameters():
+    """(qualified name, parameter) for every public callable with a
+    parameter named ``dm``."""
     for name, obj in public_callables():
         try:
             params = inspect.signature(obj).parameters
         except (TypeError, ValueError):
             continue
-        if "dm" in params and params["dm"].default is None:
-            optional.append(name)
+        if "dm" in params:
+            yield name, params["dm"]
+
+
+def test_no_optional_distance_matrix_parameter():
+    optional = [name for name, param in dm_parameters() if param.default is None]
     assert sorted(optional) == sorted(OPTIONAL_DM_ALLOWED)
+
+
+def test_no_distance_matrix_parameter():
+    # a required dm fails too: the kernels take the graph
+    assert sorted(name for name, _ in dm_parameters()) == sorted(OPTIONAL_DM_ALLOWED)
 
 
 def test_distances_are_computed_only_through_the_graph():

@@ -65,28 +65,28 @@ def brute_metric_dimension(g):
 class TestIsResolving:
     def test_cycle_single_witness(self):
         g = cycle3()
-        assert is_resolving(all_pairs_distances(g), {0})
+        assert is_resolving(g, {0})
 
     def test_transitive_t3_fails(self):
         g = transitive_tournament(3)
-        assert not is_resolving(all_pairs_distances(g), {0})
+        assert not is_resolving(g, {0})
 
     def test_directed_path(self):
         g = directed_path(4)
-        assert is_resolving(all_pairs_distances(g), {0})
+        assert is_resolving(g, {0})
 
     def test_infinities_collide(self):
         # vertices 2 and 3 are both unreachable from 0: INF == INF
         g = Digraph(4, [(0, 1)])
-        assert not is_resolving(all_pairs_distances(g), {0})
+        assert not is_resolving(g, {0})
         # but a single INF is a distance like any other
         g2 = Digraph(3, [(0, 1)])
-        assert is_resolving(all_pairs_distances(g2), {0})
+        assert is_resolving(g2, {0})
 
     def test_full_set_always_resolves(self, rng):
         for _ in range(20):
             g = random_oriented_digraph(rng, rng.randint(1, 6), 0.5)
-            assert is_resolving(all_pairs_distances(g), range(g.n))
+            assert is_resolving(g, range(g.n))
 
 
 class TestMetricDimension:
@@ -127,11 +127,11 @@ class TestMetricDimension:
             metric_dimension_exact(g)
 
 
-def reference_metric_dimension(g, dm):
+def reference_metric_dimension(g):
     """Lexicographic search testing one set at a time with is_resolving."""
     for size in range(1, g.n + 1):
         for ws in itertools.combinations(range(g.n), size):
-            if is_resolving(dm, ws):
+            if is_resolving(g, ws):
                 return size, frozenset(ws)
     raise AssertionError
 
@@ -147,8 +147,7 @@ class TestPackedWitnessSearch:
         from locgame import resolve
 
         g = data.draw(oriented_digraphs(min_n=n, max_n=n))
-        dm = all_pairs_distances(g)
-        want = reference_metric_dimension(g, dm)
+        want = reference_metric_dimension(g)
         # blocks of at most 1 set, 3 sets and the default size; the packed
         # mask of one witness set takes 8 * ceil(C(n, 2) / 64) bytes
         mask_bytes = 8 * -(-math.comb(n, 2) // 64)
@@ -175,8 +174,8 @@ class TestBetaLowerBound:
     def test_at_most_beta(self, g):
         from locgame import resolve
 
-        dm = all_pairs_distances(g)
-        assert 1 <= resolve._beta_lower_bound(dm) <= reference_metric_dimension(g, dm)[0]
+        dist = all_pairs_distances(g)
+        assert 1 <= resolve._beta_lower_bound(dist) <= reference_metric_dimension(g)[0]
 
     @pytest.mark.parametrize(
         "n, message",
@@ -275,6 +274,13 @@ class TestDistinguisherHypergraph:
         with pytest.raises(ValueError, match="direction"):
             distinguisher_hypergraph(cycle3(), direction="sideways")
 
+    def test_distance_array_of_another_size_rejected(self):
+        g = rotation_tournament(3)
+        with pytest.raises(ValueError, match=r"shape \(5, 5\) for n=7"):
+            distinguisher_hypergraph(g, all_pairs_distances(transitive_tournament(5)))
+        given = distinguisher_hypergraph(g, all_pairs_distances(g))
+        assert given.edges == distinguisher_hypergraph(g).edges
+
 
 class TestCParameterAndBound:
     def test_cycle_c_is_one(self):
@@ -308,4 +314,4 @@ class TestCParameterAndBound:
             g = random_oriented_digraph(rng, rng.randint(2, 7), 0.5)
             dm = all_pairs_distances(g)
             cover = greedy_vertex_cover(distinguisher_hypergraph(g, dm))
-            assert is_resolving(dm, cover)
+            assert is_resolving(g, cover)
