@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 from typing import Iterable
 
@@ -407,7 +408,27 @@ def to_edge_list(g: Digraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# An edge list of ASCII digits, spaces, tabs and newlines only: the count
+# line, then one "u v" line per arc, blank lines anywhere, and no number too
+# long for int64.  (``int`` also reads Unicode digits and "1_0", so those
+# texts, like comments and negative ids, take the line loop.)
+_PLAIN_EDGE_LIST = re.compile(
+    r"[ \t\n]*[0-9]{1,18}[ \t]*(?:\n[ \t\n]*[0-9]{1,18}[ \t]+[0-9]{1,18}[ \t]*)*[ \t\n]*"
+)
+
+
 def from_edge_list(text: str) -> Digraph:
+    """The digraph of an edge list.  A plain one (see ``_PLAIN_EDGE_LIST``)
+    is read as one array of numbers; any other text line by line, which
+    gives the same graph or raises the same error."""
+    if _PLAIN_EDGE_LIST.fullmatch(text):
+        numbers = np.array(text.split(), dtype=np.int64)
+        return Digraph(int(numbers[0]), numbers[1:].reshape(-1, 2).tolist())
+    return Digraph(*_edge_list_lines(text))
+
+
+def _edge_list_lines(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """The vertex count and arcs of an edge list, read line by line."""
     n = None
     arcs = []
     for raw in text.splitlines():
@@ -423,7 +444,7 @@ def from_edge_list(text: str) -> Digraph:
         arcs.append((int(parts[0]), int(parts[1])))
     if n is None:
         raise ValueError("edge list is missing the vertex count line")
-    return Digraph(n, arcs)
+    return n, arcs
 
 
 def to_json(g: Digraph) -> str:

@@ -12,7 +12,10 @@ States are vertex bitmasks.  Each distinct partition the probes induce on
 the graph's cached distance array is one row of a zero-padded matrix of its
 non-singleton cells, so ``cells & S`` holds the parts of S under every probe
 at once, and three byte tables of closed out-neighbourhoods step all of them
-through the robber's move.  An automorphism of the digraph maps winning sets
+through the robber's move.  The partitions are built level by level, a
+probe set's row being its least vertex's row ANDed with the row of the
+rest, and repeats are dropped by a sort on one hashed key per partition,
+checked exactly.  An automorphism of the digraph maps winning sets
 to winning sets, so each state is replaced by its representative: its least
 image under the graph's cached automorphisms (:meth:`Digraph.automorphisms`)
 and their inverses.  Wins live in a bool table over all 2^n masks (16 MB at
@@ -32,7 +35,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import chain, combinations, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -95,13 +97,64 @@ def _normalize_probe(probe: Sequence[int], n: int) -> tuple[int, ...]:
     return ps
 
 
+def _hash_constants(count: int) -> np.ndarray:
+    """``count`` odd int64 multipliers: splitmix64 outputs of 1..count, made
+    by arithmetic (importing ``numpy.random`` costs megabytes of RSS)."""
+    z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return (z ^ (z >> np.uint64(31))).view(np.int64) | 1
+
+
+_HASH = _hash_constants(64)  # one per column of the rows _first_rows takes
+
+
 def _first_rows(a: np.ndarray) -> np.ndarray:
-    """Ascending indices of the first occurrence of each distinct row."""
-    order = np.lexsort(a.T[::-1])  # stable, so equal rows keep index order
-    ranked = a[order]
+    """Ascending indices of the first occurrence of each distinct row of an
+    int64 matrix of at most 64 columns.
+
+    Rows are sorted on one key, their wrapping dot product with ``_HASH``.
+    Each row whose key repeats is then compared with the row before it,
+    one column at a time; only when two rows with one key differ does the
+    sort fall back to all the columns, so the result is always exact."""
+    key = a @ _HASH[: a.shape[1]]
+    order = np.argsort(key, kind="stable")  # stable, so equal rows keep index order
+    ranked = key[order]
     starts = np.ones(len(a), dtype=bool)
-    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    starts[1:] = ranked[1:] != ranked[:-1]
+    repeated = ~starts[1:]
+    later, earlier = order[1:][repeated], order[:-1][repeated]
+    if len(later) and any((column[later] != column[earlier]).any() for column in a.T):
+        order = np.lexsort(a.T[::-1])
+        ranked = a[order]
+        starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
     return np.sort(order[starts])
+
+
+def _level_rows(
+    prev: np.ndarray, same: np.ndarray, j: int, k: int, start: int, stop: int
+) -> np.ndarray:
+    """Rows start..stop-1 of level j of the probe-row build, from level j-1.
+
+    Level j holds the rows of the j-sets whose least vertex is at least
+    k - j (the sets that k - j smaller vertices can still extend to k-sets),
+    in ``combinations`` order.  Those with least vertex x come in turn:
+    x's row ANDed with each row of level j-1 whose sets lie above x, which
+    are its last C(n-1-x, j-1) rows.  So each x is one AND of a slice of
+    level j-1 written straight into the output: no gather, no temporary."""
+    if j == 1:  # one set per vertex: a slice of the rows, in one AND
+        return same[k - 1 + start : k - 1 + stop] & prev[0]
+    n = len(same)
+    out = np.empty((stop - start, n), dtype=np.int64)
+    first = 0  # level j index of the first set with least vertex x
+    for x in range(k - j, n - j + 1):
+        size = math.comb(n - 1 - x, j - 1)
+        lo, hi = max(start, first), min(stop, first + size)
+        if lo < hi:
+            shift = len(prev) - size - first  # level j-1 index minus level j index
+            np.bitwise_and(prev[shift + lo : shift + hi], same[x], out=out[lo - start : hi - start])
+        first += size
+    return out
 
 
 def _probe_partitions(g: Digraph, k: int) -> np.ndarray:
@@ -114,34 +167,43 @@ def _probe_partitions(g: Digraph, k: int) -> np.ndarray:
     equal rows are equal partitions; one row is kept per distinct partition,
     in the order of the first probe (in ``combinations`` order) inducing it.
     Each cell is listed once, at its lowest vertex, in vertex order.
+
+    The rows are built level by level, each set's row being its least
+    vertex's row ANDed with the row of the rest (see :func:`_level_rows`).
+    Levels 1..k-1 are built whole; the k-set rows come in blocks of
+    ``_PROBE_BLOCK``, each deduplicated by :func:`_first_rows` as it comes,
+    then the blocks' survivors together.  The cells are scattered from
+    the listed (row, vertex) pairs into the zero-padded matrix.
     """
     n = g.n
     dist = g.distances()
     bits = np.int64(1) << np.arange(n, dtype=np.int64)
     # same[u, x]: mask of the vertices y with d(u, y) == d(u, x)
     same = ((dist[:, :, None] == dist[:, None, :]) * bits).sum(axis=2)
-    probes = combinations(range(n), k)
+    level = np.full((1, n), -1, dtype=np.int64)  # the empty set: all ones
+    for j in range(1, k):
+        level = _level_rows(level, same, j, k, 0, math.comb(n - k + j, j))
+    total = math.comb(n, k)
     kept = []
-    while True:
-        block = np.fromiter(
-            chain.from_iterable(islice(probes, _PROBE_BLOCK)), dtype=np.intp
-        ).reshape(-1, k)
-        if not len(block):
-            break
-        rows = same[block[:, 0]]
-        for j in range(1, k):
-            rows &= same[block[:, j]]
+    for start in range(0, total, _PROBE_BLOCK):
+        rows = _level_rows(level, same, k, k, start, min(start + _PROBE_BLOCK, total))
         kept.append(rows[_first_rows(rows)])
-    rows = np.concatenate(kept)
+    # free the (k-1)-set rows and the blocks' survivors before the last
+    # dedupe copies the rows again
+    del level
+    rows = kept[0]
     if len(kept) > 1:
+        rows = np.concatenate(kept)
+        kept.clear()
         rows = rows[_first_rows(rows)]
     # x lists its cell when x is the cell's lowest vertex and not alone in it
-    listed = ((rows & -rows) == bits) & ((rows & (rows - 1)) != 0)
-    width = int(listed.sum(axis=1).max())
-    first = np.argsort(~listed, axis=1, kind="stable")[:, :width]
-    return np.where(
-        np.take_along_axis(listed, first, axis=1), np.take_along_axis(rows, first, axis=1), 0
-    )
+    listed = ((rows & (bits - 1)) == 0) & (rows != bits)
+    row, x = listed.nonzero()
+    counts = listed.sum(axis=1)
+    slot = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
+    cells = np.zeros((len(rows), int(counts.max())), dtype=np.int64)
+    cells[row, slot] = rows[row, x]
+    return cells
 
 
 def _byte_tables(images: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -174,12 +236,13 @@ def _images(tables: tuple[np.ndarray, ...], masks):
 @dataclass(frozen=True)
 class SolverStats:
     """What a solver did: its probe sets, the distinct partitions they
-    induce, the automorphisms it quotients by and whether a budget cut
-    their search short, the states it explored, and the seconds spent
-    building it and answering ``wins``."""
+    induce and the bytes of their cell matrix, the automorphisms it
+    quotients by and whether a budget cut their search short, the states it
+    explored, and the seconds spent building it and answering ``wins``."""
 
     probe_sets: int
     partitions: int
+    partition_bytes: int
     automorphisms: int
     automorphisms_truncated: bool
     explored_states: int
@@ -255,6 +318,7 @@ class LocalizationSolver:
         return SolverStats(
             probe_sets=math.comb(self.g.n, self.k),
             partitions=len(self._cells),
+            partition_bytes=self._cells.nbytes,
             automorphisms=self._automorphisms,
             automorphisms_truncated=self.g.automorphisms_truncated(),
             explored_states=len(self._explored),

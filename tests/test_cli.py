@@ -2,6 +2,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -574,3 +577,14 @@ def test_any_command_line_exits_cleanly(argv, graph, suffix):
     assert "Traceback" not in err
     if code == 3:
         assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_importing_the_cli_leaves_numpy_random_unloaded():
+    """numpy.random alone adds about 6 MB to the peak RSS of every CLI run."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, locgame, locgame.cli; print('numpy.random' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"

@@ -1,6 +1,7 @@
 import itertools
 import json
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -297,6 +298,28 @@ class TestDistanceCache:
         assert len(apsp_calls) == 1
 
 
+# fragments that must take the line loop: comments, signs, CR line ends,
+# Unicode digits and spaces, "1_0"
+EDGE_LIST_NOISE = ["#", "-", "+", "\r\n", "x", "1_0", "\u0663", "\u2028", "\x0b", "\xa0", "9" * 19]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge lists of small numbers, spaced with blanks, tabs and empty
+    lines, and at times one fragment of noise inserted anywhere."""
+    number = st.integers(0, 9).map(str) | st.sampled_from(["007", "10", "12"])
+    space = st.sampled_from([" ", "\t", "  ", " \t"])
+    end = st.sampled_from(["\n", "\n\n", " \n", "\n \n"])
+    lines = [draw(st.sampled_from(["", " ", "\n"])) + draw(number) + draw(end)]
+    for _ in range(draw(st.integers(0, 6))):
+        lines.append(draw(number) + draw(space) + draw(number) + draw(end))
+    text = "".join(lines)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(EDGE_LIST_NOISE)) + text[at:]
+    return text
+
+
 class TestFileFormats:
     def test_edge_list_round_trip(self, rng):
         g = random_oriented_digraph(rng, 6, 0.5)
@@ -313,6 +336,24 @@ class TestFileFormats:
     def test_edge_list_requires_header(self):
         with pytest.raises(ValueError, match="vertex count"):
             from_edge_list("# nothing\n")
+
+    @settings(max_examples=300)
+    @given(st.text(max_size=30) | edge_list_texts())
+    def test_edge_list_matches_the_line_loop(self, text):
+        def outcome(read):
+            try:
+                return read(text)
+            except ValueError as error:
+                return str(error)
+
+        # the arguments each reader hands the constructor, or its parse error
+        with mock.patch.object(digraph, "Digraph", lambda n, arcs: (n, list(map(tuple, arcs)))):
+            read = outcome(from_edge_list)
+        assert read == outcome(digraph._edge_list_lines)
+        # a graph too large to build in a test is judged by its arguments only
+        if isinstance(read, str) or read[0] <= 64:
+            line_loop = outcome(lambda t: Digraph(*digraph._edge_list_lines(t)))
+            assert outcome(from_edge_list) == line_loop
 
 
 class TestTournamentPredicate:

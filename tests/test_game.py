@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -333,11 +334,64 @@ class TestProbePartitions:
                 assert listed_partitions(g, k) == reference_partitions(g, k)
 
 
+def lexsort_first_rows(a):
+    """Ascending indices of the first occurrence of each distinct row, by a
+    stable sort on every column."""
+    order = np.lexsort(a.T[::-1])
+    ranked = a[order]
+    starts = np.ones(len(a), dtype=bool)
+    starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return np.sort(order[starts])
+
+
+@st.composite
+def matrices_with_duplicates(draw):
+    """int64 matrices whose rows are drawn, with repeats, from a few
+    distinct rows, each a base row with one column changed."""
+    width = draw(st.integers(1, 64))
+    entry = st.integers(0, 3) | st.integers(-(1 << 63), (1 << 63) - 1)
+    base = draw(st.lists(entry, min_size=width, max_size=width))
+    changes = draw(st.lists(st.tuples(st.integers(0, width - 1), entry), min_size=1, max_size=8))
+    distinct = np.array([base] * len(changes), dtype=np.int64)
+    for row, (column, value) in enumerate(changes):
+        distinct[row, column] = value
+    picks = draw(st.lists(st.integers(0, len(changes) - 1), min_size=1, max_size=40))
+    return distinct[picks]
+
+
+class TestFirstRows:
+    @settings(max_examples=100)
+    @given(matrices_with_duplicates())
+    def test_matches_the_lexsort_oracle(self, a):
+        assert game._first_rows(a).tolist() == lexsort_first_rows(a).tolist()
+
+    def test_rows_with_one_key_that_differ(self):
+        # (c1, 0) and (0, c0) have the same key, c0 * c1
+        c0, c1 = game._HASH[:2].tolist()
+        a = np.array([[c1, 0], [0, c0], [c1, 0], [0, c0], [0, 0]], dtype=np.int64)
+        assert (a @ game._HASH[:2])[0] == (a @ game._HASH[:2])[1]
+        assert game._first_rows(a).tolist() == [0, 1, 4]
+
+    def test_every_key_colliding_keeps_the_answers(self, monkeypatch):
+        monkeypatch.setattr(game, "_HASH", np.zeros(64, dtype=np.int64))
+        rng = random.Random(11)
+        for _ in range(5):
+            n = rng.randint(1, 8)
+            g = random_oriented_digraph(rng, n, rng.uniform(0.1, 0.9))
+            for k in range(1, n + 1):
+                assert listed_partitions(g, k) == reference_partitions(g, k)
+        solver = LocalizationSolver(rotation_tournament(9), 5)
+        stats = solver.stats
+        assert (stats.probe_sets, stats.partitions, stats.automorphisms) == (11628, 5567, 19)
+        assert solver.cops_win() and solver.explored_states == 7
+
+
 class TestSolverStats:
     def test_counters_on_rotation(self):
         solver = LocalizationSolver(rotation_tournament(9), 5)
         before = solver.stats
         assert (before.probe_sets, before.partitions, before.automorphisms) == (11628, 5567, 19)
+        assert before.partition_bytes == solver._cells.nbytes == 5567 * 6 * 8
         assert before.explored_states == 0 and before.solve_s == 0 and before.init_s > 0
         assert solver.cops_win()
         after = solver.stats
