@@ -28,20 +28,26 @@ class Digraph:
     """An immutable simple oriented digraph.
 
     ``adjacency[u, v]`` is True exactly when u -> v is an arc; the matrix is
-    read-only.  Construction validates every arc and orientation; instances
+    read-only.  The arcs are pairs of integers, or an (m, 2) integer array
+    of them.  Construction validates every arc and orientation; instances
     are safe to share between threads.  The distances and the automorphisms
     are computed once per graph, on the first call that needs them.
     """
 
     __slots__ = ("n", "adjacency", "_distances", "_automorphisms")
 
-    def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
+    def __init__(self, n: int, arcs: Iterable[tuple[int, int]] | np.ndarray):
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
             raise ValueError(f"vertex count must be an integer, not {type(n).__name__}")
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        arcs = list(arcs)
-        tails, heads = ends = _endpoints(n, arcs)
+        if isinstance(arcs, np.ndarray) and arcs.dtype.kind in "iu" and arcs.shape[1:] == (2,):
+            # wrapping a huge unsigned endpoint to a negative one keeps it out of range
+            ends = arcs.T.astype(np.intp)
+        else:
+            arcs = list(arcs)
+            ends = _endpoints(n, arcs)
+        tails, heads = ends
         adjacency = np.zeros((n, n), dtype=bool)
         in_range = ((ends >= 0) & (ends < n)).all()
         if in_range:
@@ -176,7 +182,7 @@ def _endpoints(n: int, arcs: list) -> np.ndarray:
     return ends.reshape(2, -1)
 
 
-def _first_fault(n: int, arcs: list, ends: np.ndarray) -> str:
+def _first_fault(n: int, arcs: list | np.ndarray, ends: np.ndarray) -> str:
     """The error for the first arc, in input order, that is out of range, a
     self-loop or the later arc of a digon."""
     tails, heads = ends
@@ -423,7 +429,7 @@ def from_edge_list(text: str) -> Digraph:
     gives the same graph or raises the same error."""
     if _PLAIN_EDGE_LIST.fullmatch(text):
         numbers = np.array(text.split(), dtype=np.int64)
-        return Digraph(int(numbers[0]), numbers[1:].reshape(-1, 2).tolist())
+        return Digraph(int(numbers[0]), numbers[1:].reshape(-1, 2))
     return Digraph(*_edge_list_lines(text))
 
 

@@ -22,6 +22,12 @@ and their inverses.  Wins live in a bool table over all 2^n masks (16 MB at
 n = 24).  When a representative wins, every image of it is marked, so a
 stepped part is looked up directly, without computing its representative.
 
+Set-up is paid only where it is needed.  The tables that do not depend on
+k (the step tables and the automorphism tables) are built once per graph
+object and shared by its solvers for k = 1, 2, ..., kept for the last graph
+asked about.  A solver builds its partition matrix on its first query (or
+the first read of its stats), so a robber that is never asked builds none.
+
 The fixpoint is computed by sweeps.  A query explores the representatives
 newly reachable from it, breadth first, then re-evaluates only those, last
 explored first, until a sweep wins no further state.  Earlier states are not
@@ -233,12 +239,52 @@ def _images(tables: tuple[np.ndarray, ...], masks):
     )
 
 
+def _graph_tables(g: Digraph) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], int]:
+    """What a solver needs of g at any k: the byte tables stepping a mask
+    through the robber's move, the byte tables of the kept automorphisms
+    with their inverses, and the number of maps kept.  The tables are
+    read-only, since solvers share them."""
+    n = g.n
+    # closed[v]: mask of v and its out-neighbours
+    closed = (g.adjacency | np.eye(n, dtype=bool)) @ (np.int64(1) << np.arange(n))
+    step = tuple(t[0] for t in _byte_tables(closed[None]))
+    maps = np.array(g.automorphisms(), dtype=np.int64)
+    # the kept maps need not be closed under inverses (a truncated search
+    # keeps a subset of the group); with the inverses added, every mask
+    # is an image of its representative, so marking a winning
+    # representative's images lets win[mask] answer for any mask
+    both = np.concatenate([maps, np.argsort(maps, axis=1)])
+    images = _byte_tables(np.int64(1) << both[_first_rows(both)])
+    for table in step + images:
+        table.flags.writeable = False
+    return step, images, len(maps)
+
+
+# the last graph given to _shared_tables and its tables, as one tuple
+_shared: tuple[Digraph, tuple] | None = None
+
+
+def _shared_tables(g: Digraph) -> tuple:
+    """:func:`_graph_tables` of g, kept for the last graph asked about, so
+    the solvers for k = 1, 2, ... of one graph build them once.
+
+    The memo matches on identity, not equality: equal graphs read from two
+    files share nothing.  It is one tuple rebound in one assignment, so two
+    threads racing here only build the tables twice."""
+    global _shared
+    shared = _shared
+    if shared is None or shared[0] is not g:
+        shared = _shared = (g, _graph_tables(g))
+    return shared[1]
+
+
 @dataclass(frozen=True)
 class SolverStats:
     """What a solver did: its probe sets, the distinct partitions they
     induce and the bytes of their cell matrix, the automorphisms it
     quotients by and whether a budget cut their search short, the states it
-    explored, and the seconds spent building it and answering ``wins``."""
+    explored, the times it opened a state and the sweeps it ran, and the
+    seconds spent building it and answering ``wins``."""
 
     probe_sets: int
     partitions: int
@@ -246,6 +292,8 @@ class SolverStats:
     automorphisms: int
     automorphisms_truncated: bool
     explored_states: int
+    opens: int
+    sweeps: int
     init_s: float
     solve_s: float
 
@@ -255,7 +303,9 @@ class LocalizationSolver:
 
     The reachable candidate-set graph is explored lazily from whichever sets
     are queried, and only newly explored states are swept, so the play
-    engine can keep asking about new sets mid-game.
+    engine can keep asking about new sets mid-game.  The constructor checks
+    the budgets; the partition matrix is built on the first query, and its
+    seconds count to ``init_s``, not ``solve_s``.
     """
 
     def __init__(self, g: Digraph, k: int):
@@ -272,23 +322,15 @@ class LocalizationSolver:
             )
         self.g = g
         self.k = k
-        n = g.n
-        self._full = (1 << n) - 1
-        # the classes of any S are the nonempty intersections with these cells
-        self._cells = _probe_partitions(g, k)
-        # closed[v]: mask of v and its out-neighbours
-        closed = (g.adjacency | np.eye(n, dtype=bool)) @ (np.int64(1) << np.arange(n))
-        self._step = tuple(t[0] for t in _byte_tables(closed[None]))
-        maps = np.array(g.automorphisms(), dtype=np.int64)
-        self._automorphisms = len(maps)
-        # the kept maps need not be closed under inverses (a truncated search
-        # keeps a subset of the group); with the inverses added, every mask
-        # is an image of its representative, so marking a winning
-        # representative's images lets win[mask] answer for any mask
-        maps = np.concatenate([maps, np.argsort(maps, axis=1)])
-        self._maps = _byte_tables(np.int64(1) << maps[_first_rows(maps)])
-        self._win = np.zeros(1 << n, dtype=bool)
+        self._full = (1 << g.n) - 1
+        self._step, self._maps, self._automorphisms = _shared_tables(g)
+        # the classes of any S are the nonempty intersections with these
+        # cells; built by _build_partitions on the first query
+        self._cells: np.ndarray | None = None
+        self._win = np.zeros(1 << g.n, dtype=bool)
         self._explored: set[int] = set()
+        self._opens = 0
+        self._sweeps = 0
         self._init_s = time.perf_counter() - started
         self._solve_s = 0.0
 
@@ -296,10 +338,11 @@ class LocalizationSolver:
 
     def wins(self, candidates: Iterable[int] | int) -> bool:
         """Can k cops force a unique candidate starting from this set?"""
-        started = time.perf_counter()
         mask = candidates if isinstance(candidates, int) else self._mask(candidates)
         if not 0 < mask <= self._full:
             raise ValueError("candidate set must be a nonempty subset of V")
+        self._build_partitions()
+        started = time.perf_counter()
         mask = int(self._representative(mask))
         if mask not in self._explored:
             self._sweep(self._explore(mask))
@@ -315,6 +358,7 @@ class LocalizationSolver:
 
     @property
     def stats(self) -> SolverStats:
+        self._build_partitions()
         return SolverStats(
             probe_sets=math.comb(self.g.n, self.k),
             partitions=len(self._cells),
@@ -322,11 +366,20 @@ class LocalizationSolver:
             automorphisms=self._automorphisms,
             automorphisms_truncated=self.g.automorphisms_truncated(),
             explored_states=len(self._explored),
+            opens=self._opens,
+            sweeps=self._sweeps,
             init_s=self._init_s,
             solve_s=self._solve_s,
         )
 
     # -- internals ---------------------------------------------------------
+
+    def _build_partitions(self) -> None:
+        """Build the cell matrix, once; its seconds count to ``init_s``."""
+        if self._cells is None:
+            started = time.perf_counter()
+            self._cells = _probe_partitions(self.g, self.k)
+            self._init_s += time.perf_counter() - started
 
     def _mask(self, vertices: Iterable[int]) -> int:
         mask = 0
@@ -345,6 +398,7 @@ class LocalizationSolver:
 
         s wins when some probe leaves every part a single vertex or a set
         that wins after the robber's move."""
+        self._opens += 1
         if not self._win[s]:
             parts = self._cells & s
             stepped = _images(self._step, parts)
@@ -378,6 +432,7 @@ class LocalizationSolver:
         explored or won before, so earlier states are at their fixpoint."""
         pending = states[::-1]
         while pending:
+            self._sweeps += 1
             left = [s for s in pending if self._open(s) is not None]
             if len(left) == len(pending):
                 return

@@ -8,15 +8,6 @@ from hypothesis import strategies as st
 from locgame import INF, Digraph, digraph
 
 
-def random_oriented_digraph(rng: random.Random, n: int, p: float) -> Digraph:
-    arcs = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                arcs.append((u, v) if rng.random() < 0.5 else (v, u))
-    return Digraph(n, arcs)
-
-
 def reference_arcs(n: int, arcs) -> frozenset[tuple[int, int]]:
     """Reference constructor: the arc-by-arc loop that validates each arc in
     input order and raises the ValueError of the first faulty one."""

@@ -16,8 +16,7 @@ from locgame.decomposition import (
     path_decomposition_to_json,
     read_decomposition,
 )
-
-from conftest import random_oriented_digraph
+from locgame.verify import random_digraph
 
 
 def cycle3():
@@ -82,7 +81,7 @@ class TestPathDecomposition:
         agree = 0
         for _ in range(300):
             n = rng.randint(1, 6)
-            g = random_oriented_digraph(rng, n, rng.uniform(0.2, 0.8))
+            g = random_digraph(rng, n, rng.uniform(0.2, 0.8))
             nbags = rng.randint(1, 4)
             bags = [
                 {v for v in range(n) if rng.random() < 0.6} for _ in range(nbags)
@@ -139,7 +138,7 @@ class TestDagDecomposition:
         rng = random.Random(11)
         for _ in range(200):
             n = rng.randint(1, 5)
-            g = random_oriented_digraph(rng, n, rng.uniform(0.2, 0.8))
+            g = random_digraph(rng, n, rng.uniform(0.2, 0.8))
             k = rng.randint(1, 3)
             index = Digraph(
                 k,

@@ -34,14 +34,13 @@ from locgame.digraph import (
     to_edge_list,
     to_json,
 )
-from locgame.verify import bounds_report
+from locgame.verify import bounds_report, random_digraph
 
 from conftest import (
     arc_lists,
     bfs_distances,
     circulants,
     oriented_digraphs,
-    random_oriented_digraph,
     reference_arcs,
     reference_automorphisms,
 )
@@ -84,28 +83,37 @@ class TestDigraph:
         with pytest.raises(ValueError, match="out of range"):
             Digraph(2, [(0, 2)])
 
+    def test_rejects_an_endpoint_too_large_for_intp(self):
+        huge = 2**64 - 1
+        for arcs in ([(0, 1), (huge, 1)], np.array([(0, 1), (huge, 1)], dtype=np.uint64)):
+            with pytest.raises(ValueError, match=rf"^arc \({huge},1\) out of range for n=3$"):
+                Digraph(3, arcs)
+
     @settings(max_examples=300, deadline=None)
     @given(arc_lists())
     def test_matches_reference_constructor(self, case):
+        # the arcs as Python pairs and as the (m, 2) int64 array an edge
+        # list is parsed into give one graph, or one error
         n, arcs = case
-        try:
-            expected = reference_arcs(n, arcs)
-        except ValueError as exc:
-            with pytest.raises(ValueError) as info:
-                Digraph(n, arcs)
-            assert str(info.value) == str(exc)
-            return
-        g = Digraph(n, arcs)
-        assert g.arcs == expected
-        assert g.sorted_arcs() == sorted(expected)
-        assert g.arc_count == len(expected)
-        for u in range(n):
-            out = tuple(sorted(v for (t, v) in expected if t == u))
-            into = tuple(sorted(t for (t, v) in expected if v == u))
-            assert g.out_neighbors(u) == out and g.out_degree(u) == len(out)
-            assert g.in_neighbors(u) == into and g.in_degree(u) == len(into)
-            assert g.is_source(u) == (not into)
-            assert all(type(v) is int for v in out + into)
+        for given_arcs in (arcs, np.array(arcs, dtype=np.int64).reshape(-1, 2)):
+            try:
+                expected = reference_arcs(n, arcs)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as info:
+                    Digraph(n, given_arcs)
+                assert str(info.value) == str(exc)
+                continue
+            g = Digraph(n, given_arcs)
+            assert g.arcs == expected
+            assert g.sorted_arcs() == sorted(expected)
+            assert g.arc_count == len(expected)
+            for u in range(n):
+                out = tuple(sorted(v for (t, v) in expected if t == u))
+                into = tuple(sorted(t for (t, v) in expected if v == u))
+                assert g.out_neighbors(u) == out and g.out_degree(u) == len(out)
+                assert g.in_neighbors(u) == into and g.in_degree(u) == len(into)
+                assert g.is_source(u) == (not into)
+                assert all(type(v) is int for v in out + into)
 
     @pytest.mark.parametrize(
         "arcs",
@@ -161,7 +169,7 @@ class TestDigraph:
 
     def test_adjacency_consistency(self, rng):
         for _ in range(20):
-            g = random_oriented_digraph(rng, rng.randint(1, 8), 0.5)
+            g = random_digraph(rng, rng.randint(1, 8), 0.5)
             for u in range(g.n):
                 for v in g.out_neighbors(u):
                     assert g.has_arc(u, v)
@@ -199,7 +207,7 @@ class TestDistances:
         assert dist[0, 4] == 2
 
     def test_arc_iff_distance_one(self, rng):
-        g = random_oriented_digraph(rng, 7, 0.4)
+        g = random_digraph(rng, 7, 0.4)
         dist = all_pairs_distances(g)
         for u in range(7):
             for v in range(7):
@@ -208,12 +216,12 @@ class TestDistances:
 
     def test_matches_floyd_warshall_oracle(self, rng):
         for _ in range(30):
-            g = random_oriented_digraph(rng, rng.randint(1, 8), rng.uniform(0.1, 0.9))
+            g = random_digraph(rng, rng.randint(1, 8), rng.uniform(0.1, 0.9))
             assert listed(all_pairs_distances(g)) == floyd_warshall(g)
 
     def test_triangle_inequality(self, rng):
         for _ in range(20):
-            g = random_oriented_digraph(rng, rng.randint(2, 8), 0.5)
+            g = random_digraph(rng, rng.randint(2, 8), 0.5)
             d = listed(all_pairs_distances(g))
             for u in range(g.n):
                 for v in range(g.n):
@@ -322,11 +330,11 @@ def edge_list_texts(draw):
 
 class TestFileFormats:
     def test_edge_list_round_trip(self, rng):
-        g = random_oriented_digraph(rng, 6, 0.5)
+        g = random_digraph(rng, 6, 0.5)
         assert from_edge_list(to_edge_list(g)) == g
 
     def test_json_round_trip(self, rng):
-        g = random_oriented_digraph(rng, 6, 0.5)
+        g = random_digraph(rng, 6, 0.5)
         assert from_json(to_json(g)) == g
 
     def test_edge_list_comments_and_blanks(self):

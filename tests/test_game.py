@@ -22,14 +22,15 @@ from locgame import (
     play,
     robber_step,
     rotation_tournament,
+    sc_composite,
     sc_tight,
     transitive_tournament,
     tripartite_cycle,
 )
 from locgame import digraph, game
-from locgame.verify import random_dag
+from locgame.verify import random_dag, random_digraph
 
-from conftest import bfs_distances, oriented_digraphs, random_oriented_digraph
+from conftest import bfs_distances, oriented_digraphs
 
 
 def cycle3():
@@ -130,7 +131,7 @@ class TestCopsWin:
 
     def test_monotone_in_k(self, rng):
         for _ in range(15):
-            g = random_oriented_digraph(rng, rng.randint(2, 6), 0.5)
+            g = random_digraph(rng, rng.randint(2, 6), 0.5)
             wins = [cops_win(g, k) for k in range(1, g.n + 1)]
             assert wins == sorted(wins)  # False... then True
 
@@ -200,7 +201,7 @@ class TestSolverOracle:
         rng = random.Random(4242)
         for _ in range(60):
             n = rng.randint(1, 5)
-            g = random_oriented_digraph(rng, n, rng.uniform(0.1, 0.9))
+            g = random_digraph(rng, n, rng.uniform(0.1, 0.9))
             for k in range(1, n + 1):
                 assert cops_win(g, k) == oracle_cops_win(g, k)
 
@@ -235,7 +236,7 @@ class TestSolverOracle:
         rng = random.Random(4244)
         for _ in range(30):
             assert_every_set_agrees(
-                random_oriented_digraph(rng, rng.randint(1, 7), rng.uniform(0.1, 0.9))
+                random_digraph(rng, rng.randint(1, 7), rng.uniform(0.1, 0.9))
             )
 
     @pytest.mark.parametrize("cap", [2, 3])
@@ -268,7 +269,7 @@ class TestSolverOracle:
         rng = random.Random(999)
         for _ in range(60):
             n = rng.randint(2, 7)
-            g = random_oriented_digraph(rng, n, rng.uniform(0.2, 0.9))
+            g = random_digraph(rng, n, rng.uniform(0.2, 0.9))
             k = rng.randint(1, min(3, n))
             cold = LocalizationSolver(g, k).cops_win()
             warm = LocalizationSolver(g, k)
@@ -329,7 +330,7 @@ class TestProbePartitions:
         rng = random.Random(7)
         for _ in range(20):
             n = rng.randint(1, 8)
-            g = random_oriented_digraph(rng, n, rng.uniform(0.1, 0.9))
+            g = random_digraph(rng, n, rng.uniform(0.1, 0.9))
             for k in range(1, n + 1):
                 assert listed_partitions(g, k) == reference_partitions(g, k)
 
@@ -377,7 +378,7 @@ class TestFirstRows:
         rng = random.Random(11)
         for _ in range(5):
             n = rng.randint(1, 8)
-            g = random_oriented_digraph(rng, n, rng.uniform(0.1, 0.9))
+            g = random_digraph(rng, n, rng.uniform(0.1, 0.9))
             for k in range(1, n + 1):
                 assert listed_partitions(g, k) == reference_partitions(g, k)
         solver = LocalizationSolver(rotation_tournament(9), 5)
@@ -393,12 +394,17 @@ class TestSolverStats:
         assert (before.probe_sets, before.partitions, before.automorphisms) == (11628, 5567, 19)
         assert before.partition_bytes == solver._cells.nbytes == 5567 * 6 * 8
         assert before.explored_states == 0 and before.solve_s == 0 and before.init_s > 0
+        assert (before.opens, before.sweeps) == (0, 0)
         assert solver.cops_win()
         after = solver.stats
         assert after.explored_states == solver.explored_states == 7
+        # each explored state is opened once exploring and once in one sweep
+        assert (after.opens, after.sweeps) == (14, 1)
         assert after.solve_s > 0 and after.init_s == before.init_s
         solver.wins(range(3))
-        assert solver.stats.solve_s > after.solve_s
+        last = solver.stats
+        assert last.solve_s > after.solve_s
+        assert (last.explored_states, last.opens, last.sweeps) == (8, 16, 2)
 
     def test_representative_is_least_orbit_image(self):
         # 19 vertices, so all three byte tables take part
@@ -434,6 +440,72 @@ class TestSolverStats:
         assert stats.automorphisms_truncated and stats.automorphisms == 9
 
 
+class TestLazySetUp:
+    def test_an_unasked_robber_builds_no_partitions(self, monkeypatch):
+        # sc_composite resolves sc_tight(3, 2) in its first probe, so the
+        # robber never asks its solver anything
+        built = []
+        build = game._probe_partitions
+        monkeypatch.setattr(game, "_probe_partitions", lambda g, k: built.append(k) or build(g, k))
+        g = sc_tight(3, 2)
+        robber = optimal_robber(g, 5)
+        transcript = play(g, sc_composite(g), robber, max_rounds=5 * g.n)
+        assert transcript.outcome.captured and built == []
+        # the first read of the stats builds the partitions, counted in init_s
+        init_s = robber.solver.stats.init_s
+        assert built == [5] and robber.solver.stats.solve_s == 0
+        assert robber.solver.stats.init_s == init_s
+
+    @pytest.mark.parametrize(
+        "build, k, error, match",
+        [
+            (lambda: transitive_tournament(25), 1, BudgetExceededError, "25 vertices"),
+            (lambda: rotation_tournament(2), 3, BudgetExceededError, r"C\(5,3\) probe sets"),
+            (lambda: rotation_tournament(2), 6, ValueError, "cop count 6"),
+            (lambda: rotation_tournament(2), 0, ValueError, "cop count 0"),
+        ],
+        ids=["vertices", "probe_sets", "k_above_n", "k_zero"],
+    )
+    def test_checks_raise_at_construction(self, monkeypatch, build, k, error, match):
+        def unreached(*args):
+            raise AssertionError("set-up ran before the checks")
+
+        monkeypatch.setattr(game, "MAX_PROBE_SETS", 9)  # C(5, 3) = 10
+        monkeypatch.setattr(game, "_graph_tables", unreached)
+        monkeypatch.setattr(game, "_probe_partitions", unreached)
+        with pytest.raises(error, match=match):
+            LocalizationSolver(build(), k)
+
+    def test_zeta_builds_the_graph_tables_once_per_graph_object(self, monkeypatch):
+        built = []
+        build = game._graph_tables
+        monkeypatch.setattr(game, "_graph_tables", lambda g: built.append(g) or build(g))
+        monkeypatch.setattr(game, "_shared", None)
+        g, twin = rotation_tournament(4), rotation_tournament(4)
+        assert localization_number_exact(g) == 3  # solvers for k = 1, 2, 3
+        assert len(built) == 1 and built[0] is g
+        # an equal graph read separately shares nothing with g
+        assert twin == g and twin is not g
+        assert localization_number_exact(twin) == 3
+        assert len(built) == 2 and built[1] is twin
+        solver = LocalizationSolver(twin, 2)
+        assert len(built) == 2
+        assert not any(t.flags.writeable for t in solver._step + solver._maps)
+
+    def test_every_set_agrees_for_solvers_sharing_tables(self):
+        # the solvers for k = 1..n are made one after another on one graph,
+        # then the memo moves to another graph before any is asked
+        g = paley_tournament(7)
+        solvers = [LocalizationSolver(g, k) for k in range(1, g.n + 1)]
+        assert all(s._maps is solvers[0]._maps for s in solvers)
+        assert all(s._cells is None for s in solvers)
+        LocalizationSolver(rotation_tournament(2), 1)
+        for k, solver in reversed(list(enumerate(solvers, 1))):
+            oracle = oracle_win_sets(g, k)
+            for s in range(1, 1 << g.n):
+                assert solver.wins(s) == (s in oracle), (k, s)
+
+
 class TestLocalizationNumber:
     def test_known_small_values(self):
         assert localization_number_exact(cycle3()) == 1
@@ -458,7 +530,7 @@ class TestLocalizationNumber:
 
     def test_sandwich_with_metric_dimension(self, rng):
         for _ in range(25):
-            g = random_oriented_digraph(rng, rng.randint(1, 6), rng.uniform(0.2, 0.8))
+            g = random_digraph(rng, rng.randint(1, 6), rng.uniform(0.2, 0.8))
             zeta = localization_number_exact(g)
             beta, _ = metric_dimension_exact(g)
             assert 1 <= zeta <= beta

@@ -1,7 +1,9 @@
 """Exact ζ on seeded random tournaments and oriented digraphs (n = 12–20).
 
 ``golden_zeta.json`` was pinned from an earlier, independently written
-solver; any rewrite of the fixpoint must reproduce every value.
+solver; any rewrite of the fixpoint must reproduce every value.  Its
+'oriented' instances come from ``locgame.verify.random_digraph``, line for
+line the test helper the table's ``about`` text names.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from pathlib import Path
 import pytest
 
 from locgame import localization_number_exact, random_tournament
+from locgame.verify import random_digraph
 
-from conftest import random_oriented_digraph
 
 GOLDEN = json.loads(Path(__file__).with_name("golden_zeta.json").read_text())["instances"]
 
@@ -22,7 +24,7 @@ GOLDEN = json.loads(Path(__file__).with_name("golden_zeta.json").read_text())["i
 def _build(spec):
     if spec["kind"] == "tournament":
         return random_tournament(spec["n"], spec["p"], spec["seed"])
-    return random_oriented_digraph(random.Random(spec["seed"]), spec["n"], spec["p"])
+    return random_digraph(random.Random(spec["seed"]), spec["n"], spec["p"])
 
 
 def test_table_shape():

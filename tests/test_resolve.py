@@ -28,8 +28,9 @@ from locgame import (
     transitive_tournament,
 )
 from locgame.resolve import CASE_NO, CASE_PATH, CASE_SOURCE_PLUS_PATH
+from locgame.verify import random_digraph
 
-from conftest import oriented_digraphs, random_oriented_digraph
+from conftest import oriented_digraphs
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -85,7 +86,7 @@ class TestIsResolving:
 
     def test_full_set_always_resolves(self, rng):
         for _ in range(20):
-            g = random_oriented_digraph(rng, rng.randint(1, 6), 0.5)
+            g = random_digraph(rng, rng.randint(1, 6), 0.5)
             assert is_resolving(g, range(g.n))
 
 
@@ -111,7 +112,7 @@ class TestMetricDimension:
     def test_against_brute_oracle(self):
         rng = random.Random(31337)
         for _ in range(200):
-            g = random_oriented_digraph(rng, rng.randint(1, 5), rng.uniform(0.1, 0.9))
+            g = random_digraph(rng, rng.randint(1, 5), rng.uniform(0.1, 0.9))
             assert metric_dimension_exact(g)[0] == brute_metric_dimension(g)
 
 
@@ -234,7 +235,7 @@ class TestDimOneClassifier:
         rng = random.Random(95014)
         disagreements = []
         for _ in range(200):
-            g = random_oriented_digraph(rng, rng.randint(1, 5), rng.uniform(0.1, 0.9))
+            g = random_digraph(rng, rng.randint(1, 5), rng.uniform(0.1, 0.9))
             verdict = metric_dim_one_classifier(g)
             beta = metric_dimension_exact(g)[0]
             if (verdict != CASE_NO) != (beta == 1):
@@ -250,7 +251,7 @@ class TestDistinguisherHypergraph:
 
     def test_edges_always_contain_their_pair(self, rng):
         for _ in range(20):
-            g = random_oriented_digraph(rng, rng.randint(2, 6), 0.5)
+            g = random_digraph(rng, rng.randint(2, 6), 0.5)
             h = distinguisher_hypergraph(g)
             for (x, y), e in zip(itertools.combinations(range(g.n), 2), h.edges):
                 assert x in e and y in e
@@ -262,7 +263,7 @@ class TestDistinguisherHypergraph:
     def test_reverse_convention_differs_somewhere(self, rng):
         found = False
         for _ in range(50):
-            g = random_oriented_digraph(rng, 5, 0.5)
+            g = random_digraph(rng, 5, 0.5)
             a = distinguisher_hypergraph(g, direction="witness-to-pair")
             b = distinguisher_hypergraph(g, direction="pair-to-witness")
             if a.edges != b.edges:
@@ -291,7 +292,7 @@ class TestCParameterAndBound:
         from fractions import Fraction
 
         for _ in range(20):
-            g = random_oriented_digraph(rng, rng.randint(2, 6), 0.5)
+            g = random_digraph(rng, rng.randint(2, 6), 0.5)
             assert c_parameter(g) >= Fraction(2, g.n)
 
     def test_cycle_bound_value(self):
@@ -305,13 +306,13 @@ class TestCParameterAndBound:
 
     def test_bound_holds_on_random_instances(self, rng):
         for _ in range(30):
-            g = random_oriented_digraph(rng, rng.randint(2, 6), 0.5)
+            g = random_digraph(rng, rng.randint(2, 6), 0.5)
             beta = metric_dimension_exact(g)[0]
             assert beta <= lp_upper_bound(g) + 1e-9
 
     def test_greedy_cover_resolves(self, rng):
         for _ in range(20):
-            g = random_oriented_digraph(rng, rng.randint(2, 7), 0.5)
+            g = random_digraph(rng, rng.randint(2, 7), 0.5)
             dm = all_pairs_distances(g)
             cover = greedy_vertex_cover(distinguisher_hypergraph(g, dm))
             assert is_resolving(g, cover)

@@ -17,8 +17,9 @@ from locgame import (
     transitive_tournament,
     tripartite_cycle,
 )
+from locgame.verify import random_digraph
 
-from conftest import bfs_distances, random_oriented_digraph
+from conftest import bfs_distances
 
 
 def cycle3():
@@ -47,7 +48,7 @@ class TestStrongComponents:
 
     def test_component_ids_topologically_ordered(self, rng):
         for _ in range(30):
-            g = random_oriented_digraph(rng, rng.randint(1, 9), 0.4)
+            g = random_digraph(rng, rng.randint(1, 9), 0.4)
             scc = strong_components(g)
             for (i, j) in scc.condensation.arcs:
                 assert i < j
@@ -120,7 +121,7 @@ class TestOutDegeneracy:
 
     def test_against_exhaustive_oracle(self, rng):
         for _ in range(25):
-            g = random_oriented_digraph(rng, rng.randint(1, 7), rng.uniform(0.2, 0.9))
+            g = random_digraph(rng, rng.randint(1, 7), rng.uniform(0.2, 0.9))
             assert out_degeneracy(g) == exhaustive_out_degeneracy(g)
 
 
@@ -151,7 +152,7 @@ class TestSpread:
 
     def test_against_brute_oracle(self, rng):
         for _ in range(25):
-            g = random_oriented_digraph(rng, rng.randint(1, 7), rng.uniform(0.2, 0.9))
+            g = random_digraph(rng, rng.randint(1, 7), rng.uniform(0.2, 0.9))
             m = spread_m(g)
             assert m == brute_spread(g)
             assert m is INF or type(m) is int

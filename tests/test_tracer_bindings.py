@@ -3,14 +3,17 @@
 ``benchmarks/tracing.py`` wraps public functions and methods by name for
 the length of a traced pass.  Entering and leaving its context here makes a
 renamed or deleted traced name fail the test suite, and checks that every
-binding is put back afterwards.
+binding is put back afterwards.  The solver counters are read off the
+constructor's arguments, so a solver is counted whether or not it is asked.
 """
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
 import locgame.cli  # noqa: F401  (loads every module the tracer rebinds in)
+from locgame import LocalizationSolver, rotation_tournament
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
 
@@ -46,3 +49,15 @@ def test_instrument_rebinds_and_restores(monkeypatch):
         assert after[owner].keys() == attrs.keys(), owner
         changed = [a for a, v in attrs.items() if after[owner][a] is not v]
         assert not changed, (owner, changed)
+
+
+def test_an_unqueried_solver_is_counted(monkeypatch):
+    tracing = _load_tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    g = rotation_tournament(4)
+    with tracing.instrument(tracer):
+        solver = LocalizationSolver(g, 3)
+    assert solver._cells is None  # never asked, so no partitions were built
+    assert tracer.counts["game.solver_builds"] == 1
+    assert tracer.counts["game.probe_sets"] == math.comb(9, 3)
+    assert tracer.counts["game.explored_states"] == 0
