@@ -106,8 +106,9 @@ def _family(args):
     if args.family == "binary_source":
         if not args.base:
             raise UsageError("gen binary_source needs --base <graph-file>")
-        return binary_source_extension(_read_graph(args.base))
-    names, build = FAMILIES[args.family]
+        names, build = (), lambda: binary_source_extension(_read_graph(args.base))
+    else:
+        names, build = FAMILIES[args.family]
     params = tuple(int(x) for x in args.params)
     if len(params) != len(names):
         raise ValueError(f"{args.family} expects parameters {names}, got {params}")

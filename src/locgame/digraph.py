@@ -145,9 +145,10 @@ class Digraph:
         """Induced subgraph on ``vertices``.
 
         Returns the subgraph (relabeled to ``0..k-1``) together with the
-        list mapping new ids back to the original ids.
+        list mapping new ids back to the original ids.  An id outside
+        0..n-1 raises ValueError.
         """
-        keep = sorted(set(vertices))
+        keep = sorted({self._vertex(v) for v in vertices})
         sub = self.adjacency[np.ix_(keep, keep)]
         return Digraph(len(keep), np.argwhere(sub).tolist()), keep
 

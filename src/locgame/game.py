@@ -15,7 +15,8 @@ at once, and three byte tables of closed out-neighbourhoods step all of them
 through the robber's move.  The partitions are built level by level, a
 probe set's row being its least vertex's row ANDed with the row of the
 rest, and repeats are dropped by a sort on one hashed key per partition,
-checked exactly.  An automorphism of the digraph maps winning sets
+checked exactly.  The metric dimension search of :mod:`locgame.resolve`
+runs on the same build.  An automorphism of the digraph maps winning sets
 to winning sets, so each state is replaced by its representative: its least
 image under the graph's cached automorphisms (:meth:`Digraph.automorphisms`)
 and their inverses.  Wins live in a bool table over all 2^n masks (16 MB at
@@ -140,7 +141,8 @@ def _first_rows(a: np.ndarray) -> np.ndarray:
 def _level_rows(
     prev: np.ndarray, same: np.ndarray, j: int, k: int, start: int, stop: int
 ) -> np.ndarray:
-    """Rows start..stop-1 of level j of the probe-row build, from level j-1.
+    """Rows start..stop-1 of level j of the k-set row build, from level j-1;
+    a set's row is the AND of its vertices' int64 rows of ``same``.
 
     Level j holds the rows of the j-sets whose least vertex is at least
     k - j (the sets that k - j smaller vertices can still extend to k-sets),
@@ -151,7 +153,7 @@ def _level_rows(
     if j == 1:  # one set per vertex: a slice of the rows, in one AND
         return same[k - 1 + start : k - 1 + stop] & prev[0]
     n = len(same)
-    out = np.empty((stop - start, n), dtype=np.int64)
+    out = np.empty((stop - start, same.shape[1]), dtype=np.int64)
     first = 0  # level j index of the first set with least vertex x
     for x in range(k - j, n - j + 1):
         size = math.comb(n - 1 - x, j - 1)
@@ -161,6 +163,14 @@ def _level_rows(
             np.bitwise_and(prev[shift + lo : shift + hi], same[x], out=out[lo - start : hi - start])
         first += size
     return out
+
+
+def _lower_level(same: np.ndarray, k: int) -> np.ndarray:
+    """Level k-1 of the k-set row build, from the empty set's all-ones row."""
+    level = np.full((1, same.shape[1]), -1, dtype=np.int64)
+    for j in range(1, k):
+        level = _level_rows(level, same, j, k, 0, math.comb(len(same) - k + j, j))
+    return level
 
 
 def _probe_partitions(g: Digraph, k: int) -> np.ndarray:
@@ -186,9 +196,7 @@ def _probe_partitions(g: Digraph, k: int) -> np.ndarray:
     bits = np.int64(1) << np.arange(n, dtype=np.int64)
     # same[u, x]: mask of the vertices y with d(u, y) == d(u, x)
     same = ((dist[:, :, None] == dist[:, None, :]) * bits).sum(axis=2)
-    level = np.full((1, n), -1, dtype=np.int64)  # the empty set: all ones
-    for j in range(1, k):
-        level = _level_rows(level, same, j, k, 0, math.comb(n - k + j, j))
+    level = _lower_level(same, k)
     total = math.comb(n, k)
     kept = []
     for start in range(0, total, _PROBE_BLOCK):

@@ -8,8 +8,8 @@ probe direction of the game (witness to candidate).  The reverse convention
 
 One kernel, the witness x pair separation matrix read off the distance
 array, feeds the three users: the distinguisher hypergraph is its
-transpose, c counts its columns, and the exact metric dimension ORs its
-rows, packed into 64-bit words, over witness sets.
+transpose, c counts its columns, and the exact metric dimension ANDs its
+complement's rows, packed into 64-bit words, over witness sets.
 """
 
 from __future__ import annotations
@@ -22,14 +22,14 @@ from typing import Iterable
 import numpy as np
 
 from .digraph import Digraph
-from .game import MAX_PROBE_SETS, BudgetExceededError
+from .game import MAX_PROBE_SETS, BudgetExceededError, _level_rows, _lower_level
 from .hypergraph import Hypergraph
 
 CASE_PATH = "case1"
 CASE_SOURCE_PLUS_PATH = "case2"
 CASE_NO = "no"
 
-# bytes of packed masks one block of witness sets ORs together, and the sets
+# bytes of packed masks one block of witness sets ANDs together, and the sets
 # in a size's first block: blocks double from there, since on random n = 22
 # tournaments beta is 5 and the witness is among the first 3 000 of the
 # 26 334 sets of size 5
@@ -40,7 +40,6 @@ _FIRST_BLOCK = 256
 @dataclass(frozen=True)
 class ResolvingSet:
     vertices: frozenset[int]
-    resolved: bool
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -66,15 +65,15 @@ def metric_dimension_exact(g: Digraph) -> tuple[int, ResolvingSet]:
     size within the budget can resolve.
 
     A set resolves when its witnesses together separate every vertex pair,
-    i.e. when the OR of their rows of the witness x pair separation matrix
-    (see :func:`distinguisher_hypergraph`), packed into uint64 words, is all
-    ones.  The sets of each size are the sets of the previous size, each
-    extended by every vertex above its last, which is ``combinations``
-    order; so each set costs one OR of its prefix's mask and one row, and
-    the first hit is the lexicographically least witness.  It is confirmed
-    once with :func:`is_resolving`.  A size's masks are kept while the next
-    size is searched: within the budget that is at most 10 MB for n <= 120,
-    and 32 MB at worst (n = 181).
+    i.e. when the AND of their rows of the complement of the witness x pair
+    separation matrix (see :func:`distinguisher_hypergraph`), packed into
+    64-bit words, is all zeros.  Sizes from the lower bound on run on the
+    solver's k-set row build (:func:`locgame.game._level_rows`), in
+    ``combinations`` order, so the first hit is the lexicographically least
+    witness.  It is confirmed once with :func:`is_resolving`.  A size's
+    C(n-1, size-1) masks of (size-1)-sets are kept while it is searched:
+    within the budget at most 15.2 MiB for n <= 120 (at n = 70) and
+    31.3 MiB for n <= 181; past that the bool separation matrix is larger.
     """
     if g.n < 1:
         raise ValueError("metric dimension needs at least one vertex")
@@ -93,7 +92,7 @@ def metric_dimension_exact(g: Digraph) -> tuple[int, ResolvingSet]:
         )
     if not is_resolving(g, ws):
         raise AssertionError(f"packed search accepted non-resolving {ws}")
-    return len(ws), ResolvingSet(frozenset(ws), True)
+    return len(ws), ResolvingSet(frozenset(ws))
 
 
 def _beta_lower_bound(dist: np.ndarray) -> int:
@@ -116,43 +115,24 @@ def _beta_lower_bound(dist: np.ndarray) -> int:
 
 def _least_resolving(dist: np.ndarray, least: int, stop: int) -> list[int] | None:
     """The first resolving set of a size in ``least..stop-1``, in
-    size-then-lexicographic order, or None.  The smaller sizes are built, in
-    blocks as large as allowed, but not tested."""
+    size-then-lexicographic order, or None.  Sizes below ``least`` are not
+    built."""
     n = len(dist)
-    separated = _separation(dist, "witness-to-pair")
-    words = -(-separated.shape[1] // 64)
-    padded = np.ones((n, 64 * words), dtype=bool)  # spare bits count as separated
-    padded[:, : separated.shape[1]] = separated
-    rows = np.packbits(padded, axis=1).view(np.uint64)
-    per_block = max(1, _WITNESS_BLOCK_BYTES // max(1, rows[0].nbytes))
-    full = ~np.uint64(0)
-    # the sets of the previous size: their masks and their last vertices
-    masks, last = np.zeros((1, words), dtype=np.uint64), np.array([-1])
-    for size in range(1, stop):
-        ends = np.cumsum(n - 1 - last)  # one past each set's extensions
-        sets = int(ends[-1])
-        keep = size + 1 < stop  # the next size extends this one
-        if keep:
-            next_masks = np.empty((sets, words), dtype=np.uint64)
-            next_last = np.empty(sets, dtype=np.intp)
-        done, count = 0, min(_FIRST_BLOCK, per_block) if size >= least else per_block
-        while done < sets:
-            index = np.arange(done, min(done + count, sets))
-            prefix = np.searchsorted(ends, index, side="right")
-            # a prefix's extensions add its last + 1 .. n - 1 and end at ends[prefix]
-            vertex = index - ends[prefix] + n
-            out = next_masks[done : done + len(index)] if keep else None
-            block = np.bitwise_or(masks[prefix], rows[vertex], out=out)
-            if size >= least:
-                hits = np.flatnonzero((block == full).all(axis=1))
-                if len(hits):
-                    return _combination(done + int(hits[0]), n, size)
-            if keep:
-                next_last[done : done + len(index)] = vertex
-            done += len(index)
+    pairs = math.comb(n, 2)
+    unseparated = np.zeros((n, -(-pairs // 64) * 64), dtype=bool)  # spare bits: 0
+    np.logical_not(_separation(dist, "witness-to-pair"), out=unseparated[:, :pairs])
+    same = np.packbits(unseparated, axis=1).view(np.int64)
+    per_block = max(1, _WITNESS_BLOCK_BYTES // max(1, same[0].nbytes))
+    for size in range(least, stop):
+        level, total = _lower_level(same, size), math.comb(n, size)
+        done, count = 0, min(_FIRST_BLOCK, per_block)
+        while done < total:
+            block = _level_rows(level, same, size, size, done, min(done + count, total))
+            hits = np.flatnonzero(~block.any(axis=1))
+            if len(hits):
+                return _combination(done + int(hits[0]), n, size)
+            done += len(block)
             count = min(2 * count, per_block)
-        if keep:
-            masks, last = next_masks, next_last
     return None
 
 

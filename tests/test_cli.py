@@ -356,6 +356,10 @@ class TestBadInput:
         [
             ("gen rotation 0", "rotation: m must be positive, got 0"),
             ("gen rotation 1 2", "rotation: rotation expects parameters ('m',), got (1, 2)"),
+            (
+                "gen binary_source 7 9 --base {graph}",
+                "binary_source: binary_source expects parameters (), got (7, 9)",
+            ),
             ("gen paley 9", "paley: q must be prime, got 9"),
             ("gen random 5 --p 2", "random: p must be a probability, got 2.0"),
             ("gen blowup 1 0", "blowup: independent-set size must be at least 3, got 0"),

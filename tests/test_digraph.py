@@ -187,6 +187,13 @@ class TestDigraph:
         assert back == [1, 3]
         assert sub.arcs == frozenset({(0, 1)})
 
+    @pytest.mark.parametrize("vertices, bad", [([-1, 0], -1), ([5], 5)])
+    def test_induced_rejects_ids_out_of_range(self, vertices, bad):
+        # numpy would wrap -1 to vertex 2, and index past n with IndexError
+        g = Digraph(3, [(0, 1), (1, 2)])
+        with pytest.raises(ValueError, match=rf"vertex {bad} out of range for n=3"):
+            g.induced(vertices)
+
 
 class TestDistances:
     def test_cycle_distances(self):

@@ -8,7 +8,7 @@ import inspect
 import pkgutil
 
 import locgame
-from locgame import digraph
+from locgame import digraph, game, resolve
 
 MODULES = [
     importlib.import_module(f"locgame.{info.name}")
@@ -81,3 +81,9 @@ def test_distances_are_computed_only_through_the_graph():
         if vars(m).get("all_pairs_distances") is digraph.all_pairs_distances
     ]
     assert sorted(holders) == ["locgame", "locgame.digraph"]
+
+
+def test_witness_sets_are_enumerated_by_the_probe_row_build():
+    # one k-set kernel: the beta search runs on the solver's level build
+    assert resolve._level_rows is game._level_rows
+    assert resolve._lower_level is game._lower_level

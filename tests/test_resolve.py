@@ -106,8 +106,9 @@ class TestMetricDimension:
         assert metric_dimension_exact(rotation_tournament(3))[0] == 3
 
     def test_single_vertex(self):
-        beta, witness = metric_dimension_exact(Digraph(1, []))
-        assert beta == 1 and witness.resolved
+        g = Digraph(1, [])
+        beta, witness = metric_dimension_exact(g)
+        assert beta == 1 and is_resolving(g, witness.vertices)
 
     def test_against_brute_oracle(self):
         rng = random.Random(31337)
@@ -197,9 +198,21 @@ class TestBetaLowerBound:
                 metric_dimension_exact(g)
         assert str(err.value) == message
 
+    def test_search_builds_no_size_below_the_bound(self, monkeypatch):
+        # the blow-up of the 3-cycle by 3 has beta = 6 but a bound of 2: the
+        # search builds the lower levels of sizes 2..6 only
+        from locgame import resolve
+
+        g = blowup(rotation_tournament(1), 3)
+        assert resolve._beta_lower_bound(g.distances()) == 2
+        built = mock.Mock(wraps=resolve._lower_level)
+        monkeypatch.setattr(resolve, "_lower_level", built)
+        assert metric_dimension_exact(g)[0] == 6
+        assert [call.args[1] for call in built.call_args_list] == [2, 3, 4, 5, 6]
+
     def test_budget_reached_after_search(self, monkeypatch):
         # the blow-up of the 3-cycle by 3 has beta = 6 but a bound of 2, so
-        # sizes 1 and 2 are searched before the budget stops size 3
+        # size 2 is searched before the budget stops size 3
         from locgame import resolve
 
         monkeypatch.setattr(resolve, "MAX_PROBE_SETS", 9 + 36)
