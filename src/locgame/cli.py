@@ -5,10 +5,11 @@ Graph files are auto-detected by extension (.json, anything else is treated
 as an edge list).  JSON reports encode unreachable/unbounded values as null.
 Exit status: 0 when the report is consistent, the play captured or every
 check passed; 1 for a negative answer; 2 when a solver budget is exceeded
-or the command line is malformed (rejected by argparse, or missing an
-argument its other arguments require); 3 for bad input: a graph or
-decomposition file that cannot be read, has no vertices or does not fit the
-requested strategy, or a family, experiment or count parameter out of range.
+or the command line is malformed (rejected by argparse, missing an argument
+its other arguments require, or giving an option the chosen play strategy
+does not read); 3 for bad input: a graph or decomposition file that cannot
+be read, has no vertices or does not fit the requested strategy, or a
+family, experiment or count parameter out of range.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .verify import CHECKS, bounds_report, run_checks
 
 class UsageError(Exception):
     """A malformed command line: an argument that the other arguments
-    require is missing."""
+    require is missing, or one is given that they do not read."""
 
 
 class InputError(Exception):
@@ -225,6 +226,10 @@ def _strategy(g, args):
 
 
 def cmd_play(args) -> int:
+    if args.cops is not None and args.strategy != "rotation":
+        raise UsageError("--cops applies only to --strategy rotation")
+    if args.decomposition is not None and args.strategy not in ("path_sweep", "dag_decomp_sweep"):
+        raise UsageError("--decomposition applies only to --strategy path_sweep or dag_decomp_sweep")
     max_rounds = _count(args.max_rounds, "--max-rounds")
     g = _read_graph(args.graph)
     try:

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .digraph import UNREACHABLE, Digraph
+from .digraph import UNREACHABLE, Digraph, _check_integers
 
 
 class PathDecomposition:
@@ -23,7 +23,7 @@ class PathDecomposition:
     __slots__ = ("bags",)
 
     def __init__(self, bags: Iterable[Iterable[int]]):
-        self.bags = tuple(frozenset(b) for b in bags)
+        self.bags = _bag_sets(bags)
         if not self.bags:
             raise ValueError("a path decomposition needs at least one bag")
 
@@ -46,7 +46,7 @@ class DagDecomposition:
 
     def __init__(self, index_dag: Digraph, bags: Iterable[Iterable[int]]):
         self.index_dag = index_dag
-        self.bags = tuple(frozenset(b) for b in bags)
+        self.bags = _bag_sets(bags)
         if len(self.bags) != index_dag.n:
             raise ValueError(
                 f"{index_dag.n} index nodes but {len(self.bags)} bags"
@@ -58,6 +58,14 @@ class DagDecomposition:
 
     def __repr__(self) -> str:
         return f"DagDecomposition(nodes={self.index_dag.n}, width={self.width})"
+
+
+def _bag_sets(bags: Iterable[Iterable[int]]) -> tuple[frozenset[int], ...]:
+    """The bags as sets of ints; the members are checked before the sets are
+    built, so that ``True`` cannot merge into ``1``."""
+    bags = [tuple(b) for b in bags]
+    _check_integers((v for b in bags for v in b), "bag members")
+    return tuple(frozenset(map(int, b)) for b in bags)
 
 
 @dataclass(frozen=True)

@@ -164,6 +164,15 @@ class Digraph:
         return f"Digraph(n={self.n}, arcs={self.arc_count})"
 
 
+def _check_integers(values: Iterable, what: str) -> None:
+    """Raise unless every value is an integer (numpy integers count, bool
+    does not), naming the other types found."""
+    kinds = set(map(type, values))
+    odd = [t.__name__ for t in kinds if t is bool or not issubclass(t, (int, np.integer))]
+    if odd:
+        raise ValueError(f"{what} must be integers, not {', '.join(sorted(odd))}")
+
+
 def _endpoints(n: int, arcs: list) -> np.ndarray:
     """The tails and heads of the arcs as the two rows of an intp array;
     raises unless every arc is a pair of integers."""
@@ -171,10 +180,7 @@ def _endpoints(n: int, arcs: list) -> np.ndarray:
         # unpacking the first arc that is not a pair raises the error for it
         u, v = next(arc for arc in arcs if len(arc) != 2)
     ends = sum(zip(*arcs), ())  # every tail, then every head
-    kinds = set(map(type, ends))
-    odd = [t.__name__ for t in kinds if t is bool or not issubclass(t, (int, np.integer))]
-    if odd:
-        raise ValueError(f"arc endpoints must be integers, not {', '.join(sorted(odd))}")
+    _check_integers(ends, "arc endpoints")
     try:
         ends = np.fromiter(ends, np.intp, len(ends))
     except OverflowError:

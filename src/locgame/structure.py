@@ -1,6 +1,7 @@
-"""Structural digraph algorithms: strong components, topological order,
-out-degeneracy, and the distance-spread parameter used by the probe-count
-lower bound."""
+"""Structural digraph algorithms: strong components (mutual reachability in
+the graph's distance array, ordered by one depth-first search), topological
+order, out-degeneracy, and the distance-spread parameter used by the
+probe-count lower bound."""
 
 from __future__ import annotations
 
@@ -40,66 +41,40 @@ class SccDecomposition:
 
 
 def strong_components(g: Digraph) -> SccDecomposition:
-    """Tarjan's algorithm (iterative), components renumbered topologically."""
-    n = g.n
-    index_of = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comp_of = [-1] * n
+    """Strong components, the classes of mutual reachability in the graph's
+    cached distance array, each listed in ascending vertex order.
+
+    Components are numbered by the first appearance of their vertices in the
+    reverse finishing order of one depth-first search (roots 0..n-1,
+    out-neighbours ascending): Tarjan's emission order reversed, since his
+    search emits a component when its first-visited vertex, the last of its
+    vertices to finish, finishes.
+    """
+    reach = g.distances() != UNREACHABLE
+    mutual = reach & reach.T
+    seen = [False] * g.n
+    finished: list[int] = []
+    # a virtual root whose out-neighbours are the roots 0..n-1
+    work = [(-1, iter(range(g.n)))]
+    while work:
+        v, out = work[-1]
+        for w in out:
+            if not seen[w]:
+                seen[w] = True
+                work.append((w, iter(g.out_neighbors(w))))
+                break
+        else:
+            finished.append(work.pop()[0])
+
+    comp_of = [-1] * g.n
     comps: list[list[int]] = []
-    counter = 0
-
-    for root in range(n):
-        if index_of[root] != -1:
-            continue
-        # explicit DFS stack: (vertex, iterator position into out-neighbors)
-        work = [(root, 0)]
-        while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index_of[v] = lowlink[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            out = g.out_neighbors(v)
-            while pi < len(out):
-                w = out[pi]
-                pi += 1
-                if index_of[w] == -1:
-                    work.append((v, pi))
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index_of[w])
-            if advanced:
-                continue
-            if lowlink[v] == index_of[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp_of[w] = len(comps)
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-
-    # Tarjan emits components in reverse topological order of the condensation.
-    k = len(comps)
-    comps.reverse()
-    comp_of = [k - 1 - c for c in comp_of]
-    cond_arcs = {
-        (comp_of[u], comp_of[v])
-        for (u, v) in g.arcs
-        if comp_of[u] != comp_of[v]
-    }
-    return SccDecomposition(comp_of, comps, Digraph(k, cond_arcs))
+    for v in finished[-2::-1]:  # the virtual root finishes last
+        if comp_of[v] == -1:
+            comps.append(np.flatnonzero(mutual[v]).tolist())
+            for u in comps[-1]:
+                comp_of[u] = len(comps) - 1
+    cond_arcs = {(comp_of[u], comp_of[v]) for (u, v) in g.arcs if comp_of[u] != comp_of[v]}
+    return SccDecomposition(comp_of, comps, Digraph(len(comps), cond_arcs))
 
 
 def topological_sort(g: Digraph) -> list[int]:

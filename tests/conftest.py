@@ -5,7 +5,7 @@ from collections import deque
 import pytest
 from hypothesis import strategies as st
 
-from locgame import INF, Digraph, digraph
+from locgame import INF, Digraph, SccDecomposition, digraph
 
 
 def reference_arcs(n: int, arcs) -> frozenset[tuple[int, int]]:
@@ -41,6 +41,70 @@ def bfs_distances(g: Digraph) -> list[list[float]]:
                     queue.append(v)
         dist.append(row)
     return dist
+
+
+def reference_strong_components(g: Digraph) -> SccDecomposition:
+    """Reference strong components: Tarjan's algorithm, iterative, with the
+    components renumbered topologically (his emission order reversed) and
+    each listed in ascending vertex order."""
+    n = g.n
+    index_of = [-1] * n
+    lowlink = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    comp_of = [-1] * n
+    comps: list[list[int]] = []
+    counter = 0
+
+    for root in range(n):
+        if index_of[root] != -1:
+            continue
+        # explicit DFS stack: (vertex, iterator position into out-neighbors)
+        work = [(root, 0)]
+        while work:
+            v, pi = work.pop()
+            if pi == 0:
+                index_of[v] = lowlink[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            advanced = False
+            out = g.out_neighbors(v)
+            while pi < len(out):
+                w = out[pi]
+                pi += 1
+                if index_of[w] == -1:
+                    work.append((v, pi))
+                    work.append((w, 0))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    lowlink[v] = min(lowlink[v], index_of[w])
+            if advanced:
+                continue
+            if lowlink[v] == index_of[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp_of[w] = len(comps)
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(sorted(comp))
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[v])
+
+    k = len(comps)
+    comps.reverse()
+    comp_of = [k - 1 - c for c in comp_of]
+    cond_arcs = {
+        (comp_of[u], comp_of[v])
+        for (u, v) in g.arcs
+        if comp_of[u] != comp_of[v]
+    }
+    return SccDecomposition(comp_of, comps, Digraph(k, cond_arcs))
 
 
 def reference_automorphisms(dist: list[list[int]]) -> tuple[tuple[int, ...], ...]:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from locgame import paley_tournament, random_tournament, rotation_tournament
+from locgame import paley_tournament, random_tournament, rotation_tournament, transitive_tournament
 from locgame import cli
 from locgame.cli import main
 from locgame.digraph import from_edge_list, from_json, to_edge_list, to_json, write_digraph
@@ -269,11 +269,21 @@ class TestBadInput:
         assert "self-loop at vertex 1" in self.run_bad(capsys, "zeta", str(path))
 
     @pytest.mark.parametrize(
-        "text", ["", '{"bag": [[0, 1, 2]]}', '{"index": {"n": 2, "arcs": []}, "bags": [[0]]}'],
+        "text",
+        [
+            "",
+            '{"bag": [[0, 1, 2]]}',
+            '{"index": {"n": 2, "arcs": []}, "bags": [[0]]}',
+            # members that are not integers: on the transitive graph the
+            # last two would pass validation if read as 0 and 1
+            '{"bags": [[0, 1, 2, "a", 5]]}',
+            '{"bags": [[0.0], [1], [2]]}',
+            '{"bags": [[0], [1], [true, 2]]}',
+        ],
     )
     def test_malformed_decomposition(self, capsys, tmp_path, text):
-        graph = tmp_path / "c3.txt"
-        write_digraph(rotation_tournament(1), graph)
+        graph = tmp_path / "t3.txt"
+        write_digraph(transitive_tournament(3), graph)
         decomp = tmp_path / "d.json"
         decomp.write_text(text)
         self.run_bad(
@@ -320,8 +330,6 @@ class TestBadInput:
         assert err == "error: rotation: cop budget must be in 1..1\n"
 
     def test_rotation_on_even_vertex_count(self, capsys, tmp_path):
-        from locgame import transitive_tournament
-
         graph = tmp_path / "t4.txt"
         write_digraph(transitive_tournament(4), graph)
         err = self.run_bad(capsys, "play", str(graph), "--strategy", "rotation")
@@ -390,8 +398,9 @@ class TestBadInput:
 
 
 class TestUsageError:
-    """A command line missing an argument its other arguments require exits
-    2 with one error line."""
+    """A command line missing an argument its other arguments require, or
+    giving one the chosen strategy does not read, exits 2 with one error
+    line."""
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -406,6 +415,22 @@ class TestUsageError:
                 "play {graph} --strategy dag_decomp_sweep",
                 "dag_decomp_sweep needs --decomposition <file>",
             ),
+            # options the chosen strategy does not read
+            (
+                "play {graph} --strategy dag_sweep --cops 3",
+                "--cops applies only to --strategy rotation",
+            ),
+            (
+                "play {graph} --strategy path_sweep --decomposition {graph} --cops 1",
+                "--cops applies only to --strategy rotation",
+            ),
+        ]
+        + [
+            (
+                f"play {{graph}} --strategy {strategy} --decomposition {{graph}}",
+                "--decomposition applies only to --strategy path_sweep or dag_decomp_sweep",
+            )
+            for strategy in ("dag_sweep", "sc_composite", "rotation")
         ],
     )
     def test_missing_argument(self, capsys, tmp_path, argv, message):

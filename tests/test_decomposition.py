@@ -1,5 +1,8 @@
 import random
 
+import numpy as np
+import pytest
+
 from locgame import (
     DagDecomposition,
     Digraph,
@@ -165,6 +168,23 @@ class TestDagDecomposition:
         g = transitive_tournament(4)
         dd = DagDecomposition(g, [{v} for v in range(4)])
         assert dag_guard_condition(g, dd)
+
+
+class TestBagMembers:
+    @pytest.mark.parametrize(
+        "make", [PathDecomposition, lambda bags: DagDecomposition(Digraph(2, []), bags)]
+    )
+    def test_members_must_be_integers(self, make):
+        # checked before the sets are built, so True does not merge into 1
+        with pytest.raises(ValueError, match=r"^bag members must be integers, not bool, str$"):
+            make([[0, True], [1, "a"]])
+        with pytest.raises(ValueError, match=r"not float$"):
+            make([[0.0], [1]])
+
+    def test_numpy_integers_are_read_as_ints(self):
+        bags = PathDecomposition([np.arange(3), [np.int8(3)]]).bags
+        assert bags == (frozenset({0, 1, 2}), frozenset({3}))
+        assert {type(v) for b in bags for v in b} == {int}
 
 
 class TestDecompositionFiles:

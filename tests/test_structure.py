@@ -1,6 +1,9 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from locgame import (
     CyclicGraphError,
@@ -17,9 +20,16 @@ from locgame import (
     transitive_tournament,
     tripartite_cycle,
 )
-from locgame.verify import random_digraph
+from locgame.verify import random_dag, random_digraph
 
-from conftest import bfs_distances
+from conftest import bfs_distances, reference_strong_components
+
+
+def assert_matches_tarjan(g):
+    got, want = strong_components(g), reference_strong_components(g)
+    assert got.components == want.components
+    assert got.component_of == want.component_of
+    assert got.condensation == want.condensation
 
 
 def cycle3():
@@ -59,6 +69,31 @@ class TestStrongComponents:
             assert seen == list(range(g.n))
             for v in range(g.n):
                 assert v in scc.components[scc.component_of[v]]
+
+    def test_order_is_reversed_finishing_not_least_vertex(self):
+        # the search from 0 finishes 2 then 0, and 1 is a later root
+        scc = strong_components(Digraph(3, [(0, 2)]))
+        assert scc.components == ((1,), (0,), (2,))
+        assert scc.component_of == (1, 0, 2)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.sampled_from([random_digraph, random_dag]),
+        st.integers(0, 14),
+        st.floats(0.05, 0.9),
+        st.integers(0, 2**32),
+    )
+    def test_matches_tarjan(self, make, n, p, seed):
+        assert_matches_tarjan(make(random.Random(seed), n, p))
+
+    @pytest.mark.parametrize(
+        "g",
+        [sc_tight(3, 1), sc_tight(3, 2), transitive_tournament(20),
+         binary_source_extension(tripartite_cycle(2))],
+        ids=["sc_tight-3-1", "sc_tight-3-2", "transitive-20", "binary_source-d3-2"],
+    )
+    def test_matches_tarjan_on_families(self, g):
+        assert_matches_tarjan(g)
 
 
 class TestTopologicalSort:
