@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .digraph import UNREACHABLE, Digraph, _check_integers
+from .digraph import UNREACHABLE, Digraph, _check_integers, _from_data, _json_object
 
 
 class PathDecomposition:
@@ -225,7 +225,7 @@ def path_decomposition_to_json(pd: PathDecomposition) -> str:
 
 
 def path_decomposition_from_json(text: str) -> PathDecomposition:
-    return PathDecomposition(json.loads(text)["bags"])
+    return _path_decomposition(json.loads(text))
 
 
 def dag_decomposition_to_json(dd: DagDecomposition) -> str:
@@ -244,14 +244,18 @@ def dag_decomposition_from_json(text: str) -> DagDecomposition:
     return _dag_decomposition(json.loads(text))
 
 
-def _dag_decomposition(data: dict) -> DagDecomposition:
-    index = Digraph(data["index"]["n"], [tuple(a) for a in data["index"]["arcs"]])
-    return DagDecomposition(index, data["bags"])
+def _path_decomposition(data: object) -> PathDecomposition:
+    return PathDecomposition(_json_object(data, "bags", "bags")["bags"])
+
+
+def _dag_decomposition(data: object) -> DagDecomposition:
+    data = _json_object(data, "index, bags", "bags")
+    return DagDecomposition(_from_data(data["index"]), data["bags"])
 
 
 def read_decomposition(path: str | Path) -> PathDecomposition | DagDecomposition:
     """Load either decomposition kind; the presence of "index" decides."""
     data = json.loads(Path(path).read_text())
-    if "index" in data:
+    if isinstance(data, dict) and "index" in data:
         return _dag_decomposition(data)
-    return PathDecomposition(data["bags"])
+    return _path_decomposition(data)

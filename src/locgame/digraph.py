@@ -465,8 +465,21 @@ def to_json(g: Digraph) -> str:
 
 
 def from_json(text: str) -> Digraph:
-    data = json.loads(text)
+    return _from_data(json.loads(text))
+
+
+def _from_data(data: object) -> Digraph:
+    data = _json_object(data, "n, arcs", "arcs")
     return Digraph(data["n"], [tuple(a) for a in data["arcs"]])
+
+
+def _json_object(data: object, keys: str, rows: str) -> dict:
+    """``data``, checked to be a JSON object whose field ``rows``, where
+    present, is a list of lists; a missing key is left to the caller."""
+    value = data.get(rows, []) if isinstance(data, dict) else None
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise ValueError(f"expected an object with keys {keys} ({rows}: a list of lists)")
+    return data
 
 
 def write_digraph(g: Digraph, path: str | Path) -> None:

@@ -2,9 +2,10 @@
 profiles, double regularity, the oriented-4-cycle count, and the sameness
 deviation used to screen quasi-randomness.
 
-The whole-graph statistics come from products of the +-1 indicator matrix C
-(or its 0/1 arc part A), built once per call; the per-pair ``sameness`` and
-``neighborhood_profile`` loops stay as their independent definitions.
+The whole-graph statistics come from products of the +-1 indicator matrix C,
+built once per call; double regularity is read off the sameness kernel
+C C^T.  The per-pair ``sameness`` and ``neighborhood_profile`` loops stay as
+their independent definitions.
 """
 
 from __future__ import annotations
@@ -106,19 +107,15 @@ def doubly_regular_check(g: Digraph) -> bool:
     """Regular tournament where every pair has exactly (n-3)/4 common
     out-neighbors and (n-3)/4 common in-neighbors.
 
-    With A the 0/1 arc matrix, (A A^T)[x, y] counts common out-neighbors
-    and (A^T A)[x, y] common in-neighbors.
+    For x != y with pp common out- and mm common in-neighbors,
+    mm = pp + n - 1 - d+(x) - d+(y), so regularity gives mm = pp and
+    s(x, y) = pp + mm = 2 pp: the test reads s = (n-3)/2 off the sameness
+    kernel.
     """
     _require_tournament(g)
-    a = g.adjacency.astype(np.int64)
     n = g.n
-    if (n - 3) % 4 != 0:
-        return False
-    target = (n - 3) // 4
-    if np.any(a.sum(axis=1) != (n - 1) // 2):
-        return False
-    off = ~np.eye(n, dtype=bool)
-    return bool(np.all((a @ a.T)[off] == target) and np.all((a.T @ a)[off] == target))
+    regular = (n - 3) % 4 == 0 and np.all(g.adjacency.sum(axis=1) == (n - 1) // 2)
+    return bool(regular and np.all(pair_sameness(g) == (n - 3) // 2))
 
 
 def e4c_count(g: Digraph) -> int:

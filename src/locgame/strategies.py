@@ -3,7 +3,8 @@
 Every strategy exposes ``name``, ``cops`` (its budget), and
 ``next(transcript) -> probe``.  Strategies carry no hidden mutable state:
 each call derives everything from the transcript, so replaying a transcript
-reproduces the probes exactly.
+reproduces the probes exactly.  All strategies but ``rotation`` are a
+``BagSweep``: a fixed list of bags built once, probed one per round.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ class StrategyError(RuntimeError):
 class BagSweep:
     """Probe a fixed schedule of bags, one bag per round.
 
-    ``dag_sweep``, ``path_sweep`` and ``dag_decomp_sweep`` build the
-    schedule and the budget; the sweep itself is the same for all three.
+    ``dag_sweep``, ``path_sweep``, ``dag_decomp_sweep`` and ``ScComposite``
+    build the schedule and the budget; the sweep is the same for all four.
     """
 
     def __init__(self, name: str, bags: list[tuple[int, ...]], cops: int):
@@ -47,61 +48,43 @@ class BagSweep:
 DagSweep = BagSweep
 
 
-class ScComposite:
-    """Sweep the strong components in topological order, one phase each.
+class ScComposite(BagSweep):
+    """Sweep the strong components in topological order, one round each.
 
-    A phase probes an exact metric basis of the current component plus one
-    marker inside every child component.  If the robber sits on the
-    component, the basis pins it down that very round (markers exclude
-    look-alikes in descendant components).  Otherwise some basis probe
-    returns unreachable or some marker returns a finite distance, both of
-    which prove the robber has moved on, and the next phase starts.  Budget:
-    largest component basis plus the condensation's maximum out-degree.
+    Each round probes an exact metric basis of its component plus one marker
+    inside every child component.  If the robber sits on the component, the
+    basis pins it down that very round (markers exclude look-alikes in
+    descendant components).  Otherwise some basis probe returns unreachable
+    or some marker returns a finite distance: the robber has moved on.
+    Budget: largest component basis plus the condensation's maximum
+    out-degree.
     """
-
-    name = "sc_composite"
 
     def __init__(self, g: Digraph):
         scc = strong_components(g)
         self.bases: list[tuple[int, ...]] = []
-        for comp in scc.components:
+        bags = []
+        for i, comp in enumerate(scc.components):
             sub, back = g.induced(comp)
             _, witness = metric_dimension_exact(sub)
-            self.bases.append(tuple(sorted(back[w] for w in witness.vertices)))
-        self.markers: list[tuple[int, ...]] = [
-            tuple(scc.components[child][0] for child in scc.condensation.out_neighbors(i))
-            for i in range(len(scc))
-        ]
-        self.cops = max(len(b) for b in self.bases) + scc.max_out_degree
+            basis = {back[w] for w in witness.vertices}
+            markers = {scc.components[c][0] for c in scc.condensation.out_neighbors(i)}
+            self.bases.append(tuple(sorted(basis)))
+            bags.append(tuple(sorted(basis | markers)))
+        cops = max(len(b) for b in self.bases) + scc.max_out_degree
+        super().__init__("sc_composite", bags, cops)
 
-    def _probe_for_phase(self, phase: int) -> tuple[int, ...]:
-        return tuple(sorted(set(self.bases[phase]) | set(self.markers[phase])))
-
-    def _phase(self, transcript: GameTranscript) -> int:
-        phase = 0
-        for r in transcript.rounds:
-            probe = self._probe_for_phase(phase)
-            if r.probe != probe:
+    def next(self, transcript: GameTranscript) -> tuple[int, ...]:
+        for r, bag, basis in zip(transcript.rounds, self.bags, self.bases):
+            if r.probe != bag:
                 raise StrategyError("transcript probes diverge from the schedule")
-            basis = set(self.bases[phase])
-            off_component = False
-            for u, d in zip(probe, r.vector):
-                if u in basis and d == INF:
-                    off_component = True
-                if u not in basis and d != INF:
-                    off_component = True
-            if not off_component:
+            # a basis probe reading unreachable or a marker reading finite
+            if not any((u in basis) == (d == INF) for u, d in zip(r.probe, r.vector)):
                 raise StrategyError(
                     "finite basis reads with silent markers should have "
                     "localized the robber"
                 )
-            phase += 1
-            if phase >= len(self.bases):
-                raise StrategyError("all components cleared without capture")
-        return phase
-
-    def next(self, transcript: GameTranscript) -> tuple[int, ...]:
-        return self._probe_for_phase(self._phase(transcript))
+        return super().next(transcript)
 
 
 class RotationStrategy:

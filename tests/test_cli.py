@@ -238,6 +238,12 @@ class TestBadInput:
         # 10^8 vertices: the 10^16-byte adjacency matrix fails at allocation
         "huge_count.txt": "100000000\n",
         "huge_count.json": '{"n": 100000000, "arcs": []}',
+        # wrong JSON shapes: the error names the expected keys
+        "list_shape.json": "[1, 2]",
+        "number_shape.json": "5",
+        "null_shape.json": "null",
+        "number_arcs_shape.json": '{"n": 3, "arcs": 5}',
+        "number_arc_shape.json": '{"n": 3, "arcs": [5]}',
     }
 
     def run_bad(self, capsys, *argv):
@@ -255,6 +261,12 @@ class TestBadInput:
         path = tmp_path / name
         path.write_text(self.GRAPHS[name])
         assert name in self.run_bad(capsys, command, str(path))
+
+    @pytest.mark.parametrize("name", [k for k in sorted(GRAPHS) if "_shape" in k])
+    def test_wrong_shape_names_the_keys(self, capsys, tmp_path, name):
+        path = tmp_path / name
+        path.write_text(self.GRAPHS[name])
+        assert "expected an object with keys n, arcs" in self.run_bad(capsys, "zeta", str(path))
 
     def test_missing_graph(self, capsys, tmp_path):
         err = self.run_bad(capsys, "zeta", str(tmp_path / "absent.txt"))
@@ -279,6 +291,11 @@ class TestBadInput:
             '{"bags": [[0, 1, 2, "a", 5]]}',
             '{"bags": [[0.0], [1], [2]]}',
             '{"bags": [[0], [1], [true, 2]]}',
+            # wrong JSON shapes at the top level, of "bags" and of "index"
+            '{"index": 5, "bags": [[0]]}',
+            "null",
+            '{"index": ""}',
+            '{"bags": 5}',
         ],
     )
     def test_malformed_decomposition(self, capsys, tmp_path, text):

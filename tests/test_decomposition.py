@@ -207,3 +207,19 @@ class TestDecompositionFiles:
             dag_decomposition_to_json(DagDecomposition(Digraph(1, []), [{0}]))
         )
         assert isinstance(read_decomposition(p2), DagDecomposition)
+
+    @pytest.mark.parametrize(
+        "text,keys",
+        [
+            ("null", "keys bags"),
+            ('{"bags": 5}', "keys bags"),
+            ('{"bags": [5]}', "keys bags"),
+            ('{"index": 5, "bags": [[0]]}', "keys n, arcs"),
+            ('{"index": {"n": 1, "arcs": []}, "bags": 5}', "keys index, bags"),
+        ],
+    )
+    def test_wrong_shape_names_the_keys(self, tmp_path, text, keys):
+        path = tmp_path / "d.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"expected an object with {keys}"):
+            read_decomposition(path)

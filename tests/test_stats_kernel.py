@@ -4,6 +4,7 @@ per-pair definitions, plus a guard on how often the tournament check runs."""
 import itertools
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from locgame import (
@@ -50,6 +51,16 @@ def random_tournaments(draw, max_n=16):
 tournaments = st.one_of(random_tournaments(), st.sampled_from(NAMED))
 
 
+@st.composite
+def circulant_tournaments(draw, max_m=15):
+    """Regular tournaments on Z_n, n = 2m+1: each difference d in 1..m
+    points forward (v -> v+d) or backward (v -> v-d)."""
+    m = draw(st.integers(1, max_m))
+    n = 2 * m + 1
+    steps = [d if draw(st.booleans()) else n - d for d in range(1, m + 1)]
+    return Digraph(n, [(v, (v + d) % n) for v in range(n) for d in steps])
+
+
 def brute_doubly_regular(g):
     n = g.n
     if (n - 3) % 4 != 0 or any(g.out_degree(v) != (n - 1) // 2 for v in range(n)):
@@ -70,10 +81,38 @@ def test_sameness_matrix_matches_pairs(g):
         assert s[u, v] == sameness(g, u, v).s
 
 
+def two_product_doubly_regular(g):
+    """The matrix definition: regular, and the off-diagonals of A A^T
+    (common out-neighbors) and A^T A (common in-neighbors) all (n-3)/4."""
+    a = g.adjacency.astype(np.int64)
+    n = g.n
+    if (n - 3) % 4 != 0 or np.any(a.sum(axis=1) != (n - 1) // 2):
+        return False
+    off = ~np.eye(n, dtype=bool)
+    target = (n - 3) // 4
+    return bool(np.all((a @ a.T)[off] == target) and np.all((a.T @ a)[off] == target))
+
+
 @settings(deadline=None)
 @given(tournaments)
 def test_doubly_regular_matches_profiles(g):
     assert doubly_regular_check(g) == brute_doubly_regular(g)
+
+
+@settings(deadline=None)
+@given(st.one_of(tournaments, circulant_tournaments()))
+def test_doubly_regular_matches_two_products(g):
+    assert doubly_regular_check(g) == two_product_doubly_regular(g)
+
+
+def test_circulants_include_regular_but_not_doubly_regular():
+    # rotation_tournament(3), a circulant on Z_7: regular with
+    # n = 7 = 3 (mod 4), yet not doubly regular
+    g = rotation_tournament(3)
+    assert all(g.out_degree(v) == 3 for v in range(7))
+    assert not two_product_doubly_regular(g)
+    assert not doubly_regular_check(g)
+    assert two_product_doubly_regular(paley_tournament(7))
 
 
 @settings(deadline=None)

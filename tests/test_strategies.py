@@ -11,7 +11,11 @@ from locgame import (
     strong_components,
     transitive_tournament,
 )
+from locgame.digraph import INF
+from locgame.game import GameTranscript, Round
 from locgame.strategies import (
+    BagSweep,
+    StrategyError,
     dag_decomp_sweep,
     dag_sweep,
     path_sweep,
@@ -134,10 +138,12 @@ class TestScComposite:
         arcs += [(0, b) for b in range(1, 6)]
         g = Digraph(6, arcs)
         strategy = sc_composite(g)
+        assert isinstance(strategy, BagSweep)
         assert strategy.cops == 3  # basis of the circulant (2) + one child marker
         transcript = run(g, strategy, 2)
         assert transcript.outcome.captured
         assert transcript.outcome.rounds == 2
+        assert [r.probe for r in transcript.rounds] == strategy.bags[:2]
         scc = strong_components(g)
         seen_phases = [
             {scc.component_of[v] for v in r.probe} for r in transcript.rounds
@@ -145,6 +151,41 @@ class TestScComposite:
         # once a phase ends its component is never probed again
         for earlier, later in zip(seen_phases, seen_phases[1:]):
             assert min(earlier) < min(later)
+
+
+class TestScCompositeChecks:
+    # two 3-cycles joined by the arc 0 -> 3: bags (0, 3) then (3,), where
+    # vertex 3 is the first component's marker and the second's basis
+    def strategy(self):
+        g = Digraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)])
+        strategy = sc_composite(g)
+        assert strategy.bags == [(0, 3), (3,)]
+        assert strategy.bases == [(0,), (3,)]
+        return strategy
+
+    @staticmethod
+    def transcript(*rounds):
+        return GameTranscript(
+            [
+                Round(i + 1, probe, vector, frozenset(), frozenset())
+                for i, (probe, vector) in enumerate(rounds)
+            ]
+        )
+
+    def test_probe_off_schedule(self):
+        with pytest.raises(StrategyError, match="diverge from the schedule"):
+            self.strategy().next(self.transcript(((1, 3), (1, INF))))
+
+    def test_finite_basis_with_silent_markers(self):
+        with pytest.raises(StrategyError, match="should have localized the robber"):
+            self.strategy().next(self.transcript(((0, 3), (1, INF))))
+
+    def test_more_rounds_than_components(self):
+        strategy = self.strategy()
+        first = ((0, 3), (INF, 1))  # the marker reads finite: robber moved on
+        assert strategy.next(self.transcript(first)) == (3,)
+        with pytest.raises(StrategyError, match="all bags swept without capture"):
+            strategy.next(self.transcript(first, ((3,), (INF,))))
 
 
 class TestRotationStrategy:
