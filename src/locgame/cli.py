@@ -26,7 +26,7 @@ from .families import FAMILIES, binary_source_extension, random_tournament
 from .game import BudgetExceededError, localization_number_exact, optimal_robber, play
 from .hypergraph import greedy_vertex_cover
 from .resolve import c_parameter, distinguisher_hypergraph, metric_dimension_exact
-from .stats import doubly_regular_check, e4c_count, quasirandom_deviation, pair_sameness
+from .stats import _deviation, _doubly_regular, e4c_count, pair_sameness
 from .decomposition import DagDecomposition, PathDecomposition, read_decomposition
 from .strategies import (
     dag_decomp_sweep,
@@ -177,16 +177,18 @@ def cmd_stats(args) -> int:
     if c_reverse != c:
         report["c_parameter_pair_to_witness"] = float(c_reverse)
     if tournament:
-        s_values = pair_sameness(g).tolist()
+        # one sameness kernel for every statistic read off it
+        s = pair_sameness(g)
+        s_values = s.tolist()
         e4c = e4c_count(g)
         report.update(
             {
-                "doubly_regular": doubly_regular_check(g),
+                "doubly_regular": _doubly_regular(g, s),
                 "s_min": min(s_values, default=None),
                 "s_max": max(s_values, default=None),
                 "e4c": e4c,
                 "e4c_ratio": e4c / (g.n ** 4 / 2),
-                "sameness_deviation": quasirandom_deviation(g),
+                "sameness_deviation": _deviation(g.n, s),
             }
         )
     _emit(report, args.out)

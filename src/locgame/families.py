@@ -139,12 +139,10 @@ def random_tournament(n: int, p: float, seed: int) -> Digraph:
         raise ValueError(f"n must be positive, got {n}")
     if not 0 <= p <= 1:
         raise ValueError(f"p must be a probability, got {p}")
-    rng = random.Random(seed)
-    arcs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            arcs.append((i, j) if rng.random() < p else (j, i))
-    return Digraph(n, arcs)
+    r = random.Random(seed).random
+    i, j = np.triu_indices(n, 1)
+    forward = np.array([r() < p for _ in range(len(i))], dtype=bool)
+    return Digraph(n, np.column_stack([np.where(forward, i, j), np.where(forward, j, i)]))
 
 
 def transitive_tournament(n: int) -> Digraph:

@@ -5,8 +5,11 @@ is solved as its dual packing LP, one row per vertex, so the tableau has n
 rows however many hyperedges there are.  A packing LP (A y <= b, y >= 0,
 b >= 0) is feasible at its slack basis, so the solver starts there, with no
 artificial columns and no phase 1.  One numpy tableau; each pivot is one
-rank-1 update.  The entering column has the most negative reduced cost
-(Dantzig's rule).  Dantzig's rule alone can cycle on degenerate LPs, so
+rank-1 update, written into buffers allocated once per solve.  The entering
+column has the most negative reduced cost (Dantzig's rule), the first such
+column on ties: at the slack basis every hyperedge column prices alike, so
+the caller puts the smallest edges first, and the opening pivots build a
+greedy packing of them.  Dantzig's rule alone can cycle on degenerate LPs, so
 after a run of m degenerate pivots (m rows) pricing falls back to Bland's
 rule (Bland 1977), which cannot cycle, until the next pivot that moves.  The
 leaving row breaks ratio ties by the lowest basic variable.  The slack
@@ -52,31 +55,51 @@ def solve_min_equality(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpSolutio
     if np.any(b < 0):
         raise ValueError("right-hand side must be nonnegative")
 
-    # tableau: [B^-1 A | B^-1 b], the slacks start basic
+    # tableau: [B^-1 A | B^-1 b], the slacks start basic; every array the
+    # pivots write is allocated once, here
     tableau = np.column_stack([a, b]).astype(float, copy=False)
-    basis = list(range(n - m, n))
+    body, rhs = tableau[:, :n], tableau[:, -1]
+    basis = np.arange(n - m, n)
+    cb = c[basis].astype(float)  # the basic costs, kept in step with basis
+    masked = np.empty((m, n))
+    mask = np.empty((m, n), dtype=bool)
+    reduced = np.empty(n)
+    positive = np.empty(m, dtype=bool)
+    ratios = np.empty(m)
+    factors = np.empty(m)
+    update = np.empty_like(tableau)
     pivots = degenerate = run = 0
     while True:
         # price only on entries the ratio test can pivot on: round-off
         # summed over many rows could otherwise make a column look
         # improving when no entry of it exceeds the tolerance
-        body = tableau[:, :n]
-        reduced = c - c[basis] @ np.where(np.abs(body) > TOL, body, 0.0)
-        entering = int(np.argmin(reduced))
+        np.greater(np.abs(body, out=masked), TOL, out=mask)
+        np.multiply(body, mask, out=masked)
+        np.matmul(cb, masked, out=reduced)
+        np.subtract(c, reduced, out=reduced)
+        entering = int(reduced.argmin())
         if reduced[entering] >= -TOL:
             break
         if run >= m:
             # Bland's rule: the lowest improving column
-            entering = int(np.argmax(reduced < -TOL))
+            entering = int((reduced < -TOL).argmax())
         col = tableau[:, entering]
-        rows = np.flatnonzero(col > TOL)
-        if not len(rows):
-            raise UnboundedError("no leaving row for entering column")
-        ratios = tableau[rows, -1] / col[rows]
+        ratios.fill(np.inf)
+        np.divide(rhs, col, out=ratios, where=np.greater(col, TOL, out=positive))
         step = ratios.min()
-        ties = rows[ratios <= step + TOL]
-        leaving = min(ties.tolist(), key=basis.__getitem__)
-        _pivot(tableau, basis, leaving, entering)
+        if step == np.inf:
+            raise UnboundedError("no leaving row for entering column")
+        ties = (ratios <= step + TOL).nonzero()[0]
+        leaving = int(ties[basis[ties].argmin()])
+
+        # the pivot: scale the leaving row, then one rank-1 update
+        row = tableau[leaving]
+        row /= row[entering]
+        factors[:] = col
+        factors[leaving] = 0.0
+        tableau -= np.multiply.outer(factors, row, out=update)
+        basis[leaving] = entering
+        cb[leaving] = c[entering]
         pivots += 1
         if step > TOL:
             run = 0
@@ -85,8 +108,8 @@ def solve_min_equality(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpSolutio
             run += 1
 
     x = np.zeros(n)
-    x[basis] = tableau[:, -1]
-    duals = c[basis] @ tableau[:, n - m : n]
+    x[basis] = rhs
+    duals = cb @ tableau[:, n - m : n]
     return LpSolution(
         float(c @ x),
         tuple(x.tolist()),
@@ -94,11 +117,3 @@ def solve_min_equality(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpSolutio
         pivots,
         degenerate,
     )
-
-
-def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
-    basis[row] = col

@@ -36,6 +36,10 @@ CASE_NO = "no"
 _WITNESS_BLOCK_BYTES = 1 << 20
 _FIRST_BLOCK = 256
 
+# the largest witness x pair separation matrix built, one byte per entry:
+# n C(n, 2) bytes fit for n <= 813 (the benchmark's n = 60 needs 106 KB)
+MAX_SEPARATION_BYTES = 1 << 28
+
 
 @dataclass(frozen=True)
 class ResolvingSet:
@@ -184,14 +188,23 @@ def _has_spine(g: Digraph) -> bool:
 def _separation(dist: np.ndarray, direction: str) -> np.ndarray:
     """separated[w, t]: witness w separates the t-th vertex pair of
     ``combinations`` order.  Row w compares d(w, .) when the witness probes
-    the pair, d(., w) when the pair reaches the witness."""
+    the pair, d(., w) when the pair reaches the witness.  Raises
+    :class:`BudgetExceededError`, before allocating, when the matrix would
+    exceed ``MAX_SEPARATION_BYTES``."""
     if direction not in ("witness-to-pair", "pair-to-witness"):
         raise ValueError(f"unknown direction {direction!r}")
+    n = len(dist)
+    need = n * math.comb(n, 2)
+    if need > MAX_SEPARATION_BYTES:
+        raise BudgetExceededError(
+            f"the separation matrix of {n} vertices needs {need} bytes, "
+            f"over the limit of {MAX_SEPARATION_BYTES}"
+        )
     rows = dist if direction == "witness-to-pair" else dist.T
-    xs, ys = np.triu_indices(len(dist), 1)
+    xs, ys = np.triu_indices(n, 1)
     # row by row: comparing all rows at once would gather two n x C(n, 2)
     # int32 temporaries, 32 MB at n = 200
-    separated = np.empty((len(dist), len(xs)), dtype=bool)
+    separated = np.empty((n, len(xs)), dtype=bool)
     for w, row in enumerate(rows):
         np.not_equal(row[xs], row[ys], out=separated[w])
     return separated

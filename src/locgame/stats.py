@@ -3,9 +3,10 @@ profiles, double regularity, the oriented-4-cycle count, and the sameness
 deviation used to screen quasi-randomness.
 
 The whole-graph statistics come from products of the +-1 indicator matrix C,
-built once per call; double regularity is read off the sameness kernel
-C C^T.  The per-pair ``sameness`` and ``neighborhood_profile`` loops stay as
-their independent definitions.
+built once per call; double regularity and the deviation are read off the
+sameness kernel C C^T, which their private forms take ready-made, so one
+report builds it once.  The per-pair ``sameness`` and
+``neighborhood_profile`` loops stay as their independent definitions.
 """
 
 from __future__ import annotations
@@ -112,10 +113,15 @@ def doubly_regular_check(g: Digraph) -> bool:
     s(x, y) = pp + mm = 2 pp: the test reads s = (n-3)/2 off the sameness
     kernel.
     """
-    _require_tournament(g)
+    return _doubly_regular(g, pair_sameness(g))
+
+
+def _doubly_regular(g: Digraph, s: np.ndarray) -> bool:
+    """:func:`doubly_regular_check` on a tournament whose pair sameness
+    vector ``s`` is already built."""
     n = g.n
     regular = (n - 3) % 4 == 0 and np.all(g.adjacency.sum(axis=1) == (n - 1) // 2)
-    return bool(regular and np.all(pair_sameness(g) == (n - 3) // 2))
+    return bool(regular and np.all(s == (n - 3) // 2))
 
 
 def e4c_count(g: Digraph) -> int:
@@ -151,4 +157,10 @@ def quasirandom_deviation(g: Digraph) -> int:
     Each term is a half-integer; doubling over ordered pairs makes the total
     an integer, returned exactly: the sum of |2 s(u, v) - n| over u < v.
     """
-    return int(np.abs(2 * pair_sameness(g) - g.n).sum())
+    return _deviation(g.n, pair_sameness(g))
+
+
+def _deviation(n: int, s: np.ndarray) -> int:
+    """:func:`quasirandom_deviation` of an n-vertex tournament from its
+    pair sameness vector ``s``."""
+    return int(np.abs(2 * s - n).sum())

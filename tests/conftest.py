@@ -2,10 +2,12 @@ import itertools
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from locgame import INF, Digraph, SccDecomposition, digraph
+from locgame.lp import TOL, LpSolution, UnboundedError
 
 
 def reference_arcs(n: int, arcs) -> frozenset[tuple[int, int]]:
@@ -23,6 +25,70 @@ def reference_arcs(n: int, arcs) -> frozenset[tuple[int, int]]:
             raise ValueError(f"digon between {u} and {v} (graph must be oriented)")
         arc_set.add((u, v))
     return frozenset(arc_set)
+
+
+def reference_random_tournament(n: int, p: float, seed: int) -> Digraph:
+    """Reference random tournament: one draw per pair i < j in
+    lexicographic order, arc i -> j when it falls below p."""
+    rng = random.Random(seed)
+    arcs = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            arcs.append((i, j) if rng.random() < p else (j, i))
+    return Digraph(n, arcs)
+
+
+def reference_simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpSolution:
+    """Reference simplex: the pricing, ratio test and pivot rules of
+    ``lp.solve_min_equality`` written plainly, with fresh arrays each pivot,
+    the basis as a Python list and the pivot as a separate function.  Its
+    callers pass a valid slack basis, so it skips the input checks."""
+    m, n = a.shape
+    tableau = np.column_stack([a, b]).astype(float, copy=False)
+    basis = list(range(n - m, n))
+    pivots = degenerate = run = 0
+    while True:
+        body = tableau[:, :n]
+        reduced = c - c[basis] @ np.where(np.abs(body) > TOL, body, 0.0)
+        entering = int(np.argmin(reduced))
+        if reduced[entering] >= -TOL:
+            break
+        if run >= m:
+            entering = int(np.argmax(reduced < -TOL))
+        col = tableau[:, entering]
+        rows = np.flatnonzero(col > TOL)
+        if not len(rows):
+            raise UnboundedError("no leaving row for entering column")
+        ratios = tableau[rows, -1] / col[rows]
+        step = ratios.min()
+        ties = rows[ratios <= step + TOL]
+        leaving = min(ties.tolist(), key=basis.__getitem__)
+        _reference_pivot(tableau, basis, leaving, entering)
+        pivots += 1
+        if step > TOL:
+            run = 0
+        else:
+            degenerate += 1
+            run += 1
+
+    x = np.zeros(n)
+    x[basis] = tableau[:, -1]
+    duals = c[basis] @ tableau[:, n - m : n]
+    return LpSolution(
+        float(c @ x),
+        tuple(x.tolist()),
+        tuple(duals.tolist()),
+        pivots,
+        degenerate,
+    )
+
+
+def _reference_pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
+    tableau[row] /= tableau[row, col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    tableau -= np.outer(factors, tableau[row])
+    basis[row] = col
 
 
 def bfs_distances(g: Digraph) -> list[list[float]]:

@@ -136,6 +136,36 @@ class TestReports:
         assert report["s_min"] == report["s_max"] == 2
         assert report["diameter"] == 2
 
+    def test_stats_builds_the_sameness_kernel_once(self, capsys, tmp_path, monkeypatch):
+        from locgame import stats
+
+        calls = []
+
+        def counted(g):
+            calls.append(g.n)
+            return kernel(g)
+
+        kernel = stats.sameness_matrix
+        monkeypatch.setattr(stats, "sameness_matrix", counted)
+        path = tmp_path / "p19.json"
+        write_digraph(paley_tournament(19), path)
+        code, out = run_cli(capsys, "stats", str(path))
+        assert code == 0 and json.loads(out)["doubly_regular"] is True
+        assert calls == [19]
+
+    def test_stats_over_the_separation_budget_exits_2(self, capsys, tmp_path):
+        # 814 isolated vertices: the separation matrix would take
+        # 814 C(814, 2) bytes, just over the cap, so nothing is allocated
+        path = tmp_path / "big.txt"
+        path.write_text("814\n")
+        code = main(["stats", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            "error: the separation matrix of 814 vertices needs 269345274 bytes, "
+            "over the limit of 268435456\n"
+        )
+
     def test_stats_one_vertex_has_no_pairs(self, capsys, tmp_path):
         path = tmp_path / "one.txt"
         path.write_text("1\n")

@@ -14,6 +14,8 @@ from locgame import (
 )
 from locgame.stats import doubly_regular_check
 
+from conftest import reference_random_tournament
+
 
 def cycle3():
     return Digraph(3, [(0, 1), (1, 2), (2, 0)])
@@ -165,6 +167,14 @@ class TestRandomTournament:
         assert a == b
         c = random_tournament(5, 0.5, 12346)
         assert a != c  # overwhelmingly likely for this seed pair
+
+    @pytest.mark.parametrize("p", [0, 0.3, 0.5, 1])
+    def test_matches_the_pair_loop(self, p):
+        # the same draws in the same order as one draw per pair i < j
+        for n in range(1, 61):
+            for seed in (0, 7, n, 2**64 - 1):
+                want = reference_random_tournament(n, p, seed)
+                assert random_tournament(n, p, seed) == want, (n, seed)
 
     def test_always_tournament(self, rng):
         for _ in range(20):

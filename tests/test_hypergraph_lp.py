@@ -18,7 +18,9 @@ from locgame import (
     random_tournament,
 )
 from locgame.hypergraph import max_membership
-from locgame.lp import solve_min_equality
+from locgame.lp import UnboundedError, solve_min_equality
+
+from conftest import reference_simplex
 
 LP_TOL = 1e-9
 
@@ -75,6 +77,46 @@ def degenerate_hypergraphs(draw):
         else:
             edges.append(draw(st.sets(st.sampled_from(sorted(edge)), min_size=1)))
     return Hypergraph(n, edges)
+
+
+BEALE = (
+    np.array([-3 / 4, 150, -1 / 50, 6, 0, 0, 0]),
+    np.array([
+        [1 / 4, -60, -1 / 25, 9, 1, 0, 0],
+        [1 / 2, -90, -1 / 50, 3, 0, 1, 0],
+        [0, 0, 1, 0, 0, 0, 1],
+    ]),
+    np.array([0.0, 0.0, 1.0]),
+)
+
+
+def packing_lp(inc):
+    """The packing LP ``fractional_vertex_cover`` solves for an edge x vertex
+    incidence matrix, with the edge columns in the given row order."""
+    m, n = inc.shape
+    c = np.zeros(m + n)
+    c[:m] = -1.0
+    return c, np.hstack([inc.T, np.eye(n)]), np.ones(n)
+
+
+@st.composite
+def slack_basis_lps(draw):
+    """LPs feasible at their slack basis: packing LPs of degenerate
+    hypergraphs in a drawn edge order, small integer LPs with mixed-sign
+    entries (some unbounded), and Beale's cycling LP."""
+    kind = draw(st.sampled_from(["packing", "integer", "beale"]))
+    if kind == "beale":
+        return BEALE
+    if kind == "packing":
+        inc = draw(degenerate_hypergraphs()).incidence()
+        order = draw(st.permutations(range(len(inc))))
+        return packing_lp(inc[list(order)])
+    m, k = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    entries = st.integers(-2, 3)
+    body = np.array(draw(st.lists(entries, min_size=m * k, max_size=m * k)), float).reshape(m, k)
+    c = np.array(draw(st.lists(st.integers(-3, 1), min_size=k, max_size=k)) + [0] * m, float)
+    b = np.array(draw(st.lists(st.integers(0, 3), min_size=m, max_size=m)), float)
+    return c, np.hstack([body, np.eye(m)]), b
 
 
 def assert_certified(h):
@@ -159,6 +201,30 @@ class TestFractionalCover:
         assert frac.value == pytest.approx(scipy_tau_star(h), abs=LP_TOL)
 
 
+class TestEdgeOrder:
+    def _largest_first(self, h):
+        sizes = [-len(e) for e in h.edges]
+        return Hypergraph(h.n, [h.edges[i] for i in np.argsort(sizes, kind="stable")])
+
+    def _check(self, h):
+        frac = assert_certified(h)
+        assert frac.value == pytest.approx(scipy_tau_star(h), abs=LP_TOL)
+        # the LP sees the edges smallest first; given in that order, it
+        # solves the same LP, so the caller's packing is its permutation
+        order = np.argsort([len(e) for e in h.edges], kind="stable")
+        ascending = fractional_vertex_cover(Hypergraph(h.n, [h.edges[i] for i in order]))
+        assert [frac.packing[i] for i in order] == list(ascending.packing)
+        assert frac.value == ascending.value
+
+    def test_largest_edges_first_on_tournaments(self, rng):
+        for h in tournament_hypergraphs(rng):
+            self._check(self._largest_first(h))
+
+    @given(degenerate_hypergraphs())
+    def test_largest_edges_first_on_repeated_and_nested_edges(self, h):
+        self._check(self._largest_first(h))
+
+
 class TestSimplex:
     def test_entries_below_tolerance_do_not_price_a_column(self):
         # ten entries of 5e-10 sum to a phase-1 reduced cost below -TOL,
@@ -204,6 +270,25 @@ class TestSimplex:
         assert sol.value == pytest.approx(-1 / 20, abs=LP_TOL)
         assert sol.degenerate_pivots > 0
         assert sol.pivots == 6
+
+    @given(slack_basis_lps())
+    def test_matches_the_reference_loop(self, lp):
+        # the preallocated pivot takes the reference loop's decisions, so
+        # every field agrees exactly, pivot counts included
+        try:
+            want = reference_simplex(*lp)
+        except UnboundedError:
+            with pytest.raises(UnboundedError):
+                solve_min_equality(*lp)
+        else:
+            assert solve_min_equality(*lp) == want
+
+    def test_matches_the_reference_loop_on_tournament_packings(self):
+        for seed in range(8):
+            inc = distinguisher_hypergraph(random_tournament(14, 0.5, seed)).incidence()
+            for order in (np.arange(len(inc)), np.argsort(inc.sum(axis=1), kind="stable")):
+                lp = packing_lp(inc[order])
+                assert solve_min_equality(*lp) == reference_simplex(*lp)
 
     @pytest.mark.parametrize(
         "slack",

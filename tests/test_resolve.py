@@ -27,7 +27,7 @@ from locgame import (
     rotation_tournament,
     transitive_tournament,
 )
-from locgame.resolve import CASE_NO, CASE_PATH, CASE_SOURCE_PLUS_PATH
+from locgame.resolve import CASE_NO, CASE_PATH, CASE_SOURCE_PLUS_PATH, MAX_SEPARATION_BYTES
 from locgame.verify import random_digraph
 
 from conftest import oriented_digraphs
@@ -322,6 +322,17 @@ class TestCParameterAndBound:
             g = random_digraph(rng, rng.randint(2, 6), 0.5)
             beta = metric_dimension_exact(g)[0]
             assert beta <= lp_upper_bound(g) + 1e-9
+
+    def test_separation_budget_admits_813_vertices(self):
+        assert 813 * math.comb(813, 2) <= MAX_SEPARATION_BYTES < 814 * math.comb(814, 2)
+
+    @pytest.mark.parametrize("direction", ["witness-to-pair", "pair-to-witness"])
+    def test_separation_over_budget_raises_before_allocating(self, direction):
+        g = Digraph(814, [])
+        with pytest.raises(BudgetExceededError, match="needs 269345274 bytes"):
+            c_parameter(g, direction)
+        with pytest.raises(BudgetExceededError, match="needs 269345274 bytes"):
+            distinguisher_hypergraph(g, direction=direction)
 
     def test_greedy_cover_resolves(self, rng):
         for _ in range(20):
