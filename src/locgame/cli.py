@@ -26,7 +26,7 @@ from .families import FAMILIES, binary_source_extension, random_tournament
 from .game import BudgetExceededError, localization_number_exact, optimal_robber, play
 from .hypergraph import greedy_vertex_cover
 from .resolve import c_parameter, distinguisher_hypergraph, metric_dimension_exact
-from .stats import _deviation, _doubly_regular, e4c_count, pair_sameness
+from .stats import _deviation, _doubly_regular, _e4c, pair_sameness
 from .decomposition import DagDecomposition, PathDecomposition, read_decomposition
 from .strategies import (
     dag_decomp_sweep,
@@ -180,7 +180,7 @@ def cmd_stats(args) -> int:
         # one sameness kernel for every statistic read off it
         s = pair_sameness(g)
         s_values = s.tolist()
-        e4c = e4c_count(g)
+        e4c = _e4c(g.n, s)
         report.update(
             {
                 "doubly_regular": _doubly_regular(g, s),

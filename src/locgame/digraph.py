@@ -22,6 +22,13 @@ import numpy as np
 
 INF = math.inf
 UNREACHABLE = np.iinfo(np.int32).max
+# the n x n arrays all_pairs_distances may hold at once, 17 bytes per pair;
+# admits n <= 3 973
+MAX_DISTANCE_BYTES = 1 << 28
+
+
+class BudgetExceededError(RuntimeError):
+    """The instance exceeds an explicit size budget of an exact routine."""
 
 
 class Digraph:
@@ -365,8 +372,19 @@ def all_pairs_distances(g: Digraph) -> np.ndarray:
     frontier's out-arcs when they are expected to number below n**3 / 64
     (frontier size times mean out-degree).  On a long path, a product per
     level would cost O(n**4) in all; gathering keeps it to O(n * arcs).
+
+    Raises :class:`BudgetExceededError`, before allocating, when the n x n
+    arrays (the int32 distances, the bool reached set, the float32
+    adjacency and a level's float32 product with its operand) would exceed
+    ``MAX_DISTANCE_BYTES``.
     """
     n = g.n
+    need = 17 * n * n
+    if need > MAX_DISTANCE_BYTES:
+        raise BudgetExceededError(
+            f"the distance arrays of {n} vertices need {need} bytes, "
+            f"over the limit of {MAX_DISTANCE_BYTES}"
+        )
     degree = np.count_nonzero(g.adjacency, axis=1)
     # the out-arcs in row-major order: grouped by tail, heads ascending
     heads = np.nonzero(g.adjacency)[1]

@@ -15,7 +15,7 @@ from .digraph import INF, diameter
 from .families import random_tournament
 from .hypergraph import greedy_vertex_cover
 from .resolve import distinguisher_hypergraph
-from .stats import e4c_count, pair_sameness
+from .stats import _e4c, pair_sameness
 
 CSV_COLUMNS = (
     "n", "p", "seed", "trial", "diameter", "beta_greedy",
@@ -60,7 +60,8 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
         hi = (1 + eps) * (config.p ** 2 + (1 - config.p) ** 2) * (n - 2)
         for trial in range(config.trials):
             g = random_tournament(n, config.p, config.seed + trial)
-            s_values = pair_sameness(g).tolist()
+            same = pair_sameness(g)
+            s_values = same.tolist()
             in_bracket = sum(1 for s in s_values if lo <= s <= hi)
             cover = greedy_vertex_cover(distinguisher_hypergraph(g))
             rows.append(
@@ -74,7 +75,7 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                     "k_bound": probe_bound(n, config.p, eps),
                     "s_min": min(s_values),
                     "s_max": max(s_values),
-                    "e4c_ratio": e4c_count(g) / (n ** 4 / 2),
+                    "e4c_ratio": _e4c(n, same) / (n ** 4 / 2),
                     # diagnostics, not CSV columns
                     "s_frac_in_bracket": in_bracket / len(s_values),
                     "eps": eps,

@@ -9,19 +9,26 @@ set.  The least fixpoint of that rule decides the game: any play that never
 reaches it is a robber win.
 
 States are vertex bitmasks.  Each distinct partition the probes induce on
-the graph's cached distance array is one row of a zero-padded matrix of its
-non-singleton cells, so ``cells & S`` holds the parts of S under every probe
-at once, and three byte tables of closed out-neighbourhoods step all of them
-through the robber's move.  The partitions are built level by level, a
+the graph's cached distance array is one column of a zero-padded,
+cell-major matrix of its non-singleton cells, so ``cells & S`` holds the
+parts of S under every probe at once, one contiguous row per cell slot, and
+two 12-bit tables of closed out-neighbourhoods step all of them through the
+robber's move in two lookups.  The partitions are built level by level, a
 probe set's row being its least vertex's row ANDed with the row of the
 rest, and repeats are dropped by a sort on one hashed key per partition,
 checked exactly.  The metric dimension search of :mod:`locgame.resolve`
 runs on the same build.  An automorphism of the digraph maps winning sets
 to winning sets, so each state is replaced by its representative: its least
 image under the graph's cached automorphisms (:meth:`Digraph.automorphisms`)
-and their inverses.  Wins live in a bool table over all 2^n masks (16 MB at
-n = 24).  When a representative wins, every image of it is marked, so a
-stepped part is looked up directly, without computing its representative.
+and their inverses, read through byte tables.
+
+One int8 verdict table over all 2^n masks (16 MB at n = 24) holds what is
+known: 1 for won, -1 for an image of an explored representative not won,
+0 for unknown.  When a representative is explored its undecided images are
+marked -1, and when it wins all its images are marked 1, so any nonzero
+entry answers for its mask in one lookup: ``wins`` needs no representative
+there, and the explore computes representatives only for stepped parts
+still at 0.
 
 Set-up is paid only where it is needed.  The tables that do not depend on
 k (the step tables and the automorphism tables) are built once per graph
@@ -34,6 +41,9 @@ newly reachable from it, breadth first, then re-evaluates only those, last
 explored first, until a sweep wins no further state.  Earlier states are not
 swept again: each of their successors was explored or won before them, so
 they are at their fixpoint already, and a state lost there stays lost.
+Within the sweeps a state is re-opened only when some win has been marked
+since its last open; otherwise the open would give the same answer (a
+local fixpoint in the sense of Liu and Smolka, ICALP 1998).
 """
 
 from __future__ import annotations
@@ -46,15 +56,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .digraph import INF, UNREACHABLE, Digraph
+from .digraph import INF, UNREACHABLE, BudgetExceededError, Digraph
 
-MAX_SOLVER_VERTICES = 24  # three bytes of a state mask; see _byte_tables
+MAX_SOLVER_VERTICES = 24  # two 12-bit step chunks, three map bytes; see _byte_tables
 MAX_PROBE_SETS = 1_000_000
 _PROBE_BLOCK = 1 << 16  # probes per block of the partition build
-
-
-class BudgetExceededError(RuntimeError):
-    """The instance exceeds the solver's explicit-state budget."""
+_STEP_BITS = 12  # chunk width of the robber-step tables
+_STEP_LOW = (1 << _STEP_BITS) - 1
 
 
 class ProbeError(ValueError):
@@ -120,22 +128,24 @@ def _first_rows(a: np.ndarray) -> np.ndarray:
     """Ascending indices of the first occurrence of each distinct row of an
     int64 matrix of at most 64 columns.
 
-    Rows are sorted on one key, their wrapping dot product with ``_HASH``.
-    Each row whose key repeats is then compared with the row before it,
-    one column at a time; only when two rows with one key differ does the
-    sort fall back to all the columns, so the result is always exact."""
+    Rows are sorted on one key, their wrapping dot product with ``_HASH``,
+    and each run of equal keys keeps its least index.  Each row whose key
+    repeats is then compared with the row before it, one column at a time;
+    only when two rows with one key differ does the sort fall back to all
+    the columns, so the result is always exact."""
     key = a @ _HASH[: a.shape[1]]
-    order = np.argsort(key, kind="stable")  # stable, so equal rows keep index order
+    order = np.argsort(key)  # unstable: a run of equal keys is in any order
     ranked = key[order]
     starts = np.ones(len(a), dtype=bool)
     starts[1:] = ranked[1:] != ranked[:-1]
     repeated = ~starts[1:]
     later, earlier = order[1:][repeated], order[:-1][repeated]
     if len(later) and any((column[later] != column[earlier]).any() for column in a.T):
-        order = np.lexsort(a.T[::-1])
+        order = np.lexsort(a.T[::-1])  # stable, so equal rows keep index order
         ranked = a[order]
         starts[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    return np.sort(order[starts])
+        return np.sort(order[starts])
+    return np.sort(np.minimum.reduceat(order, np.flatnonzero(starts)))
 
 
 def _level_rows(
@@ -175,7 +185,9 @@ def _lower_level(same: np.ndarray, k: int) -> np.ndarray:
 
 def _probe_partitions(g: Digraph, k: int) -> np.ndarray:
     """The non-singleton cells of each distinct partition of V by k probes,
-    one zero-padded row of cell masks per partition.
+    one zero-padded column of cell masks per partition: a C x P matrix for
+    P partitions of at most C such cells, so each cell slot is a
+    contiguous row.
 
     A probe's partition is encoded as its row of "cell mask of x" over all
     x: the AND over probe vertices u of the mask of vertices at the same
@@ -189,7 +201,7 @@ def _probe_partitions(g: Digraph, k: int) -> np.ndarray:
     Levels 1..k-1 are built whole; the k-set rows come in blocks of
     ``_PROBE_BLOCK``, each deduplicated by :func:`_first_rows` as it comes,
     then the blocks' survivors together.  The cells are scattered from
-    the listed (row, vertex) pairs into the zero-padded matrix.
+    the listed (row, vertex) pairs straight into the zero-padded matrix.
     """
     n = g.n
     dist = g.distances()
@@ -215,22 +227,24 @@ def _probe_partitions(g: Digraph, k: int) -> np.ndarray:
     row, x = listed.nonzero()
     counts = listed.sum(axis=1)
     slot = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
-    cells = np.zeros((len(rows), int(counts.max())), dtype=np.int64)
-    cells[row, slot] = rows[row, x]
+    cells = np.zeros((int(counts.max()), len(rows)), dtype=np.int64)
+    cells[slot, row] = rows[row, x]
     return cells
 
 
-def _byte_tables(images: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per-byte lookup tables of OR-preserving maps on masks of up to 24 bits.
+def _byte_tables(images: np.ndarray, bits: int = 8) -> tuple[np.ndarray, ...]:
+    """Lookup tables of OR-preserving maps on masks of up to 24 bits, one per
+    chunk of ``bits`` bits (a byte by default).
 
     ``images[a, v]`` is the mask vertex v goes to under map a, and
-    ``tables[j][a, b]`` the OR of the images of the vertices in byte value b
-    at byte j; :func:`_images` ORs one lookup per byte."""
+    ``tables[j][a, b]`` the OR of the images of the vertices in chunk value
+    b at chunk j; a mask's image ORs one lookup per chunk (:func:`_images`
+    for bytes)."""
     tables = []
-    for base in (0, 8, 16):
+    for base in range(0, MAX_SOLVER_VERTICES, bits):
         table = np.zeros((len(images), 1), dtype=np.int64)
-        # doubling: byte values with bit v - base set follow those without it
-        for v in range(base, min(base + 8, images.shape[1])):
+        # doubling: chunk values with bit v - base set follow those without it
+        for v in range(base, min(base + bits, images.shape[1])):
             table = np.concatenate([table, table | images[:, v : v + 1]], axis=1)
         tables.append(table)
     return tuple(tables)
@@ -248,14 +262,14 @@ def _images(tables: tuple[np.ndarray, ...], masks):
 
 
 def _graph_tables(g: Digraph) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], int]:
-    """What a solver needs of g at any k: the byte tables stepping a mask
-    through the robber's move, the byte tables of the kept automorphisms
-    with their inverses, and the number of maps kept.  The tables are
-    read-only, since solvers share them."""
+    """What a solver needs of g at any k: the two 12-bit tables stepping a
+    mask through the robber's move, the byte tables of the kept
+    automorphisms with their inverses, and the number of maps kept.  The
+    tables are read-only, since solvers share them."""
     n = g.n
     # closed[v]: mask of v and its out-neighbours
     closed = (g.adjacency | np.eye(n, dtype=bool)) @ (np.int64(1) << np.arange(n))
-    step = tuple(t[0] for t in _byte_tables(closed[None]))
+    step = tuple(t[0] for t in _byte_tables(closed[None], _STEP_BITS))
     maps = np.array(g.automorphisms(), dtype=np.int64)
     # the kept maps need not be closed under inverses (a truncated search
     # keeps a subset of the group); with the inverses added, every mask
@@ -335,8 +349,12 @@ class LocalizationSolver:
         # the classes of any S are the nonempty intersections with these
         # cells; built by _build_partitions on the first query
         self._cells: np.ndarray | None = None
-        self._win = np.zeros(1 << g.n, dtype=bool)
+        # per mask: 1 won, -1 an image of an explored representative not
+        # (yet) won, 0 unknown
+        self._verdict = np.zeros(1 << g.n, dtype=np.int8)
         self._explored: set[int] = set()
+        self._won = 0  # opens that marked a new win
+        self._blocked_at: dict[int, int] = {}  # state -> _won at its last losing open
         self._opens = 0
         self._sweeps = 0
         self._init_s = time.perf_counter() - started
@@ -351,11 +369,12 @@ class LocalizationSolver:
             raise ValueError("candidate set must be a nonempty subset of V")
         self._build_partitions()
         started = time.perf_counter()
-        mask = int(self._representative(mask))
-        if mask not in self._explored:
-            self._sweep(self._explore(mask))
+        if not self._verdict[mask]:
+            # the mask is an image of its representative, so exploring that
+            # marks the mask too
+            self._sweep(self._explore(int(self._representative(mask))))
         self._solve_s += time.perf_counter() - started
-        return bool(self._win[mask])
+        return bool(self._verdict[mask] == 1)
 
     def cops_win(self) -> bool:
         return self.wins(self._full)
@@ -369,7 +388,7 @@ class LocalizationSolver:
         self._build_partitions()
         return SolverStats(
             probe_sets=math.comb(self.g.n, self.k),
-            partitions=len(self._cells),
+            partitions=self._cells.shape[1],
             partition_bytes=self._cells.nbytes,
             automorphisms=self._automorphisms,
             automorphisms_truncated=self.g.automorphisms_truncated(),
@@ -407,41 +426,64 @@ class LocalizationSolver:
         s wins when some probe leaves every part a single vertex or a set
         that wins after the robber's move."""
         self._opens += 1
-        if not self._win[s]:
+        verdict = self._verdict
+        if verdict[s] != 1:
             parts = self._cells & s
-            stepped = _images(self._step, parts)
-            done = self._win[stepped] | ((parts & (parts - 1)) == 0)
-            if not done.all(axis=1).any():
+            low, high = self._step
+            stepped = low.take(parts & _STEP_LOW) | high.take(parts >> _STEP_BITS)
+            done = (verdict[stepped] == 1) | ((parts & (parts - 1)) == 0)
+            if not done.all(axis=0).any():
+                self._blocked_at[s] = self._won
                 return stepped[~done]
-        self._win[_images(self._maps, s)] = True
+        images = _images(self._maps, s)
+        # s may be marked already as an image of another representative (the
+        # kept maps need not form a group), with its own images not marked
+        if (verdict[images] != 1).any():
+            verdict[images] = 1
+            self._won += 1
         return None
+
+    def _mark_explored(self, states: list[int]) -> None:
+        """Add the states to the explored set and mark their images -1
+        where still unknown, so a stepped part that is one of those images
+        needs no representative."""
+        self._explored.update(states)
+        images = _images(self._maps, np.array(states, dtype=np.int64)).ravel()
+        self._verdict[images[self._verdict[images] == 0]] = -1
 
     def _explore(self, root: int) -> list[int]:
         """The representatives newly reachable from root, in BFS order; a
         state already won is not expanded."""
-        self._explored.add(root)
         queue = [root]
+        self._mark_explored(queue)
         for s in queue:
             blocking = self._open(s)
             if blocking is None:
                 continue
+            blocking = blocking[self._verdict[blocking] == 0]
             # sort-based dedupe: the first np.unique call costs megabytes of RSS
             blocking.sort()
             reps = self._representative(blocking[np.diff(blocking, prepend=-1) != 0])
-            for t in sorted(set(reps.tolist()) - self._explored):
-                self._explored.add(t)
-                queue.append(t)
+            new = sorted(set(reps.tolist()) - self._explored)
+            if new:
+                self._mark_explored(new)
+                queue += new
         return queue
 
     def _sweep(self, states: list[int]) -> None:
         """Re-open the states, last explored first, until a sweep wins none.
 
         Only new states need it: every successor of an earlier state was
-        explored or won before, so earlier states are at their fixpoint."""
+        explored or won before, so earlier states are at their fixpoint.
+        A state that lost its last open, with no win marked since, would
+        lose again, so it is not opened."""
         pending = states[::-1]
         while pending:
             self._sweeps += 1
-            left = [s for s in pending if self._open(s) is not None]
+            left = [
+                s for s in pending
+                if self._blocked_at.get(s) == self._won or self._open(s) is not None
+            ]
             if len(left) == len(pending):
                 return
             pending = left

@@ -3,9 +3,9 @@ profiles, double regularity, the oriented-4-cycle count, and the sameness
 deviation used to screen quasi-randomness.
 
 The whole-graph statistics come from products of the +-1 indicator matrix C,
-built once per call; double regularity and the deviation are read off the
-sameness kernel C C^T, which their private forms take ready-made, so one
-report builds it once.  The per-pair ``sameness`` and
+built once per call; double regularity, the deviation and the 4-cycle count
+are read off the sameness kernel C C^T, which their private forms take
+ready-made, so one report builds it once.  The per-pair ``sameness`` and
 ``neighborhood_profile`` loops stay as their independent definitions.
 """
 
@@ -136,13 +136,24 @@ def e4c_count(g: Digraph) -> int:
         sum over distinct tuples = tr(C^4) - n(n-1) - 2 n(n-1)(n-2).
 
     The count is then (T + sum)/2 with T = n(n-1)(n-2)(n-3) ordered tuples.
-    Equals the quartic brute-force count (see tests) at O(n^3) cost.
+    Equals the quartic brute-force count (see tests); the trace is read off
+    the sameness kernel (see :func:`_e4c`).
     """
-    c = _indicator_matrix(g)
-    n = g.n
+    return _e4c(g.n, pair_sameness(g))
+
+
+def _e4c(n: int, s: np.ndarray) -> int:
+    """:func:`e4c_count` of an n-vertex tournament from its pair sameness
+    vector ``s``.
+
+    C is antisymmetric, so C^2 = -C C^T and tr(C^4) is the sum of the
+    squared entries of C C^T: n - 1 on the diagonal and 2 s - n + 2 off it,
+    so tr(C^4) = n(n-1)^2 + 2 sum over u < v of (2 s(u, v) - n + 2)^2.
+    """
     if n < 4:
         return 0
-    trace4 = int(np.trace(np.linalg.matrix_power(c, 4)))
+    off = 2 * s - (n - 2)
+    trace4 = n * (n - 1) ** 2 + 2 * int(off @ off)
     distinct_sum = trace4 - n * (n - 1) - 2 * n * (n - 1) * (n - 2)
     total = n * (n - 1) * (n - 2) * (n - 3)
     count2, rem = divmod(total + distinct_sum, 2)

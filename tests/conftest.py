@@ -236,6 +236,17 @@ def reference_automorphisms(dist: list[list[int]]) -> tuple[tuple[int, ...], ...
     return tuple(found) or (tuple(range(n)),)
 
 
+def brute_e4c(g: Digraph) -> int:
+    """Ordered 4-tuples of distinct vertices whose cyclic arc-indicator
+    product is +1, by enumeration."""
+    chi = lambda u, v: 1 if g.has_arc(u, v) else -1
+    return sum(
+        1
+        for w, x, y, z in itertools.permutations(range(g.n), 4)
+        if chi(w, x) * chi(x, y) * chi(y, z) * chi(z, w) == 1
+    )
+
+
 @st.composite
 def oriented_digraphs(draw, max_n=10, min_n=0):
     """Hypothesis strategy: each pair gets an arc either way or none."""

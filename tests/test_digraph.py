@@ -26,9 +26,11 @@ from locgame import (
     tripartite_cycle,
     write_digraph,
 )
-from locgame import cli, digraph
+from locgame import cli, digraph, game
 from locgame.digraph import (
     MAX_AUTOMORPHISMS,
+    MAX_DISTANCE_BYTES,
+    BudgetExceededError,
     from_edge_list,
     from_json,
     to_edge_list,
@@ -311,6 +313,47 @@ class TestDistanceCache:
         transcript = play(g, rotation_strategy(2), optimal_robber(g, 2), 10)
         assert transcript.outcome.captured
         assert len(apsp_calls) == 1
+
+
+class TestDistanceBudget:
+    def test_budget_admits_3973_vertices(self):
+        assert 17 * 3973**2 <= MAX_DISTANCE_BYTES < 17 * 3974**2
+
+    @pytest.mark.parametrize("n, need", [(7906, 1062582212), (66858, 75989866788)])
+    def test_refuses_before_reading_the_graph(self, n, need):
+        # a stand-in with a vertex count and nothing else: the check comes
+        # before any array is made or any attribute but n is read
+        class Sized:
+            pass
+
+        g = Sized()
+        g.n = n
+        with pytest.raises(BudgetExceededError) as err:
+            all_pairs_distances(g)
+        assert str(err.value) == (
+            f"the distance arrays of {n} vertices need {need} bytes, "
+            f"over the limit of {MAX_DISTANCE_BYTES}"
+        )
+
+    def test_the_solver_raises_the_same_class(self):
+        assert game.BudgetExceededError is BudgetExceededError
+
+    @pytest.mark.parametrize("command", ["stats", "beta", "bounds"])
+    def test_command_exits_2_with_one_line(self, monkeypatch, capsys, tmp_path, command):
+        monkeypatch.setattr(digraph, "MAX_DISTANCE_BYTES", 17 * 9 * 9)
+        path = tmp_path / "p7.txt"
+        write_digraph(paley_tournament(7), path)
+        assert cli.main([command, str(path)]) == 0
+        capsys.readouterr()
+        path = tmp_path / "r5.txt"
+        write_digraph(rotation_tournament(5), path)  # 11 vertices
+        assert cli.main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the distance arrays of 11 vertices need 2057 bytes, "
+            "over the limit of 1377\n"
+        )
 
 
 # fragments that must take the line loop: comments, signs, CR line ends,

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from locgame import (
 from locgame import digraph, game
 from locgame.verify import random_dag, random_digraph
 
-from conftest import bfs_distances, oriented_digraphs
+from conftest import bfs_distances, circulants, oriented_digraphs
 
 
 def cycle3():
@@ -278,6 +279,37 @@ class TestSolverOracle:
             assert warm.cops_win() == cold
 
 
+def assert_queries_in_any_order_agree(g, k, rnd):
+    """One solver asked every nonempty set in a shuffled order answers as
+    the oracle does and as a fresh solver asked only that set."""
+    oracle = oracle_win_sets(g, k)
+    sets = list(range(1, 1 << g.n))
+    rnd.shuffle(sets)
+    solver = LocalizationSolver(g, k)
+    for s in sets:
+        assert solver.wins(s) == (s in oracle) == LocalizationSolver(g, k).wins(s), (g.arcs, k, s)
+
+
+class TestQueryOrder:
+    """Answers must not depend on what a solver was asked before: the
+    verdict table keeps -1 marks and the sweeps skip states between
+    queries."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(oriented_digraphs(min_n=1, max_n=8), st.data(), st.randoms(use_true_random=False))
+    def test_oriented_digraphs(self, g, data, rnd):
+        assert_queries_in_any_order_agree(g, data.draw(st.integers(1, g.n)), rnd)
+
+    @pytest.mark.parametrize("cap", [2, 3])
+    @settings(deadline=None, max_examples=15)
+    @given(circulants(max_n=9), st.data(), st.randoms(use_true_random=False))
+    def test_circulants_under_truncated_symmetry(self, cap, g, data, rnd):
+        # the graph finds its maps on first use, so under the patched cap
+        with mock.patch.object(digraph, "MAX_AUTOMORPHISMS", cap):
+            assert len(g.automorphisms()) <= cap
+            assert_queries_in_any_order_agree(g, data.draw(st.integers(1, g.n)), rnd)
+
+
 @settings(deadline=None, max_examples=30)
 @given(oriented_digraphs(max_n=8), st.randoms(use_true_random=False))
 def test_relabeling_keeps_zeta_and_wins(g, rnd):
@@ -315,13 +347,13 @@ def reference_partitions(g, k):
 
 def listed_partitions(g, k):
     """The solver's cell matrix as a list of cell tuples, padding dropped."""
-    return [tuple(c for c in row if c) for row in game._probe_partitions(g, k).tolist()]
+    return [tuple(c for c in row if c) for row in game._probe_partitions(g, k).T.tolist()]
 
 
 class TestProbePartitions:
     def test_rotation_counts(self):
         g = rotation_tournament(9)
-        assert len(game._probe_partitions(g, 4)) == 2888  # of C(19, 4) = 3876
+        assert game._probe_partitions(g, 4).shape[1] == 2888  # of C(19, 4) = 3876
         assert listed_partitions(g, 2) == reference_partitions(g, 2)
 
     @pytest.mark.parametrize("block", [1, 3, 1 << 16])
@@ -366,6 +398,16 @@ class TestFirstRows:
     def test_matches_the_lexsort_oracle(self, a):
         assert game._first_rows(a).tolist() == lexsort_first_rows(a).tolist()
 
+    def test_many_shuffled_duplicates(self):
+        # large enough that the unstable key sort reorders equal keys, so
+        # each run must keep its least index, not its first sorted one
+        rng = np.random.default_rng(3)
+        distinct = rng.integers(-(1 << 62), 1 << 62, size=(7, 24))
+        a = distinct[rng.integers(0, 7, size=20_000)]
+        key = a @ game._HASH[:24]
+        assert (np.argsort(key)[:2000] != np.argsort(key, kind="stable")[:2000]).any()
+        assert game._first_rows(a).tolist() == lexsort_first_rows(a).tolist()
+
     def test_rows_with_one_key_that_differ(self):
         # (c1, 0) and (0, c0) have the same key, c0 * c1
         c0, c1 = game._HASH[:2].tolist()
@@ -405,6 +447,15 @@ class TestSolverStats:
         last = solver.stats
         assert last.solve_s > after.solve_s
         assert (last.explored_states, last.opens, last.sweeps) == (8, 16, 2)
+
+    def test_counters_on_a_lost_run(self):
+        # the sweep re-opens a state only after a win was marked since its
+        # last open: 18 opens for 13 states here, where re-opening every
+        # state in every sweep took 36
+        solver = LocalizationSolver(sc_tight(3, 2), 3)
+        assert not solver.cops_win()
+        stats = solver.stats
+        assert (stats.explored_states, stats.opens, stats.sweeps) == (13, 18, 2)
 
     def test_representative_is_least_orbit_image(self):
         # 19 vertices, so all three byte tables take part

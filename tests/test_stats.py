@@ -17,18 +17,11 @@ from locgame import (
     transitive_tournament,
 )
 
+from conftest import brute_e4c
+
 
 def cycle3():
     return Digraph(3, [(0, 1), (1, 2), (2, 0)])
-
-
-def brute_e4c(g):
-    chi = lambda u, v: 1 if g.has_arc(u, v) else -1
-    return sum(
-        1
-        for w, x, y, z in itertools.permutations(range(g.n), 4)
-        if chi(w, x) * chi(x, y) * chi(y, z) * chi(z, w) == 1
-    )
 
 
 class TestSameness:

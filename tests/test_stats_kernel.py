@@ -2,16 +2,19 @@
 per-pair definitions, plus a guard on how often the tournament check runs."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from locgame import stats
 from locgame import (
     Digraph,
     c_parameter,
     distinguisher_hypergraph,
     doubly_regular_check,
+    e4c_count,
     neighborhood_profile,
     paley_tournament,
     quasirandom_deviation,
@@ -25,7 +28,7 @@ from locgame.cli import main
 from locgame.digraph import write_digraph
 from locgame.experiment import ExperimentConfig, run_experiment
 
-from conftest import oriented_digraphs
+from conftest import brute_e4c, oriented_digraphs
 
 NAMED = [
     paley_tournament(7),
@@ -143,6 +146,46 @@ def test_paley_is_doubly_regular_with_constant_sameness():
         assert doubly_regular_check(g)
         s = sameness_matrix(g)
         assert all(s[u, v] == (q - 3) // 2 for u, v in itertools.permutations(range(q), 2))
+
+
+def matrix_power_e4c(g):
+    """The 4-cycle count from tr(C^4) by matrix powers, as e4c_count
+    computed it before it read the trace off the sameness kernel."""
+    a = g.adjacency.astype(np.int64)
+    c = a - a.T
+    n = g.n
+    if n < 4:
+        return 0
+    trace4 = int(np.trace(np.linalg.matrix_power(c, 4)))
+    distinct_sum = trace4 - n * (n - 1) - 2 * n * (n - 1) * (n - 2)
+    return (n * (n - 1) * (n - 2) * (n - 3) + distinct_sum) // 2
+
+
+@settings(deadline=None)
+@given(st.one_of(random_tournaments(max_n=8), st.sampled_from([g for g in NAMED if g.n <= 11])))
+def test_e4c_matches_brute_force(g):
+    assert e4c_count(g) == brute_e4c(g)
+    assert stats._e4c(g.n, stats.pair_sameness(g)) == brute_e4c(g)
+
+
+@settings(deadline=None)
+@given(st.one_of(random_tournaments(max_n=50), circulant_tournaments(), st.sampled_from(NAMED)))
+def test_e4c_matches_the_matrix_power_trace(g):
+    assert e4c_count(g) == matrix_power_e4c(g)
+
+
+def test_stats_builds_one_indicator_matrix(monkeypatch, capsys, tmp_path):
+    built = []
+    original = stats._indicator_matrix
+    monkeypatch.setattr(stats, "_indicator_matrix", lambda g: built.append(g.n) or original(g))
+    path = tmp_path / "p19.txt"
+    write_digraph(paley_tournament(19), path)
+    assert main(["stats", str(path)]) == 0
+    assert built == [19]
+    assert json.loads(capsys.readouterr().out)["e4c"] == matrix_power_e4c(paley_tournament(19))
+    built.clear()
+    run_experiment(ExperimentConfig(sizes=(8,), trials=2, seed=5))
+    assert built == [8, 8]  # one per trial
 
 
 def _count_tournament_checks(monkeypatch):
