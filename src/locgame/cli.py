@@ -25,7 +25,12 @@ from .experiment import ExperimentConfig, run_experiment, rows_to_csv
 from .families import FAMILIES, binary_source_extension, random_tournament
 from .game import BudgetExceededError, localization_number_exact, optimal_robber, play
 from .hypergraph import greedy_vertex_cover
-from .resolve import c_parameter, distinguisher_hypergraph, metric_dimension_exact
+from .resolve import (
+    _separation_rate,
+    c_parameter,
+    distinguisher_hypergraph,
+    metric_dimension_exact,
+)
 from .stats import _deviation, _doubly_regular, _e4c, pair_sameness
 from .decomposition import DagDecomposition, PathDecomposition, read_decomposition
 from .strategies import (
@@ -58,8 +63,9 @@ def _read(reader, path):
         raise InputError(f"{path}: missing key {exc}") from exc
     except (ValueError, TypeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
-    except MemoryError as exc:
-        # a vertex count whose adjacency matrix cannot be allocated
+    except (MemoryError, BudgetExceededError) as exc:
+        # a vertex count whose adjacency matrix is over its byte budget or
+        # cannot be allocated
         raise InputError(f"{path}: {str(exc) or 'out of memory'}") from exc
 
 
@@ -162,14 +168,16 @@ def cmd_bounds(args) -> int:
 def cmd_stats(args) -> int:
     g = _read_graph(args.graph)
     tournament = g.is_tournament()
-    c = c_parameter(g)
+    # c and the greedy cover read one separation matrix
+    h = distinguisher_hypergraph(g)
+    c = _separation_rate(h.incidence())
     report: dict = {
         "n": g.n,
         "arcs": g.arc_count,
         "tournament": tournament,
         "diameter": _jsonable(diameter(g)),
         "c_parameter": float(c),
-        "beta_greedy": len(greedy_vertex_cover(distinguisher_hypergraph(g))),
+        "beta_greedy": len(greedy_vertex_cover(h)),
     }
     # the separation rate under the reversed distance convention, when it
     # disagrees with the default witness-to-pair reading

@@ -12,6 +12,7 @@ carry :data:`INF` (``math.inf``) in its place, which orders the same way.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -25,6 +26,9 @@ UNREACHABLE = np.iinfo(np.int32).max
 # the n x n arrays all_pairs_distances may hold at once, 17 bytes per pair;
 # admits n <= 3 973
 MAX_DISTANCE_BYTES = 1 << 28
+# the constructor's bool adjacency matrix and its digon-check temporary,
+# 2 bytes per pair; admits n <= 11 585
+MAX_ADJACENCY_BYTES = 1 << 28
 
 
 class BudgetExceededError(RuntimeError):
@@ -38,7 +42,10 @@ class Digraph:
     read-only.  The arcs are pairs of integers, or an (m, 2) integer array
     of them.  Construction validates every arc and orientation; instances
     are safe to share between threads.  The distances and the automorphisms
-    are computed once per graph, on the first call that needs them.
+    are computed once per graph, on the first call that needs them.  A
+    vertex count whose matrix and digon check would exceed
+    :data:`MAX_ADJACENCY_BYTES` raises :class:`BudgetExceededError` before
+    anything is allocated.
     """
 
     __slots__ = ("n", "adjacency", "_distances", "_automorphisms")
@@ -48,6 +55,12 @@ class Digraph:
             raise ValueError(f"vertex count must be an integer, not {type(n).__name__}")
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
+        need = 2 * int(n) ** 2
+        if need > MAX_ADJACENCY_BYTES:
+            raise BudgetExceededError(
+                f"the adjacency matrix of {n} vertices needs {need} bytes, "
+                f"over the limit of {MAX_ADJACENCY_BYTES}"
+            )
         if isinstance(arcs, np.ndarray) and arcs.dtype.kind in "iu" and arcs.shape[1:] == (2,):
             # wrapping a huge unsigned endpoint to a negative one keeps it out of range
             ends = arcs.T.astype(np.intp)
@@ -202,10 +215,13 @@ def _first_fault(n: int, arcs: list | np.ndarray, ends: np.ndarray) -> str:
     tails, heads = ends
     bad = ((ends < 0) | (ends >= n)).any(axis=0) | (tails == heads)
     kept = np.flatnonzero(~bad)
-    # first[u, v]: index of the first arc u -> v, len(arcs) when there is none
-    first = np.full((n, n), len(arcs))
-    np.minimum.at(first, (tails[kept], heads[kept]), kept)
-    bad[kept] = first[heads[kept], tails[kept]] < kept
+    # the kept arcs by key u * n + v, stably, so the first of equal keys is
+    # the first such arc in input order; no n x n array is made
+    keys = tails[kept] * n + heads[kept]
+    order = np.argsort(keys, kind="stable")
+    reverse = heads[kept] * n + tails[kept]
+    at = np.minimum(np.searchsorted(keys[order], reverse), len(keys) - 1)
+    bad[kept] = (keys[order[at]] == reverse) & (kept[order[at]] < kept)
     u, v = arcs[int(np.argmax(bad))]
     if not (0 <= u < n and 0 <= v < n):
         return f"arc ({u},{v}) out of range for n={n}"
@@ -361,22 +377,41 @@ def _transversal(
     return reps
 
 
+@functools.lru_cache(maxsize=1)
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, 1)``: the two vertices of every pair u < v, in
+    ``combinations`` order, as read-only arrays.  The last n asked is kept,
+    since the kernels of one graph ask for the same n in turn."""
+    xs, ys = np.triu_indices(n, 1)
+    xs.flags.writeable = ys.flags.writeable = False
+    return xs, ys
+
+
 def all_pairs_distances(g: Digraph) -> np.ndarray:
     """Shortest directed path lengths as a read-only int32 n x n array,
     :data:`UNREACHABLE` where there is no path, by a BFS from every vertex.
 
-    The frontier holds the pairs (s, v), as flat indices s * n + v, with v
-    first reached from s at the current level.  The next level is the
-    frontier's out-neighbours not yet reached, found by one matrix product
-    ``frontier @ A`` with the adjacency matrix A, or by gathering the
-    frontier's out-arcs when they are expected to number below n**3 / 64
-    (frontier size times mean out-degree).  On a long path, a product per
-    level would cost O(n**4) in all; gathering keeps it to O(n * arcs).
+    Level 1 is the arcs.  Each later level finds the out-neighbours of the
+    frontier, the pairs (s, v) with v first reached from s at the level
+    before, that are not yet reached.  The frontier is held in one of two
+    forms, converted only when the choice below changes:
+
+    - flat indices s * n + v, when its out-arcs are expected to number
+      below n**3 / 64 (frontier size times mean out-degree): the level
+      gathers those arcs, so a long path costs O(n * arcs) in all, not the
+      O(n**4) of a product per level;
+    - otherwise an n x n float32 0/1 matrix F: the level is one product
+      ``F @ A`` with the float32 adjacency matrix A, kept where it exceeds
+      the reached state.
+
+    The reached state is one float32 n x n array holding n + d(s, v) for
+    each pair reached and 0 for the rest.  A product entry is at most n, so
+    it exceeds the state exactly on the pairs it newly reaches.  The search
+    stops once a level reaches nothing or every pair is reached.
 
     Raises :class:`BudgetExceededError`, before allocating, when the n x n
-    arrays (the int32 distances, the bool reached set, the float32
-    adjacency and a level's float32 product with its operand) would exceed
-    ``MAX_DISTANCE_BYTES``.
+    arrays held at once (the state, A, F, its product and the bool mask of
+    new pairs) would exceed ``MAX_DISTANCE_BYTES`` at 17 bytes per pair.
     """
     n = g.n
     need = 17 * n * n
@@ -385,35 +420,57 @@ def all_pairs_distances(g: Digraph) -> np.ndarray:
             f"the distance arrays of {n} vertices need {need} bytes, "
             f"over the limit of {MAX_DISTANCE_BYTES}"
         )
-    degree = np.count_nonzero(g.adjacency, axis=1)
-    # the out-arcs in row-major order: grouped by tail, heads ascending
-    heads = np.nonzero(g.adjacency)[1]
-    first_arc = np.cumsum(degree) - degree
+    arc_count = np.count_nonzero(g.adjacency)
     adjacency = g.adjacency.astype(np.float32)
-    dist = np.full(n * n, UNREACHABLE, dtype=np.int32)
-    reached = np.eye(n, dtype=bool).ravel()
-    frontier = np.flatnonzero(reached)
-    dist[frontier] = 0
-    level = 0
-    while len(frontier):
+    seen = adjacency * np.float32(n + 1)
+    seen.ravel()[:: n + 1] = n
+    flat = seen.ravel()
+    # the level-1 frontier is the arcs, as a matrix, or as flat indices
+    dense, frontier = adjacency, None
+    count, reached = arc_count, n + arc_count
+    arc_lists = None  # out-degrees, heads and first out-arcs, for gathers
+    level = 1
+    while count and reached < n * n:
         level += 1
-        if 64 * len(frontier) * len(heads) < n**4:
+        if 64 * count * arc_count < n**4:
+            if frontier is None:
+                frontier, dense = np.flatnonzero(dense > 0), None
+            if arc_lists is None:
+                # the out-arcs in row-major order: grouped by tail, heads ascending
+                arc_tails, heads = np.divmod(np.flatnonzero(g.adjacency), n)
+                degree = np.bincount(arc_tails, minlength=n)
+                arc_lists = degree, heads, np.cumsum(degree) - degree
+            degree, heads, first_arc = arc_lists
             sources, tails = np.divmod(frontier, n)
             steps = degree[tails]
             # gathered arc j is out-arc j - start of its pair's tail, where
             # start is the first gathered arc of that pair
             start = np.cumsum(steps) - steps
             arcs = np.arange(steps.sum()) + np.repeat(first_arc[tails] - start, steps)
-            step = np.sort(np.repeat(sources * n, steps) + heads[arcs])
-            step = step[np.diff(step, prepend=-1) != 0]
+            step = np.repeat(sources * n, steps) + heads[arcs]
+            step = step[flat[step] == 0]
+            step.sort()
+            first = np.empty(len(step), dtype=bool)
+            first[:1] = True
+            np.not_equal(step[1:], step[:-1], out=first[1:])
+            frontier = step[first]
+            flat[frontier] = n + level
+            count = len(frontier)
         else:
-            rows = np.zeros(n * n, dtype=np.float32)
-            rows[frontier] = 1
-            step = np.flatnonzero(rows.reshape(n, n) @ adjacency)
-        frontier = step[~reached[step]]
-        reached[frontier] = True
-        dist[frontier] = level
-    dist = dist.reshape(n, n)
+            if dense is None:
+                dense = np.zeros((n, n), dtype=np.float32)
+                dense.ravel()[frontier] = 1
+                frontier = None
+            new = dense @ adjacency > seen
+            dense = new.astype(np.float32)
+            np.putmask(seen, new, n + level)
+            count = np.count_nonzero(new)
+        reached += count
+    dist = seen.astype(np.int32)
+    dist -= n
+    # an unreached pair now holds -n, which read as uint32 lies above
+    # UNREACHABLE: one minimum puts the sentinel there
+    np.minimum(dist.view(np.uint32), UNREACHABLE, out=dist.view(np.uint32))
     dist.flags.writeable = False
     return dist
 

@@ -12,7 +12,7 @@ import random
 
 import numpy as np
 
-from .digraph import Digraph
+from .digraph import Digraph, _pair_index
 
 
 def rotation_tournament(m: int) -> Digraph:
@@ -140,7 +140,7 @@ def random_tournament(n: int, p: float, seed: int) -> Digraph:
     if not 0 <= p <= 1:
         raise ValueError(f"p must be a probability, got {p}")
     r = random.Random(seed).random
-    i, j = np.triu_indices(n, 1)
+    i, j = _pair_index(n)
     forward = np.array([r() < p for _ in range(len(i))], dtype=bool)
     return Digraph(n, np.column_stack([np.where(forward, i, j), np.where(forward, j, i)]))
 

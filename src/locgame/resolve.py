@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .digraph import Digraph
+from .digraph import Digraph, _pair_index
 from .game import MAX_PROBE_SETS, BudgetExceededError, _level_rows, _lower_level
 from .hypergraph import Hypergraph
 
@@ -190,7 +190,14 @@ def _separation(dist: np.ndarray, direction: str) -> np.ndarray:
     ``combinations`` order.  Row w compares d(w, .) when the witness probes
     the pair, d(., w) when the pair reaches the witness.  Raises
     :class:`BudgetExceededError`, before allocating, when the matrix would
-    exceed ``MAX_SEPARATION_BYTES``."""
+    exceed ``MAX_SEPARATION_BYTES``.
+
+    The pairs are compared in blocks, one ``!=`` per block of columns: the
+    array ``sides`` holds in row v what every witness reads of v (column v
+    of the distances, or row v), so a block gathers whole contiguous rows
+    for both ends of its pairs.  The two int32 gathers stay within
+    ``_WITNESS_BLOCK_BYTES``, which makes one block for n <= 64.
+    """
     if direction not in ("witness-to-pair", "pair-to-witness"):
         raise ValueError(f"unknown direction {direction!r}")
     n = len(dist)
@@ -200,13 +207,13 @@ def _separation(dist: np.ndarray, direction: str) -> np.ndarray:
             f"the separation matrix of {n} vertices needs {need} bytes, "
             f"over the limit of {MAX_SEPARATION_BYTES}"
         )
-    rows = dist if direction == "witness-to-pair" else dist.T
-    xs, ys = np.triu_indices(n, 1)
-    # row by row: comparing all rows at once would gather two n x C(n, 2)
-    # int32 temporaries, 32 MB at n = 200
+    sides = np.ascontiguousarray(dist.T) if direction == "witness-to-pair" else dist
+    xs, ys = _pair_index(n)
     separated = np.empty((n, len(xs)), dtype=bool)
-    for w, row in enumerate(rows):
-        np.not_equal(row[xs], row[ys], out=separated[w])
+    per_block = max(1, _WITNESS_BLOCK_BYTES // (8 * max(1, n)))
+    for lo in range(0, len(xs), per_block):
+        hi = lo + per_block
+        separated[:, lo:hi] = (sides[xs[lo:hi]] != sides[ys[lo:hi]]).T
     return separated
 
 
@@ -236,9 +243,16 @@ def distinguisher_hypergraph(
 def c_parameter(g: Digraph, direction: str = "witness-to-pair") -> Fraction:
     """Worst-case separation rate: min over pairs of |separating set| / n,
     the smallest edge of ``distinguisher_hypergraph`` over n."""
-    if g.n < 2:
+    return _separation_rate(_separation(g.distances(), direction).T)
+
+
+def _separation_rate(incidence: np.ndarray) -> Fraction:
+    """c read off the edge x vertex incidence of a distinguisher
+    hypergraph: its smallest edge over n, or 1 when there is no pair."""
+    pairs, n = incidence.shape
+    if not pairs:
         return Fraction(1)
-    return Fraction(int(_separation(g.distances(), direction).sum(axis=0).min()), g.n)
+    return Fraction(int(incidence.sum(axis=1).min()), n)
 
 
 def lp_upper_bound(g: Digraph) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import Digraph
+from .digraph import Digraph, _pair_index
 
 
 def _require_tournament(g: Digraph) -> None:
@@ -78,7 +78,7 @@ def sameness_matrix(g: Digraph) -> np.ndarray:
 
 def pair_sameness(g: Digraph) -> np.ndarray:
     """s(u, v) for the pairs u < v, in row-major order."""
-    return sameness_matrix(g)[np.triu_indices(g.n, 1)]
+    return sameness_matrix(g)[_pair_index(g.n)]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import time
 from unittest import mock
 
@@ -28,6 +29,7 @@ from locgame import (
 )
 from locgame import cli, digraph, game
 from locgame.digraph import (
+    MAX_ADJACENCY_BYTES,
     MAX_AUTOMORPHISMS,
     MAX_DISTANCE_BYTES,
     BudgetExceededError,
@@ -269,6 +271,24 @@ class TestDistances:
         g = Digraph(n, arcs)
         assert listed(all_pairs_distances(g)) == bfs_distances(g)
 
+    def test_switches_gather_product_gather_in_one_search(self):
+        # a circulant core i -> i + 1, i + 3, i + 9 on 24 vertices and a
+        # path of 4 more vertices out of it and back in: the frontier's
+        # expected out-arcs start below n**3 / 64, pass it in the core and
+        # fall back below it along the path
+        k, tail = 24, 4
+        arcs = [(i, (i + step) % k) for i in range(k) for step in (1, 3, 9)]
+        arcs += [(k - 1 + i, k + i) for i in range(tail)] + [(k + tail - 1, 0)]
+        g = Digraph(k + tail, arcs)
+        want = bfs_distances(g)
+        n, m = g.n, g.arc_count
+        # the graph is strong, so levels 2..diameter run, and level L's
+        # frontier is the pairs at distance L - 1
+        sizes = [sum(row.count(d) for row in want) for d in range(1, max(map(max, want)))]
+        modes = "".join("g" if 64 * size * m < n**4 else "p" for size in sizes)
+        assert re.fullmatch("g+p+g+", modes), modes
+        assert listed(all_pairs_distances(g)) == want
+
     def test_array_is_read_only(self):
         dist = all_pairs_distances(cycle3())
         with pytest.raises(ValueError, match="read-only"):
@@ -376,6 +396,55 @@ def edge_list_texts(draw):
         at = draw(st.integers(0, len(text)))
         text = text[:at] + draw(st.sampled_from(EDGE_LIST_NOISE)) + text[at:]
     return text
+
+
+class TestAdjacencyBudget:
+    def test_budget_admits_11585_vertices(self):
+        assert 2 * 11585**2 <= MAX_ADJACENCY_BYTES < 2 * 11586**2
+
+    @pytest.mark.parametrize("n", [11586, 66858])
+    def test_refuses_before_allocating(self, n):
+        with mock.patch.object(np, "zeros", side_effect=AssertionError("allocated")):
+            with pytest.raises(BudgetExceededError) as err:
+                Digraph(n, [])
+        assert str(err.value) == (
+            f"the adjacency matrix of {n} vertices needs {2 * n * n} bytes, "
+            f"over the limit of {MAX_ADJACENCY_BYTES}"
+        )
+
+    def test_boundary_under_a_smaller_cap(self, monkeypatch):
+        monkeypatch.setattr(digraph, "MAX_ADJACENCY_BYTES", 2 * 9 * 9)
+        assert Digraph(9, [(0, 1)]).arc_count == 1
+        with pytest.raises(BudgetExceededError, match="needs 200 bytes"):
+            Digraph(10, [(0, 1)])
+
+    @pytest.mark.parametrize("command", ["beta", "stats"])
+    def test_command_exits_3_with_one_line(self, capsys, tmp_path, command):
+        # a vertex count the reader refuses is bad input, like one whose
+        # matrix cannot be allocated
+        path = tmp_path / "huge.txt"
+        path.write_text("66858\n")
+        assert cli.main([command, str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {path}: the adjacency matrix of 66858 vertices needs "
+            "8939984328 bytes, over the limit of 268435456\n"
+        )
+
+
+class TestPairIndex:
+    def test_matches_triu_indices(self):
+        for n in range(71):
+            xs, ys = digraph._pair_index(n)
+            want_xs, want_ys = np.triu_indices(n, 1)
+            assert np.array_equal(xs, want_xs) and np.array_equal(ys, want_ys)
+            assert not xs.flags.writeable and not ys.flags.writeable
+
+    def test_a_repeated_count_gets_the_same_arrays(self):
+        first = digraph._pair_index(9)
+        again = digraph._pair_index(9)
+        assert again[0] is first[0] and again[1] is first[1]
 
 
 class TestFileFormats:

@@ -296,6 +296,34 @@ class TestDistinguisherHypergraph:
         assert given.edges == distinguisher_hypergraph(g).edges
 
 
+def reference_separation(g, direction):
+    """separated[w][t] by the definition, over ``combinations`` order."""
+    d = g.distances().tolist()
+    if direction == "pair-to-witness":
+        d = [list(col) for col in zip(*d)]
+    return [
+        [d[w][x] != d[w][y] for x, y in itertools.combinations(range(g.n), 2)]
+        for w in range(g.n)
+    ]
+
+
+class TestSeparation:
+    @settings(max_examples=40, deadline=None)
+    @given(oriented_digraphs(max_n=12), st.sampled_from(["witness-to-pair", "pair-to-witness"]))
+    def test_matches_reference_in_every_block_size(self, g, direction):
+        from locgame import resolve
+
+        want = reference_separation(g, direction)
+        # blocks of one pair, of 3 pairs (the last one short unless 3
+        # divides C(n, 2)), and the default, one block: a block's two
+        # gathers take 8 n bytes per pair
+        for block_bytes in (1, 8 * g.n * 3, resolve._WITNESS_BLOCK_BYTES):
+            with mock.patch.object(resolve, "_WITNESS_BLOCK_BYTES", block_bytes):
+                got = resolve._separation(g.distances(), direction)
+            assert got.shape == (g.n, math.comb(g.n, 2))
+            assert got.tolist() == want
+
+
 class TestCParameterAndBound:
     def test_cycle_c_is_one(self):
         assert c_parameter(cycle3()) == 1

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from locgame import stats
+from locgame import resolve, stats
 from locgame import (
     Digraph,
     c_parameter,
@@ -186,6 +186,26 @@ def test_stats_builds_one_indicator_matrix(monkeypatch, capsys, tmp_path):
     built.clear()
     run_experiment(ExperimentConfig(sizes=(8,), trials=2, seed=5))
     assert built == [8, 8]  # one per trial
+
+
+def test_stats_builds_two_separations(monkeypatch, capsys, tmp_path):
+    # the distinguisher hypergraph gives c and the greedy cover; only the
+    # reversed convention builds a second matrix
+    built = []
+    original = resolve._separation
+    monkeypatch.setattr(
+        resolve, "_separation", lambda dist, direction: built.append(direction) or original(dist, direction)
+    )
+    g = random_tournament(13, 0.5, 4)
+    path = tmp_path / "r13.txt"
+    write_digraph(g, path)
+    assert main(["stats", str(path)]) == 0
+    assert sorted(built) == ["pair-to-witness", "witness-to-pair"]
+    report = json.loads(capsys.readouterr().out)
+    monkeypatch.setattr(resolve, "_separation", original)
+    assert report["c_parameter"] == float(c_parameter(g))
+    reverse = float(c_parameter(g, direction="pair-to-witness"))
+    assert report.get("c_parameter_pair_to_witness", report["c_parameter"]) == reverse
 
 
 def _count_tournament_checks(monkeypatch):
