@@ -247,15 +247,17 @@ def _search_automorphisms(
     budget cut the search short, from the distance array as nested lists.
 
     A coset search along the base 0..n-1.  Images are assigned in vertex
-    order with forward checking: ``fits[w][(a, b)]`` is the mask of
-    vertices x with d(w, x) = a and d(x, w) = b.  Mapping v to w narrows
-    the domain of every later vertex u to ``fits[w][(d(v, u), d(u, v))]``,
-    and its cell, the later vertices that agree with u on every mapped
-    vertex, to ``fits[v][...]`` alike; a map onto a domain of another size
-    than the cell cannot be a bijection, so the branch is cut.  Domains and
-    cells start as the vertices with the same multiset of such pairs.  Only
-    x = w is at distance 0 from w, so images stay distinct and every leaf
-    preserves all distances.  Each assignment tried is one search node.
+    order with forward checking.  The pair (d(w, x), d(x, w)), unreachable
+    read as n, is coded as one int, its rank among the distinct pairs of
+    the graph, and ``fits[w][code]`` is the mask of vertices x whose pair
+    with w has that code.  Mapping v to w narrows the domain of every later
+    vertex u to ``fits[w][codes[v][u]]``, and its cell, the later vertices
+    that agree with u on every mapped vertex, to ``fits[v][...]`` alike; a
+    map onto a domain of another size than the cell cannot be a bijection,
+    so the branch is cut.  Domains and cells start as the vertices with the
+    same multiset of codes.  Only x = w is at distance 0 from w, so images
+    stay distinct and every leaf preserves all distances.  Each assignment
+    tried is one search node.
 
     The domains are first narrowed along the identity.  Then, for v from
     n-1 down to 0, the orbit of v under the maps found so far grows: for
@@ -272,18 +274,18 @@ def _search_automorphisms(
     kept.
     """
     n = len(dist)
-    fits: list[dict[tuple[int, int], int]] = [{} for _ in range(n)]
-    for w in range(n):
-        for x in range(n):
-            key = (dist[w][x], dist[x][w])
-            fits[w][key] = fits[w].get(key, 0) | (1 << x)
-    profile = [
-        sorted((key, mask.bit_count()) for key, mask in fits[v].items())
-        for v in range(n)
-    ]
-    domains = [
-        sum(1 << w for w in range(n) if profile[w] == profile[v]) for v in range(n)
-    ]
+    codes, count = _pair_codes(dist)
+    bits = [1 << x for x in range(n)]
+    fits = [[0] * count for _ in range(n)]
+    for fit, row in zip(fits, codes):
+        for code, bit in zip(row, bits):
+            fit[code] |= bit
+    # a vertex's domain: the vertices with the same multiset of codes
+    groups: dict[tuple[int, ...], int] = {}
+    profile = [tuple(sorted(row)) for row in codes]
+    for v, key in enumerate(profile):
+        groups[key] = groups.get(key, 0) | 1 << v
+    domains = [groups[key] for key in profile]
     # every leaf searched fixes a prefix 0..v-1, so image[:v] is the identity
     image = list(range(n))
     nodes = 0
@@ -298,10 +300,11 @@ def _search_automorphisms(
         """The domains and cells after mapping v to w, or None when the
         branch is cut."""
         narrowed, split = domains[:], cells[:]
+        to_w, to_v, row = fits[w], fits[v], codes[v]
         for u in range(v + 1, n):
-            key = (dist[v][u], dist[u][v])
-            narrowed[u] &= fits[w].get(key, 0)
-            split[u] &= fits[v][key]
+            code = row[u]
+            narrowed[u] &= to_w[code]
+            split[u] &= to_v[code]
             if narrowed[u].bit_count() != split[u].bit_count():
                 return None
         return narrowed, split
@@ -360,6 +363,22 @@ def _search_automorphisms(
         truncated |= len(group) > MAX_AUTOMORPHISMS
         group = group[np.lexsort(group.T[::-1])][:MAX_AUTOMORPHISMS]
     return tuple(map(tuple, group.tolist())), truncated
+
+
+def _pair_codes(dist: list[list[int]]) -> tuple[list[list[int]], int]:
+    """codes[w][x], the rank of the pair (d(w, x), d(x, w)), unreachable
+    read as n, among the C distinct pairs of the distance array; and C."""
+    n = len(dist)
+    d = np.minimum(np.array(dist, dtype=np.int64).reshape(n, n), n)
+    pairs = (d * (n + 1) + d.T).ravel()
+    order = np.argsort(pairs)
+    ranked = pairs[order]
+    new = np.empty(len(pairs), dtype=np.int64)  # 1 where a new pair starts
+    new[:1] = 0
+    new[1:] = ranked[1:] != ranked[:-1]
+    codes = np.empty_like(pairs)
+    codes[order] = np.cumsum(new)
+    return codes.reshape(n, n).tolist(), int(codes.max(initial=-1)) + 1
 
 
 def _transversal(

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .digraph import INF, diameter
 from .families import random_tournament
 from .hypergraph import greedy_vertex_cover
@@ -61,8 +63,7 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
         for trial in range(config.trials):
             g = random_tournament(n, config.p, config.seed + trial)
             same = pair_sameness(g)
-            s_values = same.tolist()
-            in_bracket = sum(1 for s in s_values if lo <= s <= hi)
+            in_bracket = int(np.count_nonzero((lo <= same) & (same <= hi)))
             cover = greedy_vertex_cover(distinguisher_hypergraph(g))
             rows.append(
                 {
@@ -73,11 +74,11 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                     "diameter": diameter(g),
                     "beta_greedy": len(cover),
                     "k_bound": probe_bound(n, config.p, eps),
-                    "s_min": min(s_values),
-                    "s_max": max(s_values),
+                    "s_min": int(same.min()),
+                    "s_max": int(same.max()),
                     "e4c_ratio": _e4c(n, same) / (n ** 4 / 2),
                     # diagnostics, not CSV columns
-                    "s_frac_in_bracket": in_bracket / len(s_values),
+                    "s_frac_in_bracket": in_bracket / len(same),
                     "eps": eps,
                 }
             )

@@ -44,6 +44,12 @@ they are at their fixpoint already, and a state lost there stays lost.
 Within the sweeps a state is re-opened only when some win has been marked
 since its last open; otherwise the open would give the same answer (a
 local fixpoint in the sense of Liu and Smolka, ICALP 1998).
+
+The play engine keeps, for the length of one game, the classes of each
+(candidates, probe) and the robber's step of each chosen class, both pure
+functions of their keys, since an evading game revisits the same candidate
+sets round after round.  The optimal robber works on int masks: it reads
+each class's step off the solver's step tables and asks ``wins`` about it.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ MAX_PROBE_SETS = 1_000_000
 _PROBE_BLOCK = 1 << 16  # probes per block of the partition build
 _STEP_BITS = 12  # chunk width of the robber-step tables
 _STEP_LOW = (1 << _STEP_BITS) - 1
+_BITS = tuple(1 << v for v in range(MAX_SOLVER_VERTICES))  # vertex -> its mask bit
 
 
 class ProbeError(ValueError):
@@ -83,16 +90,20 @@ def partition_by_probe(
     raises ValueError.
     """
     probe = _normalize_probe(probe, g.n)
-    columns = g.distances()[list(probe)].T.tolist()
-    cells: dict[tuple[int, ...], set[int]] = {}
+    rows = g.distances()[list(probe)]
+    columns = rows.T.tolist()
+    cells: dict[tuple[int, ...], list[int]] = {}
     for x in candidates:
         if not 0 <= x < g.n:
             raise ValueError(f"candidate {x} out of range for n={g.n}")
-        cells.setdefault(tuple(columns[x]), set()).add(x)
-    return [
-        (tuple(INF if d == UNREACHABLE else d for d in vec), frozenset(cells[vec]))
-        for vec in sorted(cells)
-    ]
+        cells.setdefault(tuple(columns[x]), []).append(x)
+    vectors = sorted(cells)
+    if UNREACHABLE in rows:
+        return [
+            (tuple(INF if d == UNREACHABLE else d for d in vec), frozenset(cells[vec]))
+            for vec in vectors
+        ]
+    return [(vec, frozenset(cells[vec])) for vec in vectors]
 
 
 def robber_step(g: Digraph, vertices: Iterable[int]) -> frozenset[int]:
@@ -166,9 +177,11 @@ def _level_rows(
     out = np.empty((stop - start, same.shape[1]), dtype=np.int64)
     first = 0  # level j index of the first set with least vertex x
     for x in range(k - j, n - j + 1):
+        if first >= stop:
+            break
         size = math.comb(n - 1 - x, j - 1)
-        lo, hi = max(start, first), min(stop, first + size)
-        if lo < hi:
+        if first + size > start:
+            lo, hi = max(start, first), min(stop, first + size)
             shift = len(prev) - size - first  # level j-1 index minus level j index
             np.bitwise_and(prev[shift + lo : shift + hi], same[x], out=out[lo - start : hi - start])
         first += size
@@ -199,9 +212,10 @@ def _probe_partitions(g: Digraph, k: int) -> np.ndarray:
     The rows are built level by level, each set's row being its least
     vertex's row ANDed with the row of the rest (see :func:`_level_rows`).
     Levels 1..k-1 are built whole; the k-set rows come in blocks of
-    ``_PROBE_BLOCK``, each deduplicated by :func:`_first_rows` as it comes,
-    then the blocks' survivors together.  The cells are scattered from
-    the listed (row, vertex) pairs straight into the zero-padded matrix.
+    ``_PROBE_BLOCK``, each deduplicated by :func:`_first_rows` and turned
+    into its narrow cell rows (:func:`_cell_rows`) as it comes, so no block
+    is held n wide.  With several blocks, the cell rows, padded to one
+    width, are deduplicated once more: they too are a canonical form.
     """
     n = g.n
     dist = g.distances()
@@ -210,25 +224,42 @@ def _probe_partitions(g: Digraph, k: int) -> np.ndarray:
     same = ((dist[:, :, None] == dist[:, None, :]) * bits).sum(axis=2)
     level = _lower_level(same, k)
     total = math.comb(n, k)
-    kept = []
+    blocks = []
     for start in range(0, total, _PROBE_BLOCK):
         rows = _level_rows(level, same, k, k, start, min(start + _PROBE_BLOCK, total))
-        kept.append(rows[_first_rows(rows)])
-    # free the (k-1)-set rows and the blocks' survivors before the last
-    # dedupe copies the rows again
-    del level
-    rows = kept[0]
-    if len(kept) > 1:
-        rows = np.concatenate(kept)
-        kept.clear()
         rows = rows[_first_rows(rows)]
+        blocks.append(_cell_rows(rows, bits))
+        del rows  # before the next block's rows are built
+    del level  # the merge below needs only the cell rows
+    if len(blocks) == 1:
+        return np.ascontiguousarray(blocks[0].T)
+    cells = np.zeros((sum(map(len, blocks)), max(b.shape[1] for b in blocks)), dtype=np.int64)
+    at = 0
+    for block in blocks:
+        cells[at : at + len(block), : block.shape[1]] = block
+        at += len(block)
+    blocks.clear()  # before the dedupe copies the rows again
+    return cells.T.take(_first_rows(cells), axis=1)
+
+
+def _cell_rows(rows: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """The non-singleton cells of each partition row (see
+    :func:`_probe_partitions`), one zero-padded row of cell masks per
+    partition, each cell listed at its lowest vertex, in vertex order.
+
+    The cells are scattered from the flat indices of the listed
+    (row, vertex) pairs: the i-th listed pair goes to slot i minus the
+    count listed in earlier rows."""
     # x lists its cell when x is the cell's lowest vertex and not alone in it
     listed = ((rows & (bits - 1)) == 0) & (rows != bits)
-    row, x = listed.nonzero()
-    counts = listed.sum(axis=1)
-    slot = np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
-    cells = np.zeros((int(counts.max()), len(rows)), dtype=np.int64)
-    cells[slot, row] = rows[row, x]
+    at = np.flatnonzero(listed)
+    counts = np.count_nonzero(listed, axis=1)
+    width = int(counts.max())
+    # the flat index in the output of the first slot of each row, less the
+    # count listed before that row
+    shift = np.arange(len(rows)) * width - (np.cumsum(counts) - counts)
+    cells = np.zeros((len(rows), width), dtype=np.int64)
+    cells.ravel()[np.arange(len(at)) + np.repeat(shift, counts)] = rows.ravel()[at]
     return cells
 
 
@@ -599,17 +630,20 @@ class OptimalRobber:
     def choose(
         self, classes: list[tuple[Vector, frozenset[int]]]
     ) -> tuple[Vector, frozenset[int]]:
-        def order(item):
-            # escape (a class the cops cannot win), else stall on a
-            # non-singleton, else concede; wins is asked of every
-            # non-singleton, in partition order.  The classes are disjoint,
-            # so the least vertex orders them as their sorted tuples would.
-            _, cls = item
+        # escape (a class the cops cannot win), else stall on a
+        # non-singleton, else concede; wins is asked of every non-singleton,
+        # in partition order, about its step read off the solver's step
+        # tables.  The classes are disjoint, so the least vertex orders them
+        # as their sorted tuples would.
+        wins = self.solver.wins
+        low, high = self.solver._step
+        keys = []
+        for _, cls in classes:
+            mask = sum(map(_BITS.__getitem__, cls))
             single = len(cls) == 1
-            caught = single or self.solver.wins(robber_step(self.g, cls))
-            return (caught, single, -len(cls), min(cls))
-
-        return min(classes, key=order)
+            caught = single or wins(low.item(mask & _STEP_LOW) | high.item(mask >> _STEP_BITS))
+            keys.append((caught, single, -len(cls), (mask & -mask).bit_length() - 1))
+        return classes[keys.index(min(keys))]
 
 
 def optimal_robber(g: Digraph, k: int) -> OptimalRobber:
@@ -631,21 +665,30 @@ def play(g: Digraph, cop_strategy, robber, max_rounds: int) -> GameTranscript:
         raise ValueError("max_rounds must be positive")
     transcript = GameTranscript()
     candidates = frozenset(range(g.n))
+    # both are pure functions of their keys, and evading games revisit
+    # the same candidate sets round after round
+    partitions: dict[tuple[frozenset[int], tuple[int, ...]], list] = {}
+    steps: dict[frozenset[int], frozenset[int]] = {}
     for number in range(1, max_rounds + 1):
         probe = _normalize_probe(cop_strategy.next(transcript), g.n)
         if len(probe) > cop_strategy.cops:
             raise ProbeError(
                 f"strategy probed {len(probe)} vertices with budget {cop_strategy.cops}"
             )
-        classes = partition_by_probe(g, candidates, probe)
-        vector, chosen = robber.choose(classes)
+        classes = partitions.get((candidates, probe))
+        if classes is None:
+            classes = partitions[candidates, probe] = partition_by_probe(g, candidates, probe)
+        # a fresh list, so a robber that changes its list cannot change the memo
+        vector, chosen = robber.choose(classes[:])
         if (vector, chosen) not in classes:
             raise ValueError("robber chose a class not in the current partition")
         if len(chosen) == 1:
             transcript.rounds.append(Round(number, probe, vector, chosen, chosen))
             transcript.outcome = Outcome(True, number, next(iter(chosen)))
             return transcript
-        stepped = robber_step(g, chosen)
+        stepped = steps.get(chosen)
+        if stepped is None:
+            stepped = steps[chosen] = robber_step(g, chosen)
         transcript.rounds.append(Round(number, probe, vector, chosen, stepped))
         candidates = stepped
     transcript.outcome = Outcome(False, max_rounds)

@@ -122,10 +122,13 @@ def _least_resolving(dist: np.ndarray, least: int, stop: int) -> list[int] | Non
     size-then-lexicographic order, or None.  Sizes below ``least`` are not
     built."""
     n = len(dist)
-    pairs = math.comb(n, 2)
-    unseparated = np.zeros((n, -(-pairs // 64) * 64), dtype=bool)  # spare bits: 0
-    np.logical_not(_separation(dist, "witness-to-pair"), out=unseparated[:, :pairs])
-    same = np.packbits(unseparated, axis=1).view(np.int64)
+    unseparated = _separation(dist, "witness-to-pair")
+    np.logical_not(unseparated, out=unseparated)
+    packed = np.packbits(unseparated, axis=1)  # the last byte's spare bits: 0
+    del unseparated  # freed before the padded copy is made
+    same = np.zeros((n, -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    same[:, : packed.shape[1]] = packed
+    same = same.view(np.int64)
     per_block = max(1, _WITNESS_BLOCK_BYTES // max(1, same[0].nbytes))
     for size in range(least, stop):
         level, total = _lower_level(same, size), math.comb(n, size)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from locgame import INF, Digraph, SccDecomposition, digraph
+from locgame import INF, Digraph, SccDecomposition, digraph, game
 from locgame.lp import TOL, LpSolution, UnboundedError
 
 
@@ -234,6 +234,54 @@ def reference_automorphisms(dist: list[list[int]]) -> tuple[tuple[int, ...], ...
 
     extend(0, domains, domains)
     return tuple(found) or (tuple(range(n)),)
+
+
+class ReferenceRobber:
+    """The optimal robber's choice written plainly: the least class under
+    the key (caught, single, -size, least vertex), with ``wins`` asked of
+    every non-singleton's ``robber_step``, in partition order."""
+
+    def __init__(self, g: Digraph, k: int):
+        self.g = g
+        self.solver = game.LocalizationSolver(g, k)
+
+    def choose(self, classes):
+        def order(item):
+            _, cls = item
+            single = len(cls) == 1
+            caught = single or self.solver.wins(game.robber_step(self.g, cls))
+            return (caught, single, -len(cls), min(cls))
+
+        return min(classes, key=order)
+
+
+def reference_play(g: Digraph, cop_strategy, robber, max_rounds: int) -> game.GameTranscript:
+    """Reference play engine: the round loop with nothing kept between
+    rounds, calling ``partition_by_probe`` every round and ``robber_step``
+    on every chosen non-singleton class."""
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be positive")
+    transcript = game.GameTranscript()
+    candidates = frozenset(range(g.n))
+    for number in range(1, max_rounds + 1):
+        probe = game._normalize_probe(cop_strategy.next(transcript), g.n)
+        if len(probe) > cop_strategy.cops:
+            raise game.ProbeError(
+                f"strategy probed {len(probe)} vertices with budget {cop_strategy.cops}"
+            )
+        classes = game.partition_by_probe(g, candidates, probe)
+        vector, chosen = robber.choose(classes)
+        if (vector, chosen) not in classes:
+            raise ValueError("robber chose a class not in the current partition")
+        if len(chosen) == 1:
+            transcript.rounds.append(game.Round(number, probe, vector, chosen, chosen))
+            transcript.outcome = game.Outcome(True, number, next(iter(chosen)))
+            return transcript
+        stepped = game.robber_step(g, chosen)
+        transcript.rounds.append(game.Round(number, probe, vector, chosen, stepped))
+        candidates = stepped
+    transcript.outcome = game.Outcome(False, max_rounds)
+    return transcript
 
 
 def brute_e4c(g: Digraph) -> int:

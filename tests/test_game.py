@@ -29,9 +29,16 @@ from locgame import (
     tripartite_cycle,
 )
 from locgame import digraph, game
+from locgame.strategies import BagSweep, RotationStrategy
 from locgame.verify import random_dag, random_digraph
 
-from conftest import bfs_distances, circulants, oriented_digraphs
+from conftest import (
+    ReferenceRobber,
+    bfs_distances,
+    circulants,
+    oriented_digraphs,
+    reference_play,
+)
 
 
 def cycle3():
@@ -365,6 +372,36 @@ class TestProbePartitions:
             g = random_digraph(rng, n, rng.uniform(0.1, 0.9))
             for k in range(1, n + 1):
                 assert listed_partitions(g, k) == reference_partitions(g, k)
+
+
+def reference_level(same, i, k):
+    """Level i of the k-set row build by its definition: the AND of the rows
+    of each i-set whose least vertex is at least k - i, in combinations
+    order (the empty set's row is all ones)."""
+    from itertools import combinations
+
+    rows = [
+        np.bitwise_and.reduce(same[list(c)], axis=0) if c else np.full(same.shape[1], -1)
+        for c in combinations(range(k - i, len(same)), i)
+    ]
+    return np.array(rows, dtype=np.int64).reshape(-1, same.shape[1])
+
+
+class TestLevelRows:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_any_split_into_blocks_gives_the_whole_level(self, data):
+        n = data.draw(st.integers(1, 9))
+        k = data.draw(st.integers(1, n))
+        j = data.draw(st.integers(1, k))
+        word = st.integers(-(1 << 63), (1 << 63) - 1)
+        same = np.array(data.draw(st.lists(word, min_size=2 * n, max_size=2 * n)), dtype=np.int64)
+        same = same.reshape(n, 2)
+        prev, whole = reference_level(same, j - 1, k), reference_level(same, j, k)
+        cuts = sorted(data.draw(st.lists(st.integers(0, len(whole)), max_size=6)))
+        bounds = [0, *cuts, len(whole)]
+        blocks = [game._level_rows(prev, same, j, k, a, b) for a, b in zip(bounds, bounds[1:])]
+        assert np.concatenate(blocks).tolist() == whole.tolist()
 
 
 def lexsort_first_rows(a):
@@ -725,3 +762,105 @@ class TestPlayEngine:
         again = GameTranscript.from_json_lines(text)
         assert again.rounds[0].vector == transcript.rounds[0].vector
         assert INF in again.rounds[0].vector
+
+
+@st.composite
+def bag_schedules(draw, n):
+    """A BagSweep over a short drawn pattern of bags, repeated, so a game
+    revisits its probes; rounds never outrun the schedule."""
+    cops = draw(st.integers(1, n))
+    bag = st.lists(st.integers(0, n - 1), min_size=1, max_size=cops, unique=True)
+    pattern = draw(st.lists(bag.map(lambda b: tuple(sorted(b))), min_size=1, max_size=4))
+    return BagSweep("drawn", pattern * draw(st.integers(1, 6)), cops)
+
+
+class Recording:
+    """A robber that records a copy of every partition it is offered, then
+    reverses the list it got and appends a class of its own to it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.offered = []
+
+    def choose(self, classes):
+        self.offered.append(list(classes))
+        answer = self.inner.choose(list(classes))
+        classes.reverse()
+        classes.append(((-1,), frozenset({-1})))
+        return answer
+
+
+class TestPlayAgainstReference:
+    """play keeps each round's partition and step for the rest of the game;
+    the transcripts must not show it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_optimal_robber_against_bag_schedules(self, data):
+        g = data.draw(oriented_digraphs(min_n=1, max_n=8))
+        k = data.draw(st.integers(1, g.n))
+        sweep = data.draw(bag_schedules(g.n))
+        rounds = data.draw(st.integers(1, len(sweep.bags)))
+        got = play(g, sweep, optimal_robber(g, k), rounds)
+        want = reference_play(g, sweep, ReferenceRobber(g, k), rounds)
+        assert got.to_json_lines() == want.to_json_lines()
+
+    @settings(max_examples=40, deadline=None)
+    @given(circulants(max_n=13).filter(lambda g: g.n % 2 and g.n > 1), st.data())
+    def test_optimal_robber_against_rotation_on_odd_circulants(self, g, data):
+        m = g.n // 2
+        strategy = RotationStrategy(m, data.draw(st.integers(1, m // 2 + 1)))
+        k = data.draw(st.integers(1, min(4, g.n)))
+        got = play(g, strategy, optimal_robber(g, k), 3 * g.n)
+        want = reference_play(g, strategy, ReferenceRobber(g, k), 3 * g.n)
+        assert got.to_json_lines() == want.to_json_lines()
+
+    def test_evading_games_on_rotation_tournaments(self):
+        for m, cops in ((7, 3), (9, 4), (9, 5)):
+            g = rotation_tournament(m)
+            strategy = RotationStrategy(m, cops)
+            got = play(g, strategy, optimal_robber(g, cops), 5 * g.n)
+            want = reference_play(g, strategy, ReferenceRobber(g, cops), 5 * g.n)
+            assert got.to_json_lines() == want.to_json_lines()
+
+    def test_a_robber_that_changes_its_list_changes_no_later_round(self):
+        g = rotation_tournament(2)
+        fixed = BagSweep("fixed", [(v % 5,) for v in range(25)], 1)
+        robber, reference = Recording(optimal_robber(g, 1)), Recording(ReferenceRobber(g, 1))
+        got = play(g, fixed, robber, 25)
+        want = reference_play(g, fixed, reference, 25)
+        assert not got.outcome.captured  # the game revisits its candidate sets
+        assert robber.offered == reference.offered
+        assert got.to_json_lines() == want.to_json_lines()
+
+
+def asked_masks(solver):
+    """Wrap the solver's wins to record the mask of every set it is asked."""
+    asked = []
+    wins = solver.wins
+
+    def recording(candidates):
+        mask = candidates if isinstance(candidates, int) else sum(1 << v for v in candidates)
+        asked.append(mask)
+        return wins(candidates)
+
+    solver.wins = recording
+    return asked
+
+
+class TestOptimalRobberChoice:
+    def test_matches_the_key_based_min_with_size_ties(self):
+        ties = 0
+        for g in (rotation_tournament(3), rotation_tournament(4), paley_tournament(7),
+                  tripartite_cycle(3), Digraph(6, [(0, 1), (2, 3), (4, 5)])):
+            for k in (1, 2):
+                robber, reference = optimal_robber(g, k), ReferenceRobber(g, k)
+                asked, asked_reference = asked_masks(robber.solver), asked_masks(reference.solver)
+                for probe in [(u,) for u in range(g.n)] + [(u, (u + 2) % g.n) for u in range(g.n)]:
+                    for candidates in (range(g.n), range(0, g.n, 2), range(1, g.n)):
+                        classes = partition_by_probe(g, candidates, probe)
+                        sizes = [len(c) for _, c in classes]
+                        ties += len(sizes) != len(set(sizes))
+                        assert robber.choose(classes) == reference.choose(classes)
+                assert asked == asked_reference
+        assert ties > 50

@@ -169,6 +169,22 @@ class TestPackedWitnessSearch:
             beta, witness = metric_dimension_exact(g)
             assert (beta, sorted(witness.vertices)) == (report["beta"], report["witness"])
 
+    def test_holds_about_one_separation_matrix(self):
+        # the bool separation matrix is inverted in place and freed once
+        # packed, so the peak stays near that matrix, not twice it
+        import tracemalloc
+
+        n = 300
+        g = directed_path(n)
+        tracemalloc.start()
+        try:
+            beta, witness = metric_dimension_exact(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (beta, sorted(witness.vertices)) == (1, [0])
+        assert peak < 1.25 * n * math.comb(n, 2)
+
 
 class TestBetaLowerBound:
     @settings(max_examples=150, deadline=None)
