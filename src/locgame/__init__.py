@@ -51,7 +51,6 @@ from .hypergraph import (
     lovasz_bound,
 )
 from .resolve import (
-    ResolvingSet,
     c_parameter,
     distinguisher_hypergraph,
     is_resolving,
@@ -60,16 +59,15 @@ from .resolve import (
     metric_dimension_exact,
 )
 from .stats import (
-    NeighborhoodProfile,
     Sameness,
     arc_indicator,
     doubly_regular_check,
     e4c_count,
-    neighborhood_profile,
     pair_sameness,
     quasirandom_deviation,
     sameness,
     sameness_matrix,
+    tournament_stats,
 )
 from .game import (
     BudgetExceededError,

@@ -31,7 +31,7 @@ from .resolve import (
     distinguisher_hypergraph,
     metric_dimension_exact,
 )
-from .stats import _deviation, _doubly_regular, _e4c, pair_sameness
+from .stats import tournament_stats
 from .decomposition import DagDecomposition, PathDecomposition, read_decomposition
 from .strategies import (
     dag_decomp_sweep,
@@ -153,7 +153,7 @@ def cmd_zeta(args) -> int:
 def cmd_beta(args) -> int:
     g = _read_graph(args.graph)
     beta, witness = metric_dimension_exact(g)
-    _emit({"n": g.n, "beta": beta, "witness": sorted(witness.vertices)}, args.out)
+    _emit({"n": g.n, "beta": beta, "witness": sorted(witness)}, args.out)
     return 0
 
 
@@ -185,19 +185,10 @@ def cmd_stats(args) -> int:
     if c_reverse != c:
         report["c_parameter_pair_to_witness"] = float(c_reverse)
     if tournament:
-        # one sameness kernel for every statistic read off it
-        s = pair_sameness(g)
-        s_values = s.tolist()
-        e4c = _e4c(g.n, s)
+        t = tournament_stats(g)
         report.update(
-            {
-                "doubly_regular": _doubly_regular(g, s),
-                "s_min": min(s_values, default=None),
-                "s_max": max(s_values, default=None),
-                "e4c": e4c,
-                "e4c_ratio": e4c / (g.n ** 4 / 2),
-                "sameness_deviation": _deviation(g.n, s),
-            }
+            doubly_regular=t.doubly_regular, s_min=t.s_min, s_max=t.s_max,
+            e4c=t.e4c, e4c_ratio=t.e4c_ratio, sameness_deviation=t.deviation,
         )
     _emit(report, args.out)
     return 0

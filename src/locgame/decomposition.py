@@ -153,8 +153,9 @@ def validate_dag_decomposition(g: Digraph, dd: DagDecomposition) -> ValidationRe
                     )
 
     # successor-bag condition: a vertex introduced at an index node must have
-    # all its out-arcs covered by bags at or after that node
-    succ_union = _down_sets(bags, reach)
+    # all its out-arcs covered by bags at or after that node, the bags of the
+    # nodes it reaches, itself included
+    succ_union = [frozenset().union(*(bags[k] for k in np.flatnonzero(r).tolist())) for r in reach]
     for j in range(d.n):
         parents = d.in_neighbors(j)
         intro_sets = [bags[j] - bags[i] for i in parents] if parents else [bags[j]]
@@ -169,33 +170,6 @@ def validate_dag_decomposition(g: Digraph, dd: DagDecomposition) -> ValidationRe
     return ValidationResult(True, width)
 
 
-def dag_guard_condition(g: Digraph, dd: DagDecomposition) -> bool:
-    """Cross-check of the arc condition in its original guard form.
-
-    For every index arc (a, b): X_a ∩ X_b must guard X_{⪰b} \\ X_a, and for
-    every source the whole down-set must be closed under out-arcs.  W guards
-    V' when every arc leaving V' lands in V' ∪ W.
-    """
-    d = dd.index_dag
-    bags = dd.bags
-    down = _down_sets(bags, d.distances() != UNREACHABLE)
-
-    def guards(w: frozenset, vs: frozenset) -> bool:
-        return all(
-            v in vs or v in w
-            for u in vs
-            for v in g.out_neighbors(u)
-        )
-
-    for j in range(d.n):
-        if d.is_source(j) and not guards(frozenset(), down[j]):
-            return False
-    for (a, b) in d.arcs:
-        if not guards(bags[a] & bags[b], down[b] - bags[a]):
-            return False
-    return True
-
-
 def _coverage_violation(g: Digraph, bags: tuple[frozenset[int], ...]) -> str | None:
     """Why the bags fail to cover exactly the vertices of g, or None."""
     covered = frozenset().union(*bags)
@@ -206,12 +180,6 @@ def _coverage_violation(g: Digraph, bags: tuple[frozenset[int], ...]) -> str | N
     if extra:
         return f"bags mention unknown vertices {sorted(extra)}"
     return None
-
-
-def _down_sets(bags: tuple[frozenset[int], ...], reach: np.ndarray) -> list[frozenset[int]]:
-    """For each index node, the union of the bags of the nodes it reaches,
-    itself included; ``reach`` is the index digraph's reachability matrix."""
-    return [frozenset().union(*(bags[k] for k in np.flatnonzero(row).tolist())) for row in reach]
 
 
 # -- JSON files ------------------------------------------------------------

@@ -17,7 +17,7 @@ from .digraph import INF, diameter
 from .families import random_tournament
 from .hypergraph import greedy_vertex_cover
 from .resolve import distinguisher_hypergraph
-from .stats import _e4c, pair_sameness
+from .stats import tournament_stats
 
 CSV_COLUMNS = (
     "n", "p", "seed", "trial", "diameter", "beta_greedy",
@@ -62,8 +62,8 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
         hi = (1 + eps) * (config.p ** 2 + (1 - config.p) ** 2) * (n - 2)
         for trial in range(config.trials):
             g = random_tournament(n, config.p, config.seed + trial)
-            same = pair_sameness(g)
-            in_bracket = int(np.count_nonzero((lo <= same) & (same <= hi)))
+            t = tournament_stats(g)
+            in_bracket = int(np.count_nonzero((lo <= t.sameness) & (t.sameness <= hi)))
             cover = greedy_vertex_cover(distinguisher_hypergraph(g))
             rows.append(
                 {
@@ -74,11 +74,11 @@ def run_experiment(config: ExperimentConfig) -> list[dict]:
                     "diameter": diameter(g),
                     "beta_greedy": len(cover),
                     "k_bound": probe_bound(n, config.p, eps),
-                    "s_min": int(same.min()),
-                    "s_max": int(same.max()),
-                    "e4c_ratio": _e4c(n, same) / (n ** 4 / 2),
+                    "s_min": t.s_min,
+                    "s_max": t.s_max,
+                    "e4c_ratio": t.e4c_ratio,
                     # diagnostics, not CSV columns
-                    "s_frac_in_bracket": in_bracket / len(same),
+                    "s_frac_in_bracket": in_bracket / len(t.sameness),
                     "eps": eps,
                 }
             )

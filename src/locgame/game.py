@@ -494,7 +494,10 @@ class LocalizationSolver:
             blocking = blocking[self._verdict[blocking] == 0]
             # sort-based dedupe: the first np.unique call costs megabytes of RSS
             blocking.sort()
-            reps = self._representative(blocking[np.diff(blocking, prepend=-1) != 0])
+            first = np.empty(len(blocking), dtype=bool)
+            first[:1] = True
+            np.not_equal(blocking[1:], blocking[:-1], out=first[1:])
+            reps = self._representative(blocking[first])
             new = sorted(set(reps.tolist()) - self._explored)
             if new:
                 self._mark_explored(new)

@@ -15,7 +15,6 @@ complement's rows, packed into 64-bit words, over witness sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -41,14 +40,6 @@ _FIRST_BLOCK = 256
 MAX_SEPARATION_BYTES = 1 << 28
 
 
-@dataclass(frozen=True)
-class ResolvingSet:
-    vertices: frozenset[int]
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-
 def is_resolving(g: Digraph, witnesses: Iterable[int]) -> bool:
     """True iff no two vertices share their distance vector from the witness set."""
     ws = sorted(set(witnesses))
@@ -57,7 +48,7 @@ def is_resolving(g: Digraph, witnesses: Iterable[int]) -> bool:
     return len(set(map(tuple, g.distances()[ws].T.tolist()))) == g.n
 
 
-def metric_dimension_exact(g: Digraph) -> tuple[int, ResolvingSet]:
+def metric_dimension_exact(g: Digraph) -> tuple[int, frozenset[int]]:
     """Smallest resolving set by cardinality-ascending, lexicographic search.
 
     The witness is the lexicographically least optimum.  The probe set V
@@ -96,7 +87,7 @@ def metric_dimension_exact(g: Digraph) -> tuple[int, ResolvingSet]:
         )
     if not is_resolving(g, ws):
         raise AssertionError(f"packed search accepted non-resolving {ws}")
-    return len(ws), ResolvingSet(frozenset(ws))
+    return len(ws), frozenset(ws)
 
 
 def _beta_lower_bound(dist: np.ndarray) -> int:

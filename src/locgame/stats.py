@@ -1,17 +1,18 @@
-"""Tournament statistics: arc-indicator sameness sets, joint neighborhood
-profiles, double regularity, the oriented-4-cycle count, and the sameness
-deviation used to screen quasi-randomness.
+"""Tournament statistics: arc-indicator sameness sets, double regularity,
+the oriented-4-cycle count, and the sameness deviation used to screen
+quasi-randomness.
 
-The whole-graph statistics come from products of the +-1 indicator matrix C,
-built once per call; double regularity, the deviation and the 4-cycle count
-are read off the sameness kernel C C^T, which their private forms take
-ready-made, so one report builds it once.  The per-pair ``sameness`` and
-``neighborhood_profile`` loops stay as their independent definitions.
+The whole-graph statistics come from products of the +-1 indicator matrix C:
+:func:`tournament_stats` builds the sameness kernel C C^T once and reads
+every statistic off it into one record, which the per-statistic functions
+read too.  The per-pair ``sameness`` loop stays as the independent
+definition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,26 +82,41 @@ def pair_sameness(g: Digraph) -> np.ndarray:
     return sameness_matrix(g)[_pair_index(g.n)]
 
 
-@dataclass(frozen=True)
-class NeighborhoodProfile:
-    pp: int  # common out-neighbors
-    pm: int  # out of x, into y
-    mp: int  # into x, out of y
-    mm: int  # common in-neighbors
+class TournamentStats(NamedTuple):
+    """The statistics of one tournament; see :func:`tournament_stats`."""
+
+    sameness: np.ndarray  # s(u, v) for the pairs u < v, as pair_sameness
+    s_min: int | None  # None when there are no pairs
+    s_max: int | None
+    e4c: int
+    e4c_ratio: float  # e4c over n^4 / 2, 0.0 when n = 0
+    deviation: int
+    doubly_regular: bool
 
 
-def neighborhood_profile(g: Digraph, x: int, y: int) -> NeighborhoodProfile:
-    """Partition of the other n-2 vertices by their orientation toward x and y."""
-    _require_tournament(g)
-    if x == y:
-        raise ValueError("profile needs two distinct vertices")
-    counts = {(1, 1): 0, (1, -1): 0, (-1, 1): 0, (-1, -1): 0}
-    for z in range(g.n):
-        if z in (x, y):
-            continue
-        counts[(arc_indicator(g, x, z), arc_indicator(g, y, z))] += 1
-    return NeighborhoodProfile(
-        counts[(1, 1)], counts[(1, -1)], counts[(-1, 1)], counts[(-1, -1)]
+def tournament_stats(g: Digraph) -> TournamentStats:
+    """Every statistic of a tournament read off one sameness kernel.
+
+    C is antisymmetric, so C^2 = -C C^T and tr(C^4) is the sum of the
+    squared entries of C C^T: n - 1 on the diagonal and 2 s - n + 2 off it,
+    so tr(C^4) = n(n-1)^2 + 2 sum over u < v of (2 s(u, v) - n + 2)^2.  Put
+    into the identity of :func:`e4c_count`, that gives
+    e4c = n(n-1)(n-2)(n-4)/2 + sum over u < v of (2 s(u, v) - n + 2)^2,
+    an integer since n(n-1) is even, and 0 for every n < 4.
+    """
+    s = pair_sameness(g)
+    n = g.n
+    off = 2 * s - (n - 2)
+    e4c = n * (n - 1) * (n - 2) * (n - 4) // 2 + int(off @ off)
+    regular = (n - 3) % 4 == 0 and np.all(g.adjacency.sum(axis=1) == (n - 1) // 2)
+    return TournamentStats(
+        sameness=s,
+        s_min=int(s.min()) if len(s) else None,
+        s_max=int(s.max()) if len(s) else None,
+        e4c=e4c,
+        e4c_ratio=e4c / (n ** 4 / 2) if n else 0.0,
+        deviation=int(np.abs(2 * s - n).sum()),
+        doubly_regular=bool(regular and np.all(s == (n - 3) // 2)),
     )
 
 
@@ -113,15 +129,7 @@ def doubly_regular_check(g: Digraph) -> bool:
     s(x, y) = pp + mm = 2 pp: the test reads s = (n-3)/2 off the sameness
     kernel.
     """
-    return _doubly_regular(g, pair_sameness(g))
-
-
-def _doubly_regular(g: Digraph, s: np.ndarray) -> bool:
-    """:func:`doubly_regular_check` on a tournament whose pair sameness
-    vector ``s`` is already built."""
-    n = g.n
-    regular = (n - 3) % 4 == 0 and np.all(g.adjacency.sum(axis=1) == (n - 1) // 2)
-    return bool(regular and np.all(s == (n - 3) // 2))
+    return tournament_stats(g).doubly_regular
 
 
 def e4c_count(g: Digraph) -> int:
@@ -137,29 +145,9 @@ def e4c_count(g: Digraph) -> int:
 
     The count is then (T + sum)/2 with T = n(n-1)(n-2)(n-3) ordered tuples.
     Equals the quartic brute-force count (see tests); the trace is read off
-    the sameness kernel (see :func:`_e4c`).
+    the sameness kernel (see :func:`tournament_stats`).
     """
-    return _e4c(g.n, pair_sameness(g))
-
-
-def _e4c(n: int, s: np.ndarray) -> int:
-    """:func:`e4c_count` of an n-vertex tournament from its pair sameness
-    vector ``s``.
-
-    C is antisymmetric, so C^2 = -C C^T and tr(C^4) is the sum of the
-    squared entries of C C^T: n - 1 on the diagonal and 2 s - n + 2 off it,
-    so tr(C^4) = n(n-1)^2 + 2 sum over u < v of (2 s(u, v) - n + 2)^2.
-    """
-    if n < 4:
-        return 0
-    off = 2 * s - (n - 2)
-    trace4 = n * (n - 1) ** 2 + 2 * int(off @ off)
-    distinct_sum = trace4 - n * (n - 1) - 2 * n * (n - 1) * (n - 2)
-    total = n * (n - 1) * (n - 2) * (n - 3)
-    count2, rem = divmod(total + distinct_sum, 2)
-    if rem:
-        raise AssertionError("parity violation in cycle-count identity")
-    return count2
+    return tournament_stats(g).e4c
 
 
 def quasirandom_deviation(g: Digraph) -> int:
@@ -168,10 +156,4 @@ def quasirandom_deviation(g: Digraph) -> int:
     Each term is a half-integer; doubling over ordered pairs makes the total
     an integer, returned exactly: the sum of |2 s(u, v) - n| over u < v.
     """
-    return _deviation(g.n, pair_sameness(g))
-
-
-def _deviation(n: int, s: np.ndarray) -> int:
-    """:func:`quasirandom_deviation` of an n-vertex tournament from its
-    pair sameness vector ``s``."""
-    return int(np.abs(2 * s - n).sum())
+    return tournament_stats(g).deviation

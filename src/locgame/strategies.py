@@ -67,7 +67,7 @@ class ScComposite(BagSweep):
         for i, comp in enumerate(scc.components):
             sub, back = g.induced(comp)
             _, witness = metric_dimension_exact(sub)
-            basis = {back[w] for w in witness.vertices}
+            basis = {back[w] for w in witness}
             markers = {scc.components[c][0] for c in scc.condensation.out_neighbors(i)}
             self.bases.append(tuple(sorted(basis)))
             bags.append(tuple(sorted(basis | markers)))

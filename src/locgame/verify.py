@@ -31,7 +31,7 @@ from .resolve import (
     metric_dim_one_classifier,
     metric_dimension_exact,
 )
-from .stats import doubly_regular_check, pair_sameness
+from .stats import tournament_stats
 from .structure import (
     localization_lower_bound,
     out_degeneracy,
@@ -377,14 +377,14 @@ def check_paley() -> list[CheckResult]:
     out = []
     for q in (7, 11, 19):
         g = paley_tournament(q)
-        dr = doubly_regular_check(g)
+        t = tournament_stats(g)
         target = (q - 3) // 2
-        s_ok = bool((pair_sameness(g) == target).all())
+        s_ok = bool((t.sameness == target).all())
         diam = diameter(g)
         out.append(
             _result(
-                "paley", f"q={q}", dr and s_ok and diam == 2,
-                f"doubly_regular={dr}, s(x,y)=={target}: {s_ok}, diameter={diam}",
+                "paley", f"q={q}", t.doubly_regular and s_ok and diam == 2,
+                f"doubly_regular={t.doubly_regular}, s(x,y)=={target}: {s_ok}, diameter={diam}",
             )
         )
     for q in (7, 11):

@@ -1,13 +1,15 @@
 import itertools
 import random
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from locgame import INF, Digraph, SccDecomposition, digraph, game
+from locgame import INF, UNREACHABLE, DagDecomposition, Digraph, SccDecomposition, digraph, game
 from locgame.lp import TOL, LpSolution, UnboundedError
+from locgame.stats import arc_indicator
 
 
 def reference_arcs(n: int, arcs) -> frozenset[tuple[int, int]]:
@@ -293,6 +295,59 @@ def brute_e4c(g: Digraph) -> int:
         for w, x, y, z in itertools.permutations(range(g.n), 4)
         if chi(w, x) * chi(x, y) * chi(y, z) * chi(z, w) == 1
     )
+
+
+@dataclass(frozen=True)
+class NeighborhoodProfile:
+    pp: int  # common out-neighbors
+    pm: int  # out of x, into y
+    mp: int  # into x, out of y
+    mm: int  # common in-neighbors
+
+
+def neighborhood_profile(g: Digraph, x: int, y: int) -> NeighborhoodProfile:
+    """Partition of the other n-2 vertices by their orientation toward x and y."""
+    if not g.is_tournament():
+        raise ValueError("operation requires a tournament")
+    if x == y:
+        raise ValueError("profile needs two distinct vertices")
+    counts = {(1, 1): 0, (1, -1): 0, (-1, 1): 0, (-1, -1): 0}
+    for z in range(g.n):
+        if z in (x, y):
+            continue
+        counts[(arc_indicator(g, x, z), arc_indicator(g, y, z))] += 1
+    return NeighborhoodProfile(
+        counts[(1, 1)], counts[(1, -1)], counts[(-1, 1)], counts[(-1, -1)]
+    )
+
+
+def dag_guard_condition(g: Digraph, dd: DagDecomposition) -> bool:
+    """Cross-check of the DAG decomposition's arc condition in its original
+    guard form.
+
+    For every index arc (a, b): X_a ∩ X_b must guard X_{⪰b} \\ X_a, and for
+    every source the whole down-set must be closed under out-arcs.  W guards
+    V' when every arc leaving V' lands in V' ∪ W.
+    """
+    d = dd.index_dag
+    bags = dd.bags
+    reach = d.distances() != UNREACHABLE
+    down = [frozenset().union(*(bags[k] for k in range(d.n) if reach[j, k])) for j in range(d.n)]
+
+    def guards(w: frozenset, vs: frozenset) -> bool:
+        return all(
+            v in vs or v in w
+            for u in vs
+            for v in g.out_neighbors(u)
+        )
+
+    for j in range(d.n):
+        if d.is_source(j) and not guards(frozenset(), down[j]):
+            return False
+    for (a, b) in d.arcs:
+        if not guards(bags[a] & bags[b], down[b] - bags[a]):
+            return False
+    return True
 
 
 @st.composite

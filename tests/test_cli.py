@@ -596,20 +596,34 @@ MALFORMED_GRAPHS = [
     # a vertex count whose adjacency matrix cannot be allocated
     "100000000\n", '{"n": 100000000, "arcs": []}',
 ]
+# valid and malformed path and DAG decompositions for graphs of up to 6 vertices
+DECOMPOSITIONS = [
+    '{"bags": [[0, 1, 2, 3, 4, 5]]}', '{"bags": [[0], [1], [2]]}', '{"bags": [[0, 1], [1, 2]]}',
+    '{"index": {"n": 1, "arcs": []}, "bags": [[0, 1, 2, 3, 4, 5]]}',
+    '{"index": {"n": 2, "arcs": [[0, 1]]}, "bags": [[0, 1], [1, 2]]}',
+    '{"index": {"n": 2, "arcs": [[0, 1], [1, 0]]}, "bags": [[0], [1]]}',
+    '{"index": {"n": 2, "arcs": []}, "bags": [[0]]}', '{"index": 5, "bags": [[0]]}',
+    '{"bags": [[0, "a"]]}', '{"bags": 5}', '{"bag": [[0]]}', "null", "{", "",
+]
 COUNTS = st.integers(-1, 4).map(str)
 
 
 @st.composite
 def command_lines(draw):
-    """argv for the CLI, with "{graph}" standing for the graph file."""
+    """argv for the CLI, with "{graph}" standing for the graph file and
+    "{decomposition}" for the decomposition file."""
     kind = draw(st.sampled_from(["report", "play", "gen", "experiment", "verify"]))
     if kind == "report":
         argv = [draw(st.sampled_from(["zeta", "beta", "bounds", "stats"])), "{graph}"]
         if argv[0] in ("zeta", "bounds") and draw(st.booleans()):
             argv += ["--max-cops", draw(COUNTS)]
     elif kind == "play":
-        strategy = draw(st.sampled_from(["dag_sweep", "sc_composite", "rotation", "path_sweep"]))
+        strategy = draw(st.sampled_from(
+            ["dag_sweep", "sc_composite", "rotation", "path_sweep", "dag_decomp_sweep"]
+        ))
         argv = ["play", "{graph}", "--strategy", strategy]
+        if draw(st.booleans()):
+            argv += ["--decomposition", "{decomposition}"]
         for flag in ("--cops", "--max-rounds"):
             if draw(st.booleans()):
                 argv += [flag, draw(COUNTS)]
@@ -640,15 +654,20 @@ def run_as_process(argv):
     command_lines(),
     st.one_of(oriented_digraphs(max_n=6), st.sampled_from(MALFORMED_GRAPHS)),
     st.sampled_from([".txt", ".json"]),
+    st.sampled_from(DECOMPOSITIONS),
 )
-def test_any_command_line_exits_cleanly(argv, graph, suffix):
+def test_any_command_line_exits_cleanly(argv, graph, suffix, decomposition):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"g{suffix}"
         if isinstance(graph, str):
             path.write_text(graph)
         else:
             path.write_text(to_json(graph) if suffix == ".json" else to_edge_list(graph))
-        code, err = run_as_process([a.replace("{graph}", str(path)) for a in argv])
+        decomp = Path(tmp) / "d.json"
+        decomp.write_text(decomposition)
+        code, err = run_as_process(
+            [a.replace("{graph}", str(path)).replace("{decomposition}", str(decomp)) for a in argv]
+        )
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err
     if code == 3:

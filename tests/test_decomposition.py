@@ -14,12 +14,13 @@ from locgame import (
 from locgame.decomposition import (
     dag_decomposition_from_json,
     dag_decomposition_to_json,
-    dag_guard_condition,
     path_decomposition_from_json,
     path_decomposition_to_json,
     read_decomposition,
 )
 from locgame.verify import random_digraph
+
+from conftest import dag_guard_condition
 
 
 def cycle3():

@@ -1,6 +1,7 @@
 """Distances belong to the graph: ``Digraph.distances()`` computes them once,
 so no public callable takes a distance array, required or optional, beside
-or instead of its graph.
+or instead of its graph.  The tournament statistics are read through
+``stats``'s public names alone.
 """
 
 import importlib
@@ -8,7 +9,7 @@ import inspect
 import pkgutil
 
 import locgame
-from locgame import digraph, game, resolve
+from locgame import digraph, game, resolve, stats
 
 MODULES = [
     importlib.import_module(f"locgame.{info.name}")
@@ -87,3 +88,20 @@ def test_witness_sets_are_enumerated_by_the_probe_row_build():
     # one k-set kernel: the beta search runs on the solver's level build
     assert resolve._level_rows is game._level_rows
     assert resolve._lower_level is game._lower_level
+
+
+def test_private_stats_functions_stay_in_stats():
+    # the other modules read the statistics through tournament_stats
+    private = {
+        id(obj)
+        for name, obj in vars(stats).items()
+        if name.startswith("_") and getattr(obj, "__module__", None) == stats.__name__
+    }
+    holders = [
+        f"{m.__name__}.{name}"
+        for m in [locgame, *MODULES]
+        if m is not stats
+        for name, obj in vars(m).items()
+        if id(obj) in private
+    ]
+    assert private and holders == []

@@ -8,7 +8,6 @@ from locgame import (
     arc_indicator,
     doubly_regular_check,
     e4c_count,
-    neighborhood_profile,
     paley_tournament,
     quasirandom_deviation,
     random_tournament,
@@ -17,7 +16,7 @@ from locgame import (
     transitive_tournament,
 )
 
-from conftest import brute_e4c
+from conftest import brute_e4c, neighborhood_profile
 
 
 def cycle3():

@@ -8,14 +8,13 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from locgame import resolve, stats
+from locgame import resolve, stats, verify
 from locgame import (
     Digraph,
     c_parameter,
     distinguisher_hypergraph,
     doubly_regular_check,
     e4c_count,
-    neighborhood_profile,
     paley_tournament,
     quasirandom_deviation,
     random_tournament,
@@ -28,7 +27,7 @@ from locgame.cli import main
 from locgame.digraph import write_digraph
 from locgame.experiment import ExperimentConfig, run_experiment
 
-from conftest import brute_e4c, oriented_digraphs
+from conftest import brute_e4c, neighborhood_profile, oriented_digraphs
 
 NAMED = [
     paley_tournament(7),
@@ -165,7 +164,20 @@ def matrix_power_e4c(g):
 @given(st.one_of(random_tournaments(max_n=8), st.sampled_from([g for g in NAMED if g.n <= 11])))
 def test_e4c_matches_brute_force(g):
     assert e4c_count(g) == brute_e4c(g)
-    assert stats._e4c(g.n, stats.pair_sameness(g)) == brute_e4c(g)
+
+
+@settings(deadline=None)
+@given(st.one_of(random_tournaments(max_n=8), st.sampled_from([g for g in NAMED if g.n <= 11])))
+def test_tournament_stats_fields_match_the_references(g):
+    t = stats.tournament_stats(g)
+    s = [sameness(g, u, v).s for u, v in itertools.combinations(range(g.n), 2)]
+    assert t.sameness.tolist() == s
+    assert (t.s_min, t.s_max) == ((min(s), max(s)) if s else (None, None))
+    e4c = brute_e4c(g)
+    assert t.e4c == e4c
+    assert t.e4c_ratio == (e4c / (g.n ** 4 / 2) if g.n else 0.0)
+    assert t.deviation == sum(abs(2 * x - g.n) for x in s)
+    assert t.doubly_regular == brute_doubly_regular(g)
 
 
 @settings(deadline=None)
@@ -186,6 +198,9 @@ def test_stats_builds_one_indicator_matrix(monkeypatch, capsys, tmp_path):
     built.clear()
     run_experiment(ExperimentConfig(sizes=(8,), trials=2, seed=5))
     assert built == [8, 8]  # one per trial
+    built.clear()
+    verify.check_paley()
+    assert built == [7, 11, 19]  # one per q
 
 
 def test_stats_builds_two_separations(monkeypatch, capsys, tmp_path):
