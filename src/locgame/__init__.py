@@ -60,7 +60,6 @@ from .resolve import (
 )
 from .stats import (
     Sameness,
-    arc_indicator,
     doubly_regular_check,
     e4c_count,
     pair_sameness,

@@ -180,8 +180,9 @@ def cmd_stats(args) -> int:
         "beta_greedy": len(greedy_vertex_cover(h)),
     }
     # the separation rate under the reversed distance convention, when it
-    # disagrees with the default witness-to-pair reading
-    c_reverse = c_parameter(g, direction="pair-to-witness")
+    # disagrees with the default witness-to-pair reading; the converse's
+    # distances are the transpose of g's, so no second BFS runs
+    c_reverse = c_parameter(g.converse())
     if c_reverse != c:
         report["c_parameter_pair_to_witness"] = float(c_reverse)
     if tournament:

@@ -35,6 +35,13 @@ class BudgetExceededError(RuntimeError):
     """The instance exceeds an explicit size budget of an exact routine."""
 
 
+def _check_bytes(what: str, need: int, limit: int) -> None:
+    """Raise :class:`BudgetExceededError` when ``need`` bytes exceed
+    ``limit``; ``what`` opens the message, up to the byte count."""
+    if need > limit:
+        raise BudgetExceededError(f"{what} {need} bytes, over the limit of {limit}")
+
+
 class Digraph:
     """An immutable simple oriented digraph.
 
@@ -56,11 +63,7 @@ class Digraph:
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         need = 2 * int(n) ** 2
-        if need > MAX_ADJACENCY_BYTES:
-            raise BudgetExceededError(
-                f"the adjacency matrix of {n} vertices needs {need} bytes, "
-                f"over the limit of {MAX_ADJACENCY_BYTES}"
-            )
+        _check_bytes(f"the adjacency matrix of {n} vertices needs", need, MAX_ADJACENCY_BYTES)
         if isinstance(arcs, np.ndarray) and arcs.dtype.kind in "iu" and arcs.shape[1:] == (2,):
             # wrapping a huge unsigned endpoint to a negative one keeps it out of range
             ends = arcs.T.astype(np.intp)
@@ -134,6 +137,16 @@ class Digraph:
         if self._distances is None:
             self._distances = all_pairs_distances(self)
         return self._distances
+
+    def converse(self) -> Digraph:
+        """The digraph with every arc reversed.  Its distances are the
+        transpose of these, d'(u, v) = d(v, u), so when these are cached it
+        starts with a read-only contiguous copy of them and runs no BFS."""
+        reverse = Digraph(self.n, np.argwhere(self.adjacency.T))
+        if self._distances is not None:
+            reverse._distances = np.ascontiguousarray(self._distances.T)
+            reverse._distances.flags.writeable = False
+        return reverse
 
     def automorphisms(self) -> tuple[tuple[int, ...], ...]:
         """Vertex permutations preserving every distance, in lexicographic
@@ -433,12 +446,7 @@ def all_pairs_distances(g: Digraph) -> np.ndarray:
     new pairs) would exceed ``MAX_DISTANCE_BYTES`` at 17 bytes per pair.
     """
     n = g.n
-    need = 17 * n * n
-    if need > MAX_DISTANCE_BYTES:
-        raise BudgetExceededError(
-            f"the distance arrays of {n} vertices need {need} bytes, "
-            f"over the limit of {MAX_DISTANCE_BYTES}"
-        )
+    _check_bytes(f"the distance arrays of {n} vertices need", 17 * n * n, MAX_DISTANCE_BYTES)
     arc_count = np.count_nonzero(g.adjacency)
     adjacency = g.adjacency.astype(np.float32)
     seen = adjacency * np.float32(n + 1)

@@ -383,7 +383,7 @@ class LocalizationSolver:
         # per mask: 1 won, -1 an image of an explored representative not
         # (yet) won, 0 unknown
         self._verdict = np.zeros(1 << g.n, dtype=np.int8)
-        self._explored: set[int] = set()
+        self._explored = 0  # representatives explored
         self._won = 0  # opens that marked a new win
         self._blocked_at: dict[int, int] = {}  # state -> _won at its last losing open
         self._opens = 0
@@ -412,7 +412,7 @@ class LocalizationSolver:
 
     @property
     def explored_states(self) -> int:
-        return len(self._explored)
+        return self._explored
 
     @property
     def stats(self) -> SolverStats:
@@ -423,7 +423,7 @@ class LocalizationSolver:
             partition_bytes=self._cells.nbytes,
             automorphisms=self._automorphisms,
             automorphisms_truncated=self.g.automorphisms_truncated(),
-            explored_states=len(self._explored),
+            explored_states=self._explored,
             opens=self._opens,
             sweeps=self._sweeps,
             init_s=self._init_s,
@@ -475,10 +475,10 @@ class LocalizationSolver:
         return None
 
     def _mark_explored(self, states: list[int]) -> None:
-        """Add the states to the explored set and mark their images -1
-        where still unknown, so a stepped part that is one of those images
-        needs no representative."""
-        self._explored.update(states)
+        """Count the states explored and mark their images -1 where still
+        unknown, so a stepped part that is one of those images needs no
+        representative."""
+        self._explored += len(states)
         images = _images(self._maps, np.array(states, dtype=np.int64)).ravel()
         self._verdict[images[self._verdict[images] == 0]] = -1
 
@@ -497,8 +497,9 @@ class LocalizationSolver:
             first = np.empty(len(blocking), dtype=bool)
             first[:1] = True
             np.not_equal(blocking[1:], blocking[:-1], out=first[1:])
-            reps = self._representative(blocking[first])
-            new = sorted(set(reps.tolist()) - self._explored)
+            # a part is an image of its representative (the maps include their
+            # inverses), so no part at 0 has an explored representative
+            new = sorted(set(self._representative(blocking[first]).tolist()))
             if new:
                 self._mark_explored(new)
                 queue += new

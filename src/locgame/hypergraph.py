@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -18,40 +17,18 @@ class EmptyEdgeError(ValueError):
 
 
 class Hypergraph:
-    """Vertex set 0..n-1 plus a list of hyperedges, stored as a read-only
-    boolean edge x vertex incidence matrix: row i marks the vertices of
-    edge i.
+    """Vertex set 0..n-1 plus a list of hyperedges, given and stored as a
+    boolean edge x vertex incidence matrix: edge i is the set of columns
+    marked in row i.  The matrix is held as a read-only view, not a copy.
     """
 
     __slots__ = ("n", "_incidence")
 
-    def __init__(self, n: int, edges: Iterable[Iterable[int]]):
-        edges = [sorted(set(e)) for e in edges]
-        inc = np.zeros((len(edges), n), dtype=bool)
-        for i, e in enumerate(edges):
-            if any(not 0 <= v < n for v in e):
-                raise ValueError(f"edge {e} out of range for n={n}")
-            inc[i, e] = True
-        self._init(inc)
-
-    @classmethod
-    def from_incidence(cls, incidence: np.ndarray) -> Hypergraph:
-        """The hypergraph whose edge i is the set of columns marked in row i
-        of a boolean edge x vertex matrix (held as a read-only view, not a
-        copy)."""
-        h = cls.__new__(cls)
-        h._init(np.asarray(incidence, dtype=bool).view())
-        return h
-
-    def _init(self, incidence: np.ndarray) -> None:
+    def __init__(self, incidence: np.ndarray):
+        incidence = np.asarray(incidence, dtype=bool).view()
         incidence.flags.writeable = False
         self.n = incidence.shape[1]
         self._incidence = incidence
-
-    @property
-    def edges(self) -> tuple[frozenset[int], ...]:
-        """The edges as vertex sets, in edge order."""
-        return tuple(frozenset(np.flatnonzero(row).tolist()) for row in self._incidence)
 
     def incidence(self) -> np.ndarray:
         """Read-only edge x vertex membership matrix: row i marks the

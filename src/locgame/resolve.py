@@ -4,7 +4,8 @@ hypergraph that links them to covering LPs.
 A witness w separates a vertex pair (x, y) when d(w, x) != d(w, y), with
 unreachable treated as a distance equal only to itself.  That matches the
 probe direction of the game (witness to candidate).  The reverse convention
-(candidate to witness) is available behind a flag for comparison.
+(candidate to witness) is this one on the converse digraph, whose distances
+are the transpose: ``c_parameter(g.converse())``.
 
 One kernel, the witness x pair separation matrix read off the distance
 array, feeds the three users: the distinguisher hypergraph is its
@@ -20,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .digraph import Digraph, _pair_index
+from .digraph import Digraph, _check_bytes, _pair_index
 from .game import MAX_PROBE_SETS, BudgetExceededError, _level_rows, _lower_level
 from .hypergraph import Hypergraph
 
@@ -113,7 +114,7 @@ def _least_resolving(dist: np.ndarray, least: int, stop: int) -> list[int] | Non
     size-then-lexicographic order, or None.  Sizes below ``least`` are not
     built."""
     n = len(dist)
-    unseparated = _separation(dist, "witness-to-pair")
+    unseparated = _separation(dist)
     np.logical_not(unseparated, out=unseparated)
     packed = np.packbits(unseparated, axis=1)  # the last byte's spare bits: 0
     del unseparated  # freed before the padded copy is made
@@ -179,29 +180,22 @@ def _has_spine(g: Digraph) -> bool:
     return False
 
 
-def _separation(dist: np.ndarray, direction: str) -> np.ndarray:
-    """separated[w, t]: witness w separates the t-th vertex pair of
-    ``combinations`` order.  Row w compares d(w, .) when the witness probes
-    the pair, d(., w) when the pair reaches the witness.  Raises
+def _separation(dist: np.ndarray) -> np.ndarray:
+    """separated[w, t]: witness w separates the t-th vertex pair (x, y) of
+    ``combinations`` order, d(w, x) != d(w, y).  Raises
     :class:`BudgetExceededError`, before allocating, when the matrix would
     exceed ``MAX_SEPARATION_BYTES``.
 
     The pairs are compared in blocks, one ``!=`` per block of columns: the
-    array ``sides`` holds in row v what every witness reads of v (column v
-    of the distances, or row v), so a block gathers whole contiguous rows
-    for both ends of its pairs.  The two int32 gathers stay within
+    array ``sides`` holds in row v what every witness reads of v, column v
+    of the distances, so a block gathers whole contiguous rows for both
+    ends of its pairs.  The two int32 gathers stay within
     ``_WITNESS_BLOCK_BYTES``, which makes one block for n <= 64.
     """
-    if direction not in ("witness-to-pair", "pair-to-witness"):
-        raise ValueError(f"unknown direction {direction!r}")
     n = len(dist)
     need = n * math.comb(n, 2)
-    if need > MAX_SEPARATION_BYTES:
-        raise BudgetExceededError(
-            f"the separation matrix of {n} vertices needs {need} bytes, "
-            f"over the limit of {MAX_SEPARATION_BYTES}"
-        )
-    sides = np.ascontiguousarray(dist.T) if direction == "witness-to-pair" else dist
+    _check_bytes(f"the separation matrix of {n} vertices needs", need, MAX_SEPARATION_BYTES)
+    sides = np.ascontiguousarray(dist.T)
     xs, ys = _pair_index(n)
     separated = np.empty((n, len(xs)), dtype=bool)
     per_block = max(1, _WITNESS_BLOCK_BYTES // (8 * max(1, n)))
@@ -211,18 +205,11 @@ def _separation(dist: np.ndarray, direction: str) -> np.ndarray:
     return separated
 
 
-def distinguisher_hypergraph(
-    g: Digraph,
-    dm: np.ndarray | None = None,
-    direction: str = "witness-to-pair",
-) -> Hypergraph:
+def distinguisher_hypergraph(g: Digraph, dm: np.ndarray | None = None) -> Hypergraph:
     """One hyperedge per vertex pair: the witnesses separating it.  Edge t
-    belongs to the t-th pair (x, y) of ``combinations(range(n), 2)``.
-
-    ``direction="witness-to-pair"`` puts w in edge (x, y) when
-    d(w, x) != d(w, y); ``"pair-to-witness"`` compares d(x, w) and d(y, w)
-    instead.  Note every edge contains x and y themselves under either
-    convention (a vertex is at distance 0 only from itself).  ``dm``, when
+    belongs to the t-th pair (x, y) of ``combinations(range(n), 2)`` and
+    holds w when d(w, x) != d(w, y), so every edge contains x and y
+    themselves (a vertex is at distance 0 only from itself).  ``dm``, when
     given, must be ``g``'s distance array; it defaults to ``g.distances()``
     and is kept for callers that pass one positionally.  An array of another
     shape than n x n raises ValueError.
@@ -231,13 +218,13 @@ def distinguisher_hypergraph(
         dm = g.distances()
     elif dm.shape != (g.n, g.n):
         raise ValueError(f"distance array of shape {dm.shape} for n={g.n}")
-    return Hypergraph.from_incidence(_separation(dm, direction).T)
+    return Hypergraph(_separation(dm).T)
 
 
-def c_parameter(g: Digraph, direction: str = "witness-to-pair") -> Fraction:
+def c_parameter(g: Digraph) -> Fraction:
     """Worst-case separation rate: min over pairs of |separating set| / n,
     the smallest edge of ``distinguisher_hypergraph`` over n."""
-    return _separation_rate(_separation(g.distances(), direction).T)
+    return _separation_rate(_separation(g.distances()).T)
 
 
 def _separation_rate(incidence: np.ndarray) -> Fraction:

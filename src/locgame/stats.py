@@ -32,13 +32,6 @@ def _indicator_matrix(g: Digraph) -> np.ndarray:
     return a - a.T
 
 
-def arc_indicator(g: Digraph, u: int, v: int) -> int:
-    """+1 if (u, v) is an arc, -1 otherwise; u and v must differ."""
-    if u == v:
-        raise ValueError("arc indicator undefined on the diagonal")
-    return 1 if g.has_arc(u, v) else -1
-
-
 @dataclass(frozen=True)
 class Sameness:
     same: frozenset[int]
@@ -55,15 +48,11 @@ def sameness(g: Digraph, u: int, v: int) -> Sameness:
     _require_tournament(g)
     if u == v:
         raise ValueError("sameness needs two distinct vertices")
-    same, diff = set(), set()
-    for z in range(g.n):
-        if z in (u, v):
-            continue
-        if arc_indicator(g, u, z) == arc_indicator(g, v, z):
-            same.add(z)
-        else:
-            diff.add(z)
-    return Sameness(frozenset(same), len(same), frozenset(diff))
+    # in a tournament the indicators toward z agree exactly when z is an
+    # out-neighbour of both u and v or of neither
+    out_u, out_v = set(g.out_neighbors(u)), set(g.out_neighbors(v))
+    same = frozenset(z for z in range(g.n) if z not in (u, v) and (z in out_u) == (z in out_v))
+    return Sameness(same, len(same), frozenset(range(g.n)) - same - {u, v})
 
 
 def sameness_matrix(g: Digraph) -> np.ndarray:

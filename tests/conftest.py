@@ -7,9 +7,34 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from locgame import INF, UNREACHABLE, DagDecomposition, Digraph, SccDecomposition, digraph, game
+from locgame import (
+    INF,
+    UNREACHABLE,
+    DagDecomposition,
+    Digraph,
+    Hypergraph,
+    SccDecomposition,
+    digraph,
+    game,
+)
 from locgame.lp import TOL, LpSolution, UnboundedError
-from locgame.stats import arc_indicator
+
+
+def hypergraph_of(n: int, edges) -> Hypergraph:
+    """The hypergraph on 0..n-1 with the given edges, each an iterable of
+    vertices, in order; a vertex out of range raises ValueError."""
+    edges = [sorted(set(e)) for e in edges]
+    incidence = np.zeros((len(edges), n), dtype=bool)
+    for i, e in enumerate(edges):
+        if any(not 0 <= v < n for v in e):
+            raise ValueError(f"edge {e} out of range for n={n}")
+        incidence[i, e] = True
+    return Hypergraph(incidence)
+
+
+def edge_sets(h: Hypergraph) -> tuple[frozenset[int], ...]:
+    """The edges of h as vertex sets, in edge order."""
+    return tuple(frozenset(np.flatnonzero(row).tolist()) for row in h.incidence())
 
 
 def reference_arcs(n: int, arcs) -> frozenset[tuple[int, int]]:
@@ -295,6 +320,13 @@ def brute_e4c(g: Digraph) -> int:
         for w, x, y, z in itertools.permutations(range(g.n), 4)
         if chi(w, x) * chi(x, y) * chi(y, z) * chi(z, w) == 1
     )
+
+
+def arc_indicator(g: Digraph, u: int, v: int) -> int:
+    """+1 if (u, v) is an arc, -1 otherwise; u and v must differ."""
+    if u == v:
+        raise ValueError("arc indicator undefined on the diagonal")
+    return 1 if g.has_arc(u, v) else -1
 
 
 @dataclass(frozen=True)

@@ -323,6 +323,7 @@ class TestDistanceCache:
         assert len(apsp_calls) == 1
 
     def test_stats_command_computes_once(self, apsp_calls, tmp_path):
+        # the reverse c reads the converse, whose distances are seeded
         path = tmp_path / "paley7.edges"
         write_digraph(paley_tournament(7), path)
         assert cli.main(["stats", str(path), "--out", str(tmp_path / "out.json")]) == 0
@@ -333,6 +334,19 @@ class TestDistanceCache:
         transcript = play(g, rotation_strategy(2), optimal_robber(g, 2), 10)
         assert transcript.outcome.captured
         assert len(apsp_calls) == 1
+
+    @settings(deadline=None)
+    @given(oriented_digraphs(max_n=12))
+    def test_converse_transposes_the_distances(self, g):
+        assert g.converse().converse() == g
+        assert g.converse().arcs == {(v, u) for u, v in g.arcs}
+        cold = g.converse()  # built before g's distances are cached
+        g.distances()
+        seeded = g.converse()
+        for h in (cold, seeded):
+            dist = h.distances()
+            assert np.array_equal(dist, g.distances().T)
+            assert not dist.flags.writeable and dist.flags.c_contiguous
 
 
 class TestDistanceBudget:

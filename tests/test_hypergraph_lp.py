@@ -20,18 +20,15 @@ from locgame import (
 from locgame.hypergraph import max_membership
 from locgame.lp import UnboundedError, solve_min_equality
 
-from conftest import reference_simplex
+from conftest import edge_sets, hypergraph_of, reference_simplex
 
 LP_TOL = 1e-9
 
 
 def scipy_tau_star(h):
     """Independent LP oracle via HiGHS."""
-    n, m = h.n, len(h.edges)
-    a = np.zeros((m, n))
-    for i, e in enumerate(h.edges):
-        for v in e:
-            a[i, v] = -1.0
+    n, m = h.n, h.edge_count
+    a = -h.incidence().astype(float)
     res = linprog(
         c=np.ones(n),
         A_ub=a,
@@ -44,18 +41,20 @@ def scipy_tau_star(h):
 
 
 def brute_tau(h):
+    edges = edge_sets(h)
     for size in range(h.n + 1):
         for subset in itertools.combinations(range(h.n), size):
             chosen = set(subset)
-            if all(e & chosen for e in h.edges):
+            if all(e & chosen for e in edges):
                 return size
     raise AssertionError
 
 
 def set_greedy(h):
     """Reference max-coverage greedy on Python sets, lowest id on ties."""
-    uncovered = set(range(len(h.edges)))
-    membership = [{i for i, e in enumerate(h.edges) if v in e} for v in range(h.n)]
+    edges = edge_sets(h)
+    uncovered = set(range(len(edges)))
+    membership = [{i for i, e in enumerate(edges) if v in e} for v in range(h.n)]
     cover = set()
     while uncovered:
         best = max(range(h.n), key=lambda v: (len(membership[v] & uncovered), -v))
@@ -76,7 +75,7 @@ def degenerate_hypergraphs(draw):
             edges.append(set(edge))
         else:
             edges.append(draw(st.sets(st.sampled_from(sorted(edge)), min_size=1)))
-    return Hypergraph(n, edges)
+    return hypergraph_of(n, edges)
 
 
 BEALE = (
@@ -125,12 +124,13 @@ def assert_certified(h):
     duality), so this checks optimality without scipy."""
     frac = fractional_vertex_cover(h)
     x, y = frac.assignment, frac.packing
-    assert len(x) == h.n and len(y) == len(h.edges)
+    edges = edge_sets(h)
+    assert len(x) == h.n and len(y) == len(edges)
     assert min(x) >= -LP_TOL and min(y) >= -LP_TOL
-    for e in h.edges:
+    for e in edges:
         assert sum(x[v] for v in e) >= 1 - LP_TOL
     for v in range(h.n):
-        assert sum(w for w, e in zip(y, h.edges) if v in e) <= 1 + LP_TOL
+        assert sum(w for w, e in zip(y, edges) if v in e) <= 1 + LP_TOL
     assert sum(x) == pytest.approx(frac.value, abs=LP_TOL)
     assert sum(y) == pytest.approx(frac.value, abs=LP_TOL)
     return frac
@@ -146,22 +146,22 @@ def tournament_hypergraphs(rng, count=8):
 
 class TestFractionalCover:
     def test_single_edge(self):
-        h = Hypergraph(3, [{0, 1, 2}])
+        h = hypergraph_of(3, [{0, 1, 2}])
         frac = fractional_vertex_cover(h)
         assert frac.value == pytest.approx(1.0, abs=LP_TOL)
 
     def test_triangle_is_three_halves(self):
-        h = Hypergraph(3, [{0, 1}, {1, 2}, {0, 2}])
+        h = hypergraph_of(3, [{0, 1}, {1, 2}, {0, 2}])
         frac = fractional_vertex_cover(h)
         assert frac.value == pytest.approx(1.5, abs=LP_TOL)
 
     def test_no_edges(self):
-        frac = fractional_vertex_cover(Hypergraph(4, []))
+        frac = fractional_vertex_cover(hypergraph_of(4, []))
         assert frac.value == 0.0
 
     def test_empty_edge_raises(self):
         with pytest.raises(EmptyEdgeError):
-            fractional_vertex_cover(Hypergraph(3, [{0}, set()]))
+            fractional_vertex_cover(hypergraph_of(3, [{0}, set()]))
 
     def test_assignment_feasible(self, rng):
         for _ in range(20):
@@ -169,7 +169,7 @@ class TestFractionalCover:
             frac = fractional_vertex_cover(h)
             x = frac.assignment
             assert all(-LP_TOL <= xi <= 1 + LP_TOL for xi in x)
-            for e in h.edges:
+            for e in edge_sets(h):
                 assert sum(x[v] for v in e) >= 1 - 1e-7
             assert frac.value == pytest.approx(sum(x), abs=1e-7)
 
@@ -203,16 +203,16 @@ class TestFractionalCover:
 
 class TestEdgeOrder:
     def _largest_first(self, h):
-        sizes = [-len(e) for e in h.edges]
-        return Hypergraph(h.n, [h.edges[i] for i in np.argsort(sizes, kind="stable")])
+        sizes = h.incidence().sum(axis=1)
+        return Hypergraph(h.incidence()[np.argsort(-sizes, kind="stable")])
 
     def _check(self, h):
         frac = assert_certified(h)
         assert frac.value == pytest.approx(scipy_tau_star(h), abs=LP_TOL)
         # the LP sees the edges smallest first; given in that order, it
         # solves the same LP, so the caller's packing is its permutation
-        order = np.argsort([len(e) for e in h.edges], kind="stable")
-        ascending = fractional_vertex_cover(Hypergraph(h.n, [h.edges[i] for i in order]))
+        order = np.argsort(h.incidence().sum(axis=1), kind="stable")
+        ascending = fractional_vertex_cover(Hypergraph(h.incidence()[order]))
         assert [frac.packing[i] for i in order] == list(ascending.packing)
         assert frac.value == ascending.value
 
@@ -307,11 +307,11 @@ class TestSimplex:
 
 class TestGreedyCover:
     def test_single_edge(self):
-        h = Hypergraph(3, [{0, 1, 2}])
+        h = hypergraph_of(3, [{0, 1, 2}])
         assert len(greedy_vertex_cover(h)) == 1
 
     def test_triangle_needs_two(self):
-        h = Hypergraph(3, [{0, 1}, {1, 2}, {0, 2}])
+        h = hypergraph_of(3, [{0, 1}, {1, 2}, {0, 2}])
         cover = greedy_vertex_cover(h)
         assert len(cover) == 2 == brute_tau(h)
 
@@ -319,16 +319,17 @@ class TestGreedyCover:
         for _ in range(30):
             h = _random_hypergraph(rng)
             cover = greedy_vertex_cover(h)
-            assert all(e & cover for e in h.edges)
+            assert all(e & cover for e in edge_sets(h))
 
     def test_empty_edge_raises(self):
         with pytest.raises(EmptyEdgeError):
-            greedy_vertex_cover(Hypergraph(2, [set()]))
+            greedy_vertex_cover(hypergraph_of(2, [set()]))
 
     def test_matches_set_based_reference(self, rng):
         for h in [_random_hypergraph(rng) for _ in range(40)] + tournament_hypergraphs(rng):
             assert greedy_vertex_cover(h) == set_greedy(h)
-            assert max_membership(h) == max(sum(v in e for e in h.edges) for v in range(h.n))
+            edges = edge_sets(h)
+            assert max_membership(h) == max(sum(v in e for e in edges) for v in range(h.n))
 
     def test_duality_sandwich(self, rng):
         # tau* <= greedy size and greedy size within the rounding bound
@@ -342,7 +343,7 @@ class TestGreedyCover:
             assert len(cover) <= lovasz_bound(h, frac.value) + LP_TOL
 
     def test_lovasz_bound_value(self):
-        h = Hypergraph(3, [{0, 1}, {1, 2}])
+        h = hypergraph_of(3, [{0, 1}, {1, 2}])
         # vertex 1 is in both edges: d = 2
         assert max_membership(h) == 2
         assert lovasz_bound(h, 1.0) == pytest.approx(1 + math.log(2))
@@ -351,7 +352,7 @@ class TestGreedyCover:
 class TestHypergraphBasics:
     def test_out_of_range_edge(self):
         with pytest.raises(ValueError, match="out of range"):
-            Hypergraph(2, [{0, 5}])
+            hypergraph_of(2, [{0, 5}])
 
 
 def _random_hypergraph(rng: random.Random) -> Hypergraph:
@@ -361,14 +362,14 @@ def _random_hypergraph(rng: random.Random) -> Hypergraph:
     for _ in range(m):
         size = rng.randint(1, n)
         edges.append(set(rng.sample(range(n), size)))
-    return Hypergraph(n, edges)
+    return hypergraph_of(n, edges)
 
 
 def test_incidence_round_trip(rng):
     for _ in range(20):
         h = _random_hypergraph(rng)
         inc = h.incidence()
-        assert inc.shape == (len(h.edges), h.n) and not inc.flags.writeable
-        assert [set(np.flatnonzero(row)) for row in inc] == [set(e) for e in h.edges]
-        again = Hypergraph.from_incidence(inc)
-        assert again.edges == h.edges and again.n == h.n
+        assert inc.shape == (h.edge_count, h.n) and not inc.flags.writeable
+        assert [set(np.flatnonzero(row)) for row in inc] == [set(e) for e in edge_sets(h)]
+        again = Hypergraph(inc)
+        assert edge_sets(again) == edge_sets(h) and again.n == h.n

@@ -1,7 +1,8 @@
 """Distances belong to the graph: ``Digraph.distances()`` computes them once,
 so no public callable takes a distance array, required or optional, beside
-or instead of its graph.  The tournament statistics are read through
-``stats``'s public names alone.
+or instead of its graph.  Separation has one convention, witness to pair,
+so no public callable takes a ``direction``.  The tournament statistics are
+read through ``stats``'s public names alone.
 """
 
 import importlib
@@ -52,26 +53,32 @@ def test_the_walk_reaches_the_callables_that_read_distances():
     } <= names
 
 
-def dm_parameters():
+def parameters_named(param):
     """(qualified name, parameter) for every public callable with a
-    parameter named ``dm``."""
+    parameter named ``param``."""
     for name, obj in public_callables():
         try:
             params = inspect.signature(obj).parameters
         except (TypeError, ValueError):
             continue
-        if "dm" in params:
-            yield name, params["dm"]
+        if param in params:
+            yield name, params[param]
 
 
 def test_no_optional_distance_matrix_parameter():
-    optional = [name for name, param in dm_parameters() if param.default is None]
+    optional = [name for name, param in parameters_named("dm") if param.default is None]
     assert sorted(optional) == sorted(OPTIONAL_DM_ALLOWED)
 
 
 def test_no_distance_matrix_parameter():
     # a required dm fails too: the kernels take the graph
-    assert sorted(name for name, _ in dm_parameters()) == sorted(OPTIONAL_DM_ALLOWED)
+    assert sorted(name for name, _ in parameters_named("dm")) == sorted(OPTIONAL_DM_ALLOWED)
+
+
+def test_no_direction_parameter():
+    # one separation convention, witness to pair; the reverse one is read
+    # on the converse digraph
+    assert list(parameters_named("direction")) == []
 
 
 def test_distances_are_computed_only_through_the_graph():

@@ -30,7 +30,7 @@ from locgame import (
 from locgame.resolve import CASE_NO, CASE_PATH, CASE_SOURCE_PLUS_PATH, MAX_SEPARATION_BYTES
 from locgame.verify import random_digraph
 
-from conftest import oriented_digraphs
+from conftest import edge_sets, oriented_digraphs
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -275,45 +275,42 @@ class TestDimOneClassifier:
 class TestDistinguisherHypergraph:
     def test_cycle_every_edge_is_v(self):
         h = distinguisher_hypergraph(cycle3())
-        assert len(h.edges) == 3
-        assert all(e == frozenset({0, 1, 2}) for e in h.edges)
+        assert edge_sets(h) == (frozenset({0, 1, 2}),) * 3
 
     def test_edges_always_contain_their_pair(self, rng):
         for _ in range(20):
             g = random_digraph(rng, rng.randint(2, 6), 0.5)
             h = distinguisher_hypergraph(g)
-            for (x, y), e in zip(itertools.combinations(range(g.n), 2), h.edges):
+            for (x, y), e in zip(itertools.combinations(range(g.n), 2), edge_sets(h)):
                 assert x in e and y in e
 
     def test_rotation_t5_edges_nonempty(self):
         h = distinguisher_hypergraph(rotation_tournament(2))
-        assert all(h.edges)
+        assert all(edge_sets(h))
 
     def test_reverse_convention_differs_somewhere(self, rng):
         found = False
         for _ in range(50):
             g = random_digraph(rng, 5, 0.5)
-            a = distinguisher_hypergraph(g, direction="witness-to-pair")
-            b = distinguisher_hypergraph(g, direction="pair-to-witness")
-            if a.edges != b.edges:
+            a = distinguisher_hypergraph(g)
+            b = distinguisher_hypergraph(g.converse())
+            if edge_sets(a) != edge_sets(b):
                 found = True
                 break
         assert found
-
-    def test_unknown_direction(self):
-        with pytest.raises(ValueError, match="direction"):
-            distinguisher_hypergraph(cycle3(), direction="sideways")
 
     def test_distance_array_of_another_size_rejected(self):
         g = rotation_tournament(3)
         with pytest.raises(ValueError, match=r"shape \(5, 5\) for n=7"):
             distinguisher_hypergraph(g, all_pairs_distances(transitive_tournament(5)))
         given = distinguisher_hypergraph(g, all_pairs_distances(g))
-        assert given.edges == distinguisher_hypergraph(g).edges
+        assert edge_sets(given) == edge_sets(distinguisher_hypergraph(g))
 
 
 def reference_separation(g, direction):
-    """separated[w][t] by the definition, over ``combinations`` order."""
+    """separated[w][t] by the definition, over ``combinations`` order:
+    "witness-to-pair" compares d(w, x) with d(w, y), "pair-to-witness"
+    d(x, w) with d(y, w)."""
     d = g.distances().tolist()
     if direction == "pair-to-witness":
         d = [list(col) for col in zip(*d)]
@@ -330,12 +327,14 @@ class TestSeparation:
         from locgame import resolve
 
         want = reference_separation(g, direction)
+        # the reverse convention is the default one on the converse
+        dist = (g if direction == "witness-to-pair" else g.converse()).distances()
         # blocks of one pair, of 3 pairs (the last one short unless 3
         # divides C(n, 2)), and the default, one block: a block's two
         # gathers take 8 n bytes per pair
         for block_bytes in (1, 8 * g.n * 3, resolve._WITNESS_BLOCK_BYTES):
             with mock.patch.object(resolve, "_WITNESS_BLOCK_BYTES", block_bytes):
-                got = resolve._separation(g.distances(), direction)
+                got = resolve._separation(dist)
             assert got.shape == (g.n, math.comb(g.n, 2))
             assert got.tolist() == want
 
@@ -373,10 +372,12 @@ class TestCParameterAndBound:
     @pytest.mark.parametrize("direction", ["witness-to-pair", "pair-to-witness"])
     def test_separation_over_budget_raises_before_allocating(self, direction):
         g = Digraph(814, [])
+        if direction == "pair-to-witness":
+            g = g.converse()
         with pytest.raises(BudgetExceededError, match="needs 269345274 bytes"):
-            c_parameter(g, direction)
+            c_parameter(g)
         with pytest.raises(BudgetExceededError, match="needs 269345274 bytes"):
-            distinguisher_hypergraph(g, direction=direction)
+            distinguisher_hypergraph(g)
 
     def test_greedy_cover_resolves(self, rng):
         for _ in range(20):

@@ -5,7 +5,6 @@ import pytest
 
 from locgame import (
     Digraph,
-    arc_indicator,
     doubly_regular_check,
     e4c_count,
     paley_tournament,
@@ -16,7 +15,7 @@ from locgame import (
     transitive_tournament,
 )
 
-from conftest import brute_e4c, neighborhood_profile
+from conftest import arc_indicator, brute_e4c, neighborhood_profile
 
 
 def cycle3():
@@ -56,6 +55,11 @@ class TestSameness:
     def test_requires_distinct(self):
         with pytest.raises(ValueError):
             sameness(cycle3(), 1, 1)
+
+    @pytest.mark.parametrize("u", [-1, 3])
+    def test_vertex_out_of_range(self, u):
+        with pytest.raises(ValueError, match="out of range"):
+            sameness(cycle3(), u, 0)
 
 
 class TestNeighborhoodProfile:

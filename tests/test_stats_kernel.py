@@ -27,7 +27,7 @@ from locgame.cli import main
 from locgame.digraph import write_digraph
 from locgame.experiment import ExperimentConfig, run_experiment
 
-from conftest import brute_e4c, neighborhood_profile, oriented_digraphs
+from conftest import brute_e4c, edge_sets, neighborhood_profile, oriented_digraphs
 
 NAMED = [
     paley_tournament(7),
@@ -130,9 +130,10 @@ def test_deviation_matches_pair_sum(g):
 @settings(deadline=None)
 @given(st.one_of(tournaments, oriented_digraphs()))
 def test_c_parameter_is_smallest_distinguisher_edge(g):
-    for direction in ("witness-to-pair", "pair-to-witness"):
-        edges = distinguisher_hypergraph(g, direction=direction).edges
-        c = c_parameter(g, direction=direction)
+    # the default convention, and the reverse one as the converse's
+    for h in (g, g.converse()):
+        edges = edge_sets(distinguisher_hypergraph(h))
+        c = c_parameter(h)
         if g.n < 2:
             assert c == 1
         else:
@@ -205,21 +206,21 @@ def test_stats_builds_one_indicator_matrix(monkeypatch, capsys, tmp_path):
 
 def test_stats_builds_two_separations(monkeypatch, capsys, tmp_path):
     # the distinguisher hypergraph gives c and the greedy cover; only the
-    # reversed convention builds a second matrix
+    # reversed convention, read on the converse, builds a second matrix
     built = []
     original = resolve._separation
-    monkeypatch.setattr(
-        resolve, "_separation", lambda dist, direction: built.append(direction) or original(dist, direction)
-    )
+    monkeypatch.setattr(resolve, "_separation", lambda dist: built.append(dist) or original(dist))
     g = random_tournament(13, 0.5, 4)
     path = tmp_path / "r13.txt"
     write_digraph(g, path)
     assert main(["stats", str(path)]) == 0
-    assert sorted(built) == ["pair-to-witness", "witness-to-pair"]
+    dist = g.distances()
+    assert len(built) == 2
+    assert np.array_equal(built[0], dist) and np.array_equal(built[1], dist.T)
     report = json.loads(capsys.readouterr().out)
     monkeypatch.setattr(resolve, "_separation", original)
     assert report["c_parameter"] == float(c_parameter(g))
-    reverse = float(c_parameter(g, direction="pair-to-witness"))
+    reverse = float(c_parameter(g.converse()))
     assert report.get("c_parameter_pair_to_witness", report["c_parameter"]) == reverse
 
 
