@@ -42,6 +42,13 @@ def _check_bytes(what: str, need: int, limit: int) -> None:
         raise BudgetExceededError(f"{what} {need} bytes, over the limit of {limit}")
 
 
+def _check_adjacency(n: int) -> None:
+    """The constructor's preflight for ``n`` vertices; the families call it
+    before they build their arc lists."""
+    need = 2 * int(n) ** 2
+    _check_bytes(f"the adjacency matrix of {n} vertices needs", need, MAX_ADJACENCY_BYTES)
+
+
 class Digraph:
     """An immutable simple oriented digraph.
 
@@ -62,8 +69,7 @@ class Digraph:
             raise ValueError(f"vertex count must be an integer, not {type(n).__name__}")
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
-        need = 2 * int(n) ** 2
-        _check_bytes(f"the adjacency matrix of {n} vertices needs", need, MAX_ADJACENCY_BYTES)
+        _check_adjacency(n)
         if isinstance(arcs, np.ndarray) and arcs.dtype.kind in "iu" and arcs.shape[1:] == (2,):
             # wrapping a huge unsigned endpoint to a negative one keeps it out of range
             ends = arcs.T.astype(np.intp)

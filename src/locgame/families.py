@@ -2,7 +2,8 @@
 
 All constructors are pure and deterministic; the random tournament takes an
 explicit 64-bit seed.  Vertex labelings are documented per family so tests
-and file outputs can name vertices.
+and file outputs can name vertices.  A vertex count over the constructor's
+adjacency budget raises :class:`BudgetExceededError` before any arc is built.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import random
 
 import numpy as np
 
-from .digraph import Digraph, _pair_index
+from .digraph import Digraph, _check_adjacency, _pair_index
 
 
 def rotation_tournament(m: int) -> Digraph:
@@ -20,6 +21,7 @@ def rotation_tournament(m: int) -> Digraph:
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
     n = 2 * m + 1
+    _check_adjacency(n)
     arcs = [(i, (i + j) % n) for i in range(n) for j in range(1, m + 1)]
     return Digraph(n, arcs)
 
@@ -32,6 +34,7 @@ def tripartite_cycle(i: int) -> Digraph:
     """
     if i < 1:
         raise ValueError(f"part size must be positive, got {i}")
+    _check_adjacency(3 * i)
     arcs = []
     for j in range(3):
         src = range(j * i, j * i + i)
@@ -50,6 +53,7 @@ def blowup(t: Digraph, k: int) -> Digraph:
         raise ValueError(f"independent-set size must be at least 3, got {k}")
     if not t.is_tournament():
         raise ValueError("blowup base must be a tournament")
+    _check_adjacency(t.n * k)
     arcs = np.argwhere(np.kron(t.adjacency, np.ones((k, k), dtype=bool)))
     return Digraph(t.n * k, arcs.tolist())
 
@@ -72,6 +76,7 @@ def sc_tight(m: int, delta: int) -> Digraph:
     if delta < 1:
         raise ValueError(f"delta must be positive, got {delta}")
     n_layer = 2 * m + 1
+    _check_adjacency(n_layer * (delta + 1))
     arcs = []
 
     def vid(u: int, layer: int) -> int:
@@ -121,6 +126,7 @@ def paley_tournament(q: int) -> Digraph:
         raise ValueError(f"q must be prime, got {q}")
     if q % 4 != 3:
         raise ValueError(f"q must be 3 mod 4, got {q}")
+    _check_adjacency(q)
     residues = {(x * x) % q for x in range(1, q)}
     arcs = [
         (i, j)
@@ -139,6 +145,7 @@ def random_tournament(n: int, p: float, seed: int) -> Digraph:
         raise ValueError(f"n must be positive, got {n}")
     if not 0 <= p <= 1:
         raise ValueError(f"p must be a probability, got {p}")
+    _check_adjacency(n)
     r = random.Random(seed).random
     i, j = _pair_index(n)
     forward = np.array([r() < p for _ in range(len(i))], dtype=bool)
@@ -149,6 +156,7 @@ def transitive_tournament(n: int) -> Digraph:
     """All arcs point from lower to higher id."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    _check_adjacency(n)
     return Digraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 

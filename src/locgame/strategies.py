@@ -4,7 +4,9 @@ Every strategy exposes ``name``, ``cops`` (its budget), and
 ``next(transcript) -> probe``.  Strategies carry no hidden mutable state:
 each call derives everything from the transcript, so replaying a transcript
 reproduces the probes exactly.  All strategies but ``rotation`` are a
-``BagSweep``: a fixed list of bags built once, probed one per round.
+``BagSweep``: a fixed list of bags built once, probed one per round.  A path
+decomposition is swept as the DAG decomposition on the path of its bags, by
+the same builder; both sweeps skip empty bags.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from .digraph import INF, Digraph
 from .decomposition import (
     DagDecomposition,
     PathDecomposition,
+    _path_indexed,
     validate_dag_decomposition,
-    validate_path_decomposition,
 )
 from .game import GameTranscript
 from .resolve import metric_dimension_exact
@@ -146,21 +148,22 @@ def dag_sweep(g: Digraph) -> BagSweep:
 
 def path_sweep(g: Digraph, pd: PathDecomposition) -> BagSweep:
     """Probe the bags of a valid path decomposition in order; budget width+1."""
-    result = validate_path_decomposition(g, pd)
-    if not result.valid:
-        raise ValueError(f"invalid path decomposition: {result.violation}")
-    return BagSweep("path_sweep", [tuple(sorted(b)) for b in pd.bags], result.width + 1)
+    return _decomposition_sweep("path_sweep", "path", g, _path_indexed(pd))
 
 
 def dag_decomp_sweep(g: Digraph, dd: DagDecomposition) -> BagSweep:
     """Probe the bags of a valid DAG decomposition along a topological order
     of its index digraph; budget = width = largest bag."""
+    return _decomposition_sweep("dag_decomp_sweep", "DAG", g, dd)
+
+
+def _decomposition_sweep(name: str, kind: str, g: Digraph, dd: DagDecomposition) -> BagSweep:
+    """The nonempty bags of a valid ``dd`` in topological order; budget = largest bag."""
     result = validate_dag_decomposition(g, dd)
     if not result.valid:
-        raise ValueError(f"invalid DAG decomposition: {result.violation}")
-    order = topological_sort(dd.index_dag)
-    bags = [tuple(sorted(dd.bags[i])) for i in order if dd.bags[i]]
-    return BagSweep("dag_decomp_sweep", bags, result.width)
+        raise ValueError(f"invalid {kind} decomposition: {result.violation}")
+    bags = [tuple(sorted(dd.bags[i])) for i in topological_sort(dd.index_dag) if dd.bags[i]]
+    return BagSweep(name, bags, result.width)
 
 
 def sc_composite(g: Digraph) -> ScComposite:

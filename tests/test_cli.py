@@ -529,6 +529,21 @@ class TestPlay:
         )
         assert code == 0
 
+    def test_path_sweep_skips_empty_bags(self, capsys, tmp_path):
+        graph = tmp_path / "c3.txt"
+        write_digraph(rotation_tournament(1), graph)
+        transcripts = []
+        for bags in ([[], [0, 1, 2]], [[0, 1, 2]]):
+            decomp = tmp_path / "pd.json"
+            decomp.write_text(json.dumps({"bags": bags}))
+            code, out = run_cli(
+                capsys, "play", str(graph), "--strategy", "path_sweep",
+                "--decomposition", str(decomp),
+            )
+            assert code == 0
+            transcripts.append(out)
+        assert transcripts[0] == transcripts[1]
+
     def test_dag_decomp_sweep_with_file(self, capsys, tmp_path):
         graph = tmp_path / "c3.txt"
         write_digraph(rotation_tournament(1), graph)
@@ -603,6 +618,9 @@ DECOMPOSITIONS = [
     '{"index": {"n": 2, "arcs": [[0, 1]]}, "bags": [[0, 1], [1, 2]]}',
     '{"index": {"n": 2, "arcs": [[0, 1], [1, 0]]}, "bags": [[0], [1]]}',
     '{"index": {"n": 2, "arcs": []}, "bags": [[0]]}', '{"index": 5, "bags": [[0]]}',
+    # valid on the 3-cycle, with an empty bag to skip
+    '{"bags": [[], [0, 1, 2]]}',
+    '{"index": {"n": 2, "arcs": [[0, 1]]}, "bags": [[], [0, 1, 2]]}',
     '{"bags": [[0, "a"]]}', '{"bags": 5}', '{"bag": [[0]]}', "null", "{", "",
 ]
 COUNTS = st.integers(-1, 4).map(str)

@@ -18,7 +18,8 @@ from locgame.decomposition import (
     path_decomposition_to_json,
     read_decomposition,
 )
-from locgame.verify import random_digraph
+from locgame.digraph import UNREACHABLE
+from locgame.verify import random_dag, random_digraph
 
 from conftest import dag_guard_condition
 
@@ -97,6 +98,21 @@ class TestPathDecomposition:
         assert agree == 300
 
 
+def literal_connectivity_violation(dd):
+    """The first (a, c, b) in index order with a -> b -> c and X_a ∩ X_c not
+    inside X_b, as a violation message; None when there is none."""
+    reach = dd.index_dag.distances() != UNREACHABLE
+    bags = dd.bags
+    for a in range(len(bags)):
+        for c in range(len(bags)):
+            shared = bags[a] & bags[c]
+            for b in range(len(bags)):
+                if b not in (a, c) and reach[a, b] and reach[b, c] and not shared <= bags[b]:
+                    lost = sorted(shared - bags[b])
+                    return f"vertices {lost} in bags {a} and {c} but not in {b} between them"
+    return None
+
+
 class TestDagDecomposition:
     def test_identity_decomposition_of_dag(self):
         g = transitive_tournament(5)
@@ -164,6 +180,26 @@ class TestDagDecomposition:
                     continue
             if result.valid:
                 assert dag_guard_condition(g, dd)
+
+    def test_connectivity_reports_the_first_violation(self):
+        # bags cover every vertex, so only connectivity or the arcs can fail
+        rng = random.Random(13)
+        found = 0
+        for _ in range(400):
+            n = rng.randint(1, 6)
+            g = random_digraph(rng, n, rng.uniform(0.2, 0.8))
+            k = rng.randint(2, 9)
+            bags = [{v for v in range(n) if rng.random() < 0.5} for _ in range(k)]
+            bags[0] |= set(range(n))
+            dd = DagDecomposition(random_dag(rng, k, rng.uniform(0.2, 0.8)), bags)
+            want = literal_connectivity_violation(dd)
+            got = validate_dag_decomposition(g, dd).violation
+            if want is None:
+                assert got is None or "between them" not in got
+            else:
+                assert got == want
+                found += 1
+        assert found > 50
 
     def test_acyclic_identity_bags_guard_form(self):
         g = transitive_tournament(4)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import pytest
 
 from locgame import (
+    BudgetExceededError,
     Digraph,
     binary_source_extension,
     blowup,
@@ -12,6 +15,8 @@ from locgame import (
     transitive_tournament,
     tripartite_cycle,
 )
+from locgame import digraph
+from locgame.cli import main
 from locgame.stats import doubly_regular_check
 
 from conftest import reference_random_tournament
@@ -181,3 +186,48 @@ class TestRandomTournament:
             g = random_tournament(rng.randint(1, 10), rng.random(), rng.getrandbits(64))
             assert g.is_tournament()
 
+
+class TestAdjacencyBudget:
+    """Each family refuses a vertex count over the constructor's budget
+    before it builds an arc list."""
+
+    # a cap that admits n <= 40: 2 bytes per pair
+    CAP = 2 * 40 * 40
+
+    @pytest.mark.parametrize(
+        "build, n",
+        [
+            (lambda: rotation_tournament(200), 401),
+            (lambda: transitive_tournament(400), 400),
+            (lambda: tripartite_cycle(134), 402),
+            (lambda: sc_tight(99, 1), 398),
+            (lambda: paley_tournament(419), 419),
+            (lambda: random_tournament(400, 0.5, 1), 400),
+            (lambda: blowup(rotation_tournament(16), 12), 396),
+        ],
+    )
+    def test_refuses_before_building(self, monkeypatch, build, n):
+        monkeypatch.setattr(digraph, "MAX_ADJACENCY_BYTES", self.CAP)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError) as err:
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == (
+            f"the adjacency matrix of {n} vertices needs {2 * n * n} bytes, "
+            f"over the limit of {self.CAP}"
+        )
+        # the arc list of about 80 000 arcs alone would take some 15 MB
+        assert peak < 1 << 20
+
+    def test_gen_exits_2_with_one_line(self, monkeypatch, capsys):
+        monkeypatch.setattr(digraph, "MAX_ADJACENCY_BYTES", self.CAP)
+        assert main(["gen", "transitive", "401"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: the adjacency matrix of 401 vertices needs {2 * 401 * 401} bytes, "
+            f"over the limit of {self.CAP}\n"
+        )

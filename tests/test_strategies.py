@@ -74,6 +74,21 @@ class TestPathSweep:
         transcript = run(g, strategy, 2)
         assert transcript.outcome.captured
 
+    @pytest.mark.parametrize(
+        "g, bags, swept",
+        [
+            (cycle3(), [set(), {0, 1}, {0, 2}, set()], [(0, 1), (0, 2)]),
+            (cycle3(), [set(), {0, 1, 2}], [(0, 1, 2)]),
+            (transitive_tournament(3), [{0}, set(), {1}, {2}], [(0,), (1,), (2,)]),
+        ],
+    )
+    def test_skips_empty_bags(self, g, bags, swept):
+        strategy = path_sweep(g, PathDecomposition(bags))
+        assert strategy.bags == swept
+        assert strategy.cops == max(len(b) for b in bags)
+        transcript = run(g, strategy, len(swept))
+        assert transcript.outcome.captured
+
     def test_rejects_invalid_decomposition(self):
         with pytest.raises(ValueError, match="invalid path decomposition"):
             path_sweep(cycle3(), PathDecomposition([{0}, {1}, {2}]))
