@@ -44,7 +44,7 @@ def _check_bytes(what: str, need: int, limit: int) -> None:
 
 def _check_adjacency(n: int) -> None:
     """The constructor's preflight for ``n`` vertices; the families call it
-    before they build their arc lists."""
+    before they build their adjacency patterns."""
     need = 2 * int(n) ** 2
     _check_bytes(f"the adjacency matrix of {n} vertices needs", need, MAX_ADJACENCY_BYTES)
 
@@ -189,7 +189,7 @@ class Digraph:
         """
         keep = sorted({self._vertex(v) for v in vertices})
         sub = self.adjacency[np.ix_(keep, keep)]
-        return Digraph(len(keep), np.argwhere(sub).tolist()), keep
+        return Digraph(len(keep), np.argwhere(sub)), keep
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Digraph):

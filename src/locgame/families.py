@@ -2,8 +2,10 @@
 
 All constructors are pure and deterministic; the random tournament takes an
 explicit 64-bit seed.  Vertex labelings are documented per family so tests
-and file outputs can name vertices.  A vertex count over the constructor's
-adjacency budget raises :class:`BudgetExceededError` before any arc is built.
+and file outputs can name vertices.  Each family is built as its bool
+adjacency pattern; rotation, Paley and each ``sc_tight`` layer are
+circulants on Z_n.  A vertex count over the constructor's adjacency
+budget raises :class:`BudgetExceededError` before any matrix is built.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ def rotation_tournament(m: int) -> Digraph:
         raise ValueError(f"m must be positive, got {m}")
     n = 2 * m + 1
     _check_adjacency(n)
-    arcs = [(i, (i + j) % n) for i in range(n) for j in range(1, m + 1)]
-    return Digraph(n, arcs)
+    return Digraph(n, np.argwhere(_circulant(n, np.arange(1, m + 1))))
 
 
 def tripartite_cycle(i: int) -> Digraph:
@@ -35,12 +36,8 @@ def tripartite_cycle(i: int) -> Digraph:
     if i < 1:
         raise ValueError(f"part size must be positive, got {i}")
     _check_adjacency(3 * i)
-    arcs = []
-    for j in range(3):
-        src = range(j * i, j * i + i)
-        dst = range(((j + 1) % 3) * i, ((j + 1) % 3) * i + i)
-        arcs.extend((u, v) for u in src for v in dst)
-    return Digraph(3 * i, arcs)
+    parts = np.kron(_circulant(3, [1]), np.ones((i, i), dtype=bool))
+    return Digraph(3 * i, np.argwhere(parts))
 
 
 def blowup(t: Digraph, k: int) -> Digraph:
@@ -55,7 +52,7 @@ def blowup(t: Digraph, k: int) -> Digraph:
         raise ValueError("blowup base must be a tournament")
     _check_adjacency(t.n * k)
     arcs = np.argwhere(np.kron(t.adjacency, np.ones((k, k), dtype=bool)))
-    return Digraph(t.n * k, arcs.tolist())
+    return Digraph(t.n * k, arcs)
 
 
 def sc_tight(m: int, delta: int) -> Digraph:
@@ -77,20 +74,10 @@ def sc_tight(m: int, delta: int) -> Digraph:
         raise ValueError(f"delta must be positive, got {delta}")
     n_layer = 2 * m + 1
     _check_adjacency(n_layer * (delta + 1))
-    arcs = []
-
-    def vid(u: int, layer: int) -> int:
-        return (layer - 1) * n_layer + u
-
-    for layer in range(1, delta + 2):
-        for u in range(n_layer):
-            for j in range(1, m + 1):
-                w = (u + j) % n_layer
-                if layer == 1:
-                    arcs.extend((vid(u, 1), vid(w, l2)) for l2 in range(1, delta + 2))
-                else:
-                    arcs.append((vid(u, layer), vid(w, layer)))
-    return Digraph(n_layer * (delta + 1), arcs)
+    layer = _circulant(n_layer, np.arange(1, m + 1))
+    adjacency = np.kron(np.eye(delta + 1, dtype=bool), layer)
+    adjacency[:n_layer] = np.tile(layer, delta + 1)
+    return Digraph(n_layer * (delta + 1), np.argwhere(adjacency))
 
 
 def binary_source_extension(d: Digraph) -> Digraph:
@@ -107,13 +94,10 @@ def binary_source_extension(d: Digraph) -> Digraph:
     b = math.ceil(math.log2(m)) if m > 1 else 0
     if b == 0:
         return d
-    arcs = list(d.arcs)
-    for i in range(b):
-        source = m + i
-        for u in range(m):
-            if format(u, f"0{b}b")[i] == "0":
-                arcs.append((source, u))
-    return Digraph(m + b, arcs)
+    adjacency = np.zeros((m + b, m + b), dtype=bool)
+    adjacency[:m, :m] = d.adjacency
+    adjacency[m:, :m] = (np.arange(m) >> np.arange(b - 1, -1, -1)[:, None]) & 1 == 0
+    return Digraph(m + b, np.argwhere(adjacency))
 
 
 def paley_tournament(q: int) -> Digraph:
@@ -127,14 +111,7 @@ def paley_tournament(q: int) -> Digraph:
     if q % 4 != 3:
         raise ValueError(f"q must be 3 mod 4, got {q}")
     _check_adjacency(q)
-    residues = {(x * x) % q for x in range(1, q)}
-    arcs = [
-        (i, j)
-        for i in range(q)
-        for j in range(q)
-        if i != j and (j - i) % q in residues
-    ]
-    return Digraph(q, arcs)
+    return Digraph(q, np.argwhere(_circulant(q, np.arange(1, q) ** 2 % q)))
 
 
 def random_tournament(n: int, p: float, seed: int) -> Digraph:
@@ -157,7 +134,15 @@ def transitive_tournament(n: int) -> Digraph:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     _check_adjacency(n)
-    return Digraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Digraph(n, np.argwhere(np.triu(np.ones((n, n), dtype=bool), 1)))
+
+
+def _circulant(n: int, shifts) -> np.ndarray:
+    """Adjacency of the circulant digraph on Z_n: u -> v exactly when
+    (v - u) mod n is in ``shifts``."""
+    first = np.zeros(n, dtype=bool)
+    first[shifts] = True
+    return first[(np.arange(n) - np.arange(n)[:, None]) % n]
 
 
 def _is_prime(q: int) -> bool:

@@ -31,10 +31,11 @@ there, and the explore computes representatives only for stepped parts
 still at 0.
 
 Set-up is paid only where it is needed.  The tables that do not depend on
-k (the step tables and the automorphism tables) are built once per graph
-object and shared by its solvers for k = 1, 2, ..., kept for the last graph
-asked about.  A solver builds its partition matrix on its first query (or
-the first read of its stats), so a robber that is never asked builds none.
+k (the step tables and the automorphism tables) are kept for the last
+graph asked about and shared by its solvers for k = 1, 2, ... and by those
+of any equal graph.  A solver builds its partition matrix on its first
+query (or the first read of its stats), so a robber that is never asked
+builds none.
 
 The fixpoint is computed by sweeps.  A query explores the representatives
 newly reachable from it, breadth first, then re-evaluates only those, last
@@ -54,6 +55,7 @@ each class's step off the solver's step tables and asks ``wins`` about it.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import time
@@ -292,11 +294,15 @@ def _images(tables: tuple[np.ndarray, ...], masks):
     )
 
 
-def _graph_tables(g: Digraph) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], int]:
+@functools.lru_cache(maxsize=1)
+def _graph_tables(g: Digraph) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], int, bool]:
     """What a solver needs of g at any k: the two 12-bit tables stepping a
     mask through the robber's move, the byte tables of the kept
-    automorphisms with their inverses, and the number of maps kept.  The
-    tables are read-only, since solvers share them."""
+    automorphisms with their inverses, the number of maps kept and whether
+    a budget cut their search short.  The last graph asked is kept, so the
+    solvers for k = 1, 2, ... of one graph, or of equal graphs (whose
+    automorphisms are equal), share its tables; they are read-only for
+    that reason."""
     n = g.n
     # closed[v]: mask of v and its out-neighbours
     closed = (g.adjacency | np.eye(n, dtype=bool)) @ (np.int64(1) << np.arange(n))
@@ -310,25 +316,7 @@ def _graph_tables(g: Digraph) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray,
     images = _byte_tables(np.int64(1) << both[_first_rows(both)])
     for table in step + images:
         table.flags.writeable = False
-    return step, images, len(maps)
-
-
-# the last graph given to _shared_tables and its tables, as one tuple
-_shared: tuple[Digraph, tuple] | None = None
-
-
-def _shared_tables(g: Digraph) -> tuple:
-    """:func:`_graph_tables` of g, kept for the last graph asked about, so
-    the solvers for k = 1, 2, ... of one graph build them once.
-
-    The memo matches on identity, not equality: equal graphs read from two
-    files share nothing.  It is one tuple rebound in one assignment, so two
-    threads racing here only build the tables twice."""
-    global _shared
-    shared = _shared
-    if shared is None or shared[0] is not g:
-        shared = _shared = (g, _graph_tables(g))
-    return shared[1]
+    return step, images, len(maps), g.automorphisms_truncated()
 
 
 @dataclass(frozen=True)
@@ -376,7 +364,7 @@ class LocalizationSolver:
         self.g = g
         self.k = k
         self._full = (1 << g.n) - 1
-        self._step, self._maps, self._automorphisms = _shared_tables(g)
+        self._step, self._maps, self._automorphisms, self._truncated = _graph_tables(g)
         # the classes of any S are the nonempty intersections with these
         # cells; built by _build_partitions on the first query
         self._cells: np.ndarray | None = None
@@ -422,7 +410,7 @@ class LocalizationSolver:
             partitions=self._cells.shape[1],
             partition_bytes=self._cells.nbytes,
             automorphisms=self._automorphisms,
-            automorphisms_truncated=self.g.automorphisms_truncated(),
+            automorphisms_truncated=self._truncated,
             explored_states=self._explored,
             opens=self._opens,
             sweeps=self._sweeps,

@@ -1,6 +1,6 @@
 """Executable cop strategies.
 
-Every strategy exposes ``name``, ``cops`` (its budget), and
+Every strategy exposes ``cops`` (its budget) and
 ``next(transcript) -> probe``.  Strategies carry no hidden mutable state:
 each call derives everything from the transcript, so replaying a transcript
 reproduces the probes exactly.  All strategies but ``rotation`` are a
@@ -34,8 +34,7 @@ class BagSweep:
     build the schedule and the budget; the sweep is the same for all four.
     """
 
-    def __init__(self, name: str, bags: list[tuple[int, ...]], cops: int):
-        self.name = name
+    def __init__(self, bags: list[tuple[int, ...]], cops: int):
         self.bags = bags
         self.cops = cops
 
@@ -74,7 +73,7 @@ class ScComposite(BagSweep):
             self.bases.append(tuple(sorted(basis)))
             bags.append(tuple(sorted(basis | markers)))
         cops = max(len(b) for b in self.bases) + scc.max_out_degree
-        super().__init__("sc_composite", bags, cops)
+        super().__init__(bags, cops)
 
     def next(self, transcript: GameTranscript) -> tuple[int, ...]:
         for r, bag, basis in zip(transcript.rounds, self.bags, self.bases):
@@ -99,8 +98,6 @@ class RotationStrategy:
     within three moves; a smaller budget truncates each placement and loses,
     which is exactly what the tightness tests exercise.
     """
-
-    name = "rotation"
 
     def __init__(self, m: int, cops: int | None = None):
         if m < 1:
@@ -143,27 +140,27 @@ def dag_sweep(g: Digraph) -> BagSweep:
     probed it can never rejoin the candidate class; after n rounds nothing
     is left to hide on.
     """
-    return BagSweep("dag_sweep", [(v,) for v in topological_sort(g)], 1)
+    return BagSweep([(v,) for v in topological_sort(g)], 1)
 
 
 def path_sweep(g: Digraph, pd: PathDecomposition) -> BagSweep:
     """Probe the bags of a valid path decomposition in order; budget width+1."""
-    return _decomposition_sweep("path_sweep", "path", g, _path_indexed(pd))
+    return _decomposition_sweep("path", g, _path_indexed(pd))
 
 
 def dag_decomp_sweep(g: Digraph, dd: DagDecomposition) -> BagSweep:
     """Probe the bags of a valid DAG decomposition along a topological order
     of its index digraph; budget = width = largest bag."""
-    return _decomposition_sweep("dag_decomp_sweep", "DAG", g, dd)
+    return _decomposition_sweep("DAG", g, dd)
 
 
-def _decomposition_sweep(name: str, kind: str, g: Digraph, dd: DagDecomposition) -> BagSweep:
+def _decomposition_sweep(kind: str, g: Digraph, dd: DagDecomposition) -> BagSweep:
     """The nonempty bags of a valid ``dd`` in topological order; budget = largest bag."""
     result = validate_dag_decomposition(g, dd)
     if not result.valid:
         raise ValueError(f"invalid {kind} decomposition: {result.violation}")
     bags = [tuple(sorted(dd.bags[i])) for i in topological_sort(dd.index_dag) if dd.bags[i]]
-    return BagSweep(name, bags, result.width)
+    return BagSweep(bags, result.width)
 
 
 def sc_composite(g: Digraph) -> ScComposite:

@@ -73,8 +73,8 @@ def strong_components(g: Digraph) -> SccDecomposition:
             comps.append(np.flatnonzero(mutual[v]).tolist())
             for u in comps[-1]:
                 comp_of[u] = len(comps) - 1
-    cond_arcs = {(comp_of[u], comp_of[v]) for (u, v) in g.arcs if comp_of[u] != comp_of[v]}
-    return SccDecomposition(comp_of, comps, Digraph(len(comps), cond_arcs))
+    pairs = np.array(comp_of, dtype=np.intp)[np.argwhere(g.adjacency)]  # arcs as component pairs
+    return SccDecomposition(comp_of, comps, Digraph(len(comps), pairs[pairs[:, 0] != pairs[:, 1]]))
 
 
 def topological_sort(g: Digraph) -> list[int]:

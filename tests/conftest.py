@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -63,6 +64,75 @@ def reference_random_tournament(n: int, p: float, seed: int) -> Digraph:
         for j in range(i + 1, n):
             arcs.append((i, j) if rng.random() < p else (j, i))
     return Digraph(n, arcs)
+
+
+# the arc-by-arc loops the families were once built by, to check their
+# adjacency patterns against
+
+def reference_rotation_tournament(m: int) -> Digraph:
+    n = 2 * m + 1
+    return Digraph(n, [(i, (i + j) % n) for i in range(n) for j in range(1, m + 1)])
+
+
+def reference_tripartite_cycle(i: int) -> Digraph:
+    arcs = []
+    for j in range(3):
+        src = range(j * i, j * i + i)
+        dst = range(((j + 1) % 3) * i, ((j + 1) % 3) * i + i)
+        arcs.extend((u, v) for u in src for v in dst)
+    return Digraph(3 * i, arcs)
+
+
+def reference_blowup(t: Digraph, k: int) -> Digraph:
+    arcs = [(u * k + a, v * k + b) for (u, v) in t.arcs for a in range(k) for b in range(k)]
+    return Digraph(t.n * k, arcs)
+
+
+def reference_sc_tight(m: int, delta: int) -> Digraph:
+    n_layer = 2 * m + 1
+    arcs = []
+
+    def vid(u: int, layer: int) -> int:
+        return (layer - 1) * n_layer + u
+
+    for layer in range(1, delta + 2):
+        for u in range(n_layer):
+            for j in range(1, m + 1):
+                w = (u + j) % n_layer
+                if layer == 1:
+                    arcs.extend((vid(u, 1), vid(w, l2)) for l2 in range(1, delta + 2))
+                else:
+                    arcs.append((vid(u, layer), vid(w, layer)))
+    return Digraph(n_layer * (delta + 1), arcs)
+
+
+def reference_binary_source_extension(d: Digraph) -> Digraph:
+    m = d.n
+    b = math.ceil(math.log2(m)) if m > 1 else 0
+    if b == 0:
+        return d
+    arcs = list(d.arcs)
+    for i in range(b):
+        source = m + i
+        for u in range(m):
+            if format(u, f"0{b}b")[i] == "0":
+                arcs.append((source, u))
+    return Digraph(m + b, arcs)
+
+
+def reference_paley_tournament(q: int) -> Digraph:
+    residues = {(x * x) % q for x in range(1, q)}
+    arcs = [
+        (i, j)
+        for i in range(q)
+        for j in range(q)
+        if i != j and (j - i) % q in residues
+    ]
+    return Digraph(q, arcs)
+
+
+def reference_transitive_tournament(n: int) -> Digraph:
+    return Digraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
 def reference_simplex(c: np.ndarray, a: np.ndarray, b: np.ndarray) -> LpSolution:

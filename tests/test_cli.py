@@ -630,7 +630,7 @@ COUNTS = st.integers(-1, 4).map(str)
 def command_lines(draw):
     """argv for the CLI, with "{graph}" standing for the graph file and
     "{decomposition}" for the decomposition file."""
-    kind = draw(st.sampled_from(["report", "play", "gen", "experiment", "verify"]))
+    kind = draw(st.sampled_from(["report", "play", "sweep", "gen", "experiment", "verify"]))
     if kind == "report":
         argv = [draw(st.sampled_from(["zeta", "beta", "bounds", "stats"])), "{graph}"]
         if argv[0] in ("zeta", "bounds") and draw(st.booleans()):
@@ -645,6 +645,10 @@ def command_lines(draw):
         for flag in ("--cops", "--max-rounds"):
             if draw(st.booleans()):
                 argv += [flag, draw(COUNTS)]
+    elif kind == "sweep":
+        # a play by decomposition at the default budget and round limit
+        strategy = draw(st.sampled_from(["path_sweep", "dag_decomp_sweep"]))
+        argv = ["play", "{graph}", "--strategy", strategy, "--decomposition", "{decomposition}"]
     elif kind == "gen":
         family = draw(st.sampled_from(["rotation", "d3", "blowup", "sc_tight", "paley", "transitive"]))
         argv = ["gen", family] + draw(st.lists(COUNTS, min_size=1, max_size=2))
@@ -667,14 +671,27 @@ def run_as_process(argv):
     return code, err.getvalue()
 
 
-@settings(deadline=None, max_examples=80)
-@given(
-    command_lines(),
-    st.one_of(oriented_digraphs(max_n=6), st.sampled_from(MALFORMED_GRAPHS)),
-    st.sampled_from([".txt", ".json"]),
-    st.sampled_from(DECOMPOSITIONS),
-)
-def test_any_command_line_exits_cleanly(argv, graph, suffix, decomposition):
+@st.composite
+def graphs_and_decompositions(draw):
+    """A graph (or a malformed graph file) and the decomposition files to
+    try with it: one of DECOMPOSITIONS and, for a graph, those built for it:
+    one bag of all its vertices with an empty bag before or after it, each
+    as a path file and as a DAG file on the path of the bags."""
+    graph = draw(st.one_of(oriented_digraphs(max_n=6), st.sampled_from(MALFORMED_GRAPHS)))
+    files = [draw(st.sampled_from(DECOMPOSITIONS))]
+    if not isinstance(graph, str):
+        index = {"n": 2, "arcs": [[0, 1]]}
+        for bags in ([[], list(range(graph.n))], [list(range(graph.n)), []]):
+            files += [json.dumps({"bags": bags}), json.dumps({"index": index, "bags": bags})]
+    return graph, files
+
+
+@settings(deadline=None, max_examples=300)
+@given(command_lines(), graphs_and_decompositions(), st.sampled_from([".txt", ".json"]))
+def test_any_command_line_exits_cleanly(argv, graph_and_decompositions, suffix):
+    graph, decompositions = graph_and_decompositions
+    if "{decomposition}" not in argv:
+        decompositions = decompositions[:1]
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"g{suffix}"
         if isinstance(graph, str):
@@ -682,14 +699,16 @@ def test_any_command_line_exits_cleanly(argv, graph, suffix, decomposition):
         else:
             path.write_text(to_json(graph) if suffix == ".json" else to_edge_list(graph))
         decomp = Path(tmp) / "d.json"
-        decomp.write_text(decomposition)
-        code, err = run_as_process(
-            [a.replace("{graph}", str(path)).replace("{decomposition}", str(decomp)) for a in argv]
-        )
-    assert code in (0, 1, 2, 3)
-    assert "Traceback" not in err
-    if code == 3:
-        assert err.count("\n") == 1 and err.startswith("error: ")
+        for decomposition in decompositions:
+            decomp.write_text(decomposition)
+            code, err = run_as_process(
+                [a.replace("{graph}", str(path)).replace("{decomposition}", str(decomp))
+                 for a in argv]
+            )
+            assert code in (0, 1, 2, 3)
+            assert "Traceback" not in err
+            if code == 3:
+                assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 def test_importing_the_cli_leaves_numpy_random_unloaded():

@@ -19,7 +19,16 @@ from locgame import digraph
 from locgame.cli import main
 from locgame.stats import doubly_regular_check
 
-from conftest import reference_random_tournament
+from conftest import (
+    reference_binary_source_extension,
+    reference_blowup,
+    reference_paley_tournament,
+    reference_random_tournament,
+    reference_rotation_tournament,
+    reference_sc_tight,
+    reference_transitive_tournament,
+    reference_tripartite_cycle,
+)
 
 
 def cycle3():
@@ -185,6 +194,59 @@ class TestRandomTournament:
         for _ in range(20):
             g = random_tournament(rng.randint(1, 10), rng.random(), rng.getrandbits(64))
             assert g.is_tournament()
+
+
+def _blowup_of(build):
+    """build(base, p, k) on the blow-up of base(p) by k."""
+    return lambda base, p, k: build(base(p), k)
+
+
+def _extension_of(build):
+    """build on the seeded random tournament (n, seed)."""
+    return lambda n, seed: build(random_tournament(n, 0.5, seed))
+
+
+class TestAgainstReferenceLoops:
+    """Each family's adjacency pattern against the arc loop it was once
+    built by, over a range of parameters."""
+
+    BASES = [(rotation_tournament, j) for j in range(1, 5)] + [
+        (paley_tournament, 7),
+        (transitive_tournament, 4),
+    ]
+
+    @pytest.mark.parametrize(
+        "build, reference, cases",
+        [
+            (rotation_tournament, reference_rotation_tournament, [(m,) for m in range(1, 30)]),
+            (tripartite_cycle, reference_tripartite_cycle, [(i,) for i in range(1, 15)]),
+            (sc_tight, reference_sc_tight, [(m, d) for m in range(1, 12, 2) for d in range(1, 5)]),
+            (
+                paley_tournament,
+                reference_paley_tournament,
+                [(q,) for q in (3, 7, 11, 19, 23, 31, 43, 47, 59)],
+            ),
+            (
+                transitive_tournament,
+                reference_transitive_tournament,
+                [(n,) for n in range(1, 30)],
+            ),
+            (
+                _blowup_of(blowup),
+                _blowup_of(reference_blowup),
+                [(base, p, k) for base, p in BASES for k in (3, 4, 5)],
+            ),
+            (
+                _extension_of(binary_source_extension),
+                _extension_of(reference_binary_source_extension),
+                [(n, seed) for n in range(1, 14) for seed in range(9)],
+            ),
+        ],
+        ids=["rotation", "d3", "sc_tight", "paley", "transitive", "blowup", "binary_source"],
+    )
+    def test_same_adjacency(self, build, reference, cases):
+        for args in cases:
+            assert build(*args) == reference(*args), args
 
 
 class TestAdjacencyBudget:

@@ -263,8 +263,10 @@ class TestSolverOracle:
         # kept (at cap 3 Paley-7 happens to keep the subgroup x -> 2^i x).
         # On the circulant, a solver that left out the inverses would answer
         # some sets wrongly at cap 2, k = 1.  A graph caches its maps, so
-        # each case builds its own after the patch
+        # each case builds its own after the patch; the solver tables kept
+        # for an equal graph found its maps under another cap, so they go too
         monkeypatch.setattr(digraph, "MAX_AUTOMORPHISMS", cap)
+        game._graph_tables.cache_clear()
         g = build()
         maps = g.automorphisms()
         inverses = {tuple(sorted(range(g.n), key=m.__getitem__)) for m in maps}
@@ -564,21 +566,30 @@ class TestLazySetUp:
         with pytest.raises(error, match=match):
             LocalizationSolver(build(), k)
 
-    def test_zeta_builds_the_graph_tables_once_per_graph_object(self, monkeypatch):
-        built = []
-        build = game._graph_tables
-        monkeypatch.setattr(game, "_graph_tables", lambda g: built.append(g) or build(g))
-        monkeypatch.setattr(game, "_shared", None)
-        g, twin = rotation_tournament(4), rotation_tournament(4)
-        assert localization_number_exact(g) == 3  # solvers for k = 1, 2, 3
-        assert len(built) == 1 and built[0] is g
-        # an equal graph read separately shares nothing with g
+    def test_zeta_builds_the_graph_tables_once_per_graph(self, monkeypatch):
+        # equal graphs have equal automorphisms, so they share one build
+        searches = []
+        search = digraph._search_automorphisms
+        monkeypatch.setattr(
+            digraph, "_search_automorphisms", lambda dist: searches.append(1) or search(dist)
+        )
+        game._graph_tables.cache_clear()
+        g = rotation_tournament(4)
+        twin = digraph.from_edge_list(digraph.to_edge_list(g))
         assert twin == g and twin is not g
+        assert localization_number_exact(g) == 3  # solvers for k = 1, 2, 3
         assert localization_number_exact(twin) == 3
-        assert len(built) == 2 and built[1] is twin
-        solver = LocalizationSolver(twin, 2)
-        assert len(built) == 2
-        assert not any(t.flags.writeable for t in solver._step + solver._maps)
+        assert game._graph_tables.cache_info().misses == 1
+        first, *rest = [LocalizationSolver(h, k) for h in (g, twin) for k in (2, 3)]
+        for solver in rest:
+            assert solver._step is first._step and solver._maps is first._maps
+        assert not any(t.flags.writeable for t in first._step + first._maps)
+        # the twin's stats come with the shared tables, not from a search of its own
+        assert rest[-1].stats.automorphisms == 9 and not rest[-1].stats.automorphisms_truncated
+        assert len(searches) == 1
+        other = LocalizationSolver(paley_tournament(7), 2)
+        assert other._step is not first._step and other._maps is not first._maps
+        assert game._graph_tables.cache_info().misses == 2
 
     def test_every_set_agrees_for_solvers_sharing_tables(self):
         # the solvers for k = 1..n are made one after another on one graph,
@@ -771,7 +782,7 @@ def bag_schedules(draw, n):
     cops = draw(st.integers(1, n))
     bag = st.lists(st.integers(0, n - 1), min_size=1, max_size=cops, unique=True)
     pattern = draw(st.lists(bag.map(lambda b: tuple(sorted(b))), min_size=1, max_size=4))
-    return BagSweep("drawn", pattern * draw(st.integers(1, 6)), cops)
+    return BagSweep(pattern * draw(st.integers(1, 6)), cops)
 
 
 class Recording:
@@ -825,7 +836,7 @@ class TestPlayAgainstReference:
 
     def test_a_robber_that_changes_its_list_changes_no_later_round(self):
         g = rotation_tournament(2)
-        fixed = BagSweep("fixed", [(v % 5,) for v in range(25)], 1)
+        fixed = BagSweep([(v % 5,) for v in range(25)], 1)
         robber, reference = Recording(optimal_robber(g, 1)), Recording(ReferenceRobber(g, 1))
         got = play(g, fixed, robber, 25)
         want = reference_play(g, fixed, reference, 25)
