@@ -10,9 +10,8 @@ conventions differ, on purpose: path decompositions use
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -70,8 +69,7 @@ def _bag_sets(bags: Iterable[Iterable[int]]) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(map(int, b)) for b in bags)
 
 
-@dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(NamedTuple):
     valid: bool
     width: int
     violation: str | None = None
@@ -88,7 +86,7 @@ def validate_path_decomposition(g: Digraph, pd: PathDecomposition) -> Validation
     (3) each arc is either co-bagged or its source appears in a strictly
     earlier bag than its target.  The width is ``pd.width``.
     """
-    return replace(validate_dag_decomposition(g, _path_indexed(pd)), width=pd.width)
+    return validate_dag_decomposition(g, _path_indexed(pd))._replace(width=pd.width)
 
 
 def _path_indexed(pd: PathDecomposition) -> DagDecomposition:

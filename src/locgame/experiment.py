@@ -9,7 +9,7 @@ ratio.  Rows are emitted in (size, trial) order and trial t uses seed
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,15 +25,22 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class _Config(NamedTuple):
     sizes: tuple[int, ...]
     p: float = 0.5
     trials: int = 1
     seed: int = 0
     eps: float | None = None  # per-n default: 1 / sqrt(ln n)
 
-    def __post_init__(self):
+
+class ExperimentConfig(_Config):
+    """The sizes, arc probability, trial count, base seed and sameness
+    bracket of one experiment, checked when it is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not 0 <= self.p <= 1:
@@ -44,6 +51,12 @@ class ExperimentConfig:
         # the chained comparison also rejects nan
         if self.eps is not None and not 0 < self.eps < 1:
             raise ValueError(f"eps must lie strictly between 0 and 1, got {self.eps}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # through __new__, so that _replace checks the new values too
+        return cls(*iterable)
 
 
 def probe_bound(n: int, p: float, eps: float) -> float:

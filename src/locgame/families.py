@@ -140,9 +140,13 @@ def transitive_tournament(n: int) -> Digraph:
 def _circulant(n: int, shifts) -> np.ndarray:
     """Adjacency of the circulant digraph on Z_n: u -> v exactly when
     (v - u) mod n is in ``shifts``."""
-    first = np.zeros(n, dtype=bool)
-    first[shifts] = True
-    return first[(np.arange(n) - np.arange(n)[:, None]) % n]
+    row = np.zeros(2 * n, dtype=bool)
+    row[shifts] = True
+    row[n:] = row[:n]
+    # row u is row[n - u : 2n - u]: a view of the doubled row whose rows step
+    # back one entry each, with no n x n index array; the buffer constructor
+    # checks that every row lies inside the doubled row
+    return np.ndarray((n, n), bool, row, n, (-1, 1)).copy()
 
 
 def _is_prime(q: int) -> bool:

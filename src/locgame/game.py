@@ -59,8 +59,7 @@ import functools
 import json
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -319,8 +318,7 @@ def _graph_tables(g: Digraph) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray,
     return step, images, len(maps), g.automorphisms_truncated()
 
 
-@dataclass(frozen=True)
-class SolverStats:
+class SolverStats(NamedTuple):
     """What a solver did: its probe sets, the distinct partitions they
     induce and the bytes of their cell matrix, the automorphisms it
     quotients by and whether a budget cut their search short, the states it
@@ -534,8 +532,7 @@ def localization_number_exact(g: Digraph, k_max: int | None = None) -> int | Non
 # -- transcripts and the play engine ----------------------------------------
 
 
-@dataclass(frozen=True)
-class Round:
+class Round(NamedTuple):
     number: int
     probe: tuple[int, ...]
     vector: Vector
@@ -543,17 +540,32 @@ class Round:
     stepped: frozenset[int]
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(NamedTuple):
     captured: bool
     rounds: int
     vertex: int | None = None
 
 
-@dataclass
 class GameTranscript:
-    rounds: list[Round] = field(default_factory=list)
-    outcome: Outcome | None = None
+    """The rounds of one game so far and, once it has ended, its outcome.
+
+    Mutable, so unhashable (defining ``__eq__`` drops the hash); two
+    transcripts are equal when their rounds and outcomes are.
+    """
+
+    __slots__ = ("rounds", "outcome")
+
+    def __init__(self, rounds: list[Round] | None = None, outcome: Outcome | None = None):
+        self.rounds = [] if rounds is None else rounds
+        self.outcome = outcome
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rounds, self.outcome) == (other.rounds, other.outcome)
+
+    def __repr__(self) -> str:
+        return f"GameTranscript(rounds={self.rounds!r}, outcome={self.outcome!r})"
 
     def to_json_lines(self) -> str:
         lines = []

@@ -5,7 +5,7 @@ log-degree rounding bound)."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,8 +78,7 @@ def greedy_vertex_cover(h: Hypergraph) -> frozenset[int]:
     return frozenset(cover)
 
 
-@dataclass(frozen=True)
-class FractionalCover:
+class FractionalCover(NamedTuple):
     """An optimal fractional cover (``assignment``, one weight per vertex)
     with an optimal packing (``packing``, one weight per edge) certifying
     it: both sum to ``value``."""

@@ -20,7 +20,7 @@ above it, the same ones the ratio test may pivot on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ class UnboundedError(ValueError):
     """The objective is unbounded below on the feasible region."""
 
 
-@dataclass(frozen=True)
-class LpSolution:
+class LpSolution(NamedTuple):
     """Optimal value, primal point and the dual values c_B B^-1, one per
     equality row, with the pivots taken and how many of them were
     degenerate (a step of length 0)."""

@@ -11,7 +11,6 @@ definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -32,8 +31,7 @@ def _indicator_matrix(g: Digraph) -> np.ndarray:
     return a - a.T
 
 
-@dataclass(frozen=True)
-class Sameness:
+class Sameness(NamedTuple):
     same: frozenset[int]
     s: int
     diff: frozenset[int]

@@ -8,9 +8,8 @@ new check is one more entry in ``CHECKS``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .digraph import Digraph, diameter
 from .decomposition import DagDecomposition, PathDecomposition
@@ -49,8 +48,7 @@ from .strategies import (
 LP_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check: str
     name: str
     passed: bool

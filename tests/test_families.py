@@ -1,5 +1,6 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from locgame import (
@@ -15,7 +16,7 @@ from locgame import (
     transitive_tournament,
     tripartite_cycle,
 )
-from locgame import digraph
+from locgame import digraph, families
 from locgame.cli import main
 from locgame.stats import doubly_regular_check
 
@@ -247,6 +248,23 @@ class TestAgainstReferenceLoops:
     def test_same_adjacency(self, build, reference, cases):
         for args in cases:
             assert build(*args) == reference(*args), args
+
+
+class TestCirculant:
+    def test_peaks_at_a_small_multiple_of_its_matrix(self):
+        # an n x n array of offsets (v - u) mod n would be 8 times the matrix
+        n = 2001
+        shifts = np.arange(1, n // 2 + 1)
+        tracemalloc.start()
+        try:
+            a = families._circulant(n, shifts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert a.shape == (n, n) and peak <= 3 * a.nbytes
+        first = np.isin(np.arange(n), shifts)
+        for u in (0, 1, n // 2, n - 1):
+            assert np.array_equal(a[u], np.roll(first, u)), u
 
 
 class TestAdjacencyBudget:
