@@ -53,11 +53,12 @@ class Digraph:
     """An immutable simple oriented digraph.
 
     ``adjacency[u, v]`` is True exactly when u -> v is an arc; the matrix is
-    read-only.  The arcs are pairs of integers, or an (m, 2) integer array
-    of them.  Construction validates every arc and orientation; instances
-    are safe to share between threads.  The distances and the automorphisms
-    are computed once per graph, on the first call that needs them.  A
-    vertex count whose matrix and digon check would exceed
+    read-only.  The arcs are pairs of integers, an (m, 2) integer array of
+    them, or an n x n bool matrix, which is copied.  Construction validates
+    every arc and orientation, with the same messages for every input;
+    instances are safe to share between threads.  The distances and the
+    automorphisms are computed once per graph, on the first call that needs
+    them.  A vertex count whose matrix and digon check would exceed
     :data:`MAX_ADJACENCY_BYTES` raises :class:`BudgetExceededError` before
     anything is allocated.
     """
@@ -70,19 +71,27 @@ class Digraph:
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
         _check_adjacency(n)
-        if isinstance(arcs, np.ndarray) and arcs.dtype.kind in "iu" and arcs.shape[1:] == (2,):
-            # wrapping a huge unsigned endpoint to a negative one keeps it out of range
-            ends = arcs.T.astype(np.intp)
+        if isinstance(arcs, np.ndarray) and arcs.dtype == bool:
+            if arcs.shape != (n, n):
+                raise ValueError(f"adjacency matrix of shape {arcs.shape} for n={n}")
+            # copy() is C-ordered, a transposed view's too, and aliases nothing
+            adjacency, ends, in_range = arcs.copy(), None, True
         else:
-            arcs = list(arcs)
-            ends = _endpoints(n, arcs)
-        tails, heads = ends
-        adjacency = np.zeros((n, n), dtype=bool)
-        in_range = ((ends >= 0) & (ends < n)).all()
-        if in_range:
-            adjacency[tails, heads] = True
+            if isinstance(arcs, np.ndarray) and arcs.dtype.kind in "iu" and arcs.shape[1:] == (2,):
+                # wrapping a huge unsigned endpoint to a negative one keeps it out of range
+                ends = arcs.T.astype(np.intp)
+            else:
+                arcs = list(arcs)
+                ends = _endpoints(n, arcs)
+            adjacency = np.zeros((n, n), dtype=bool)
+            in_range = ((ends >= 0) & (ends < n)).all()
+            if in_range:
+                adjacency[tuple(ends)] = True
         # a self-loop or a digon puts an arc u -> v with v -> u in the matrix
         if not in_range or (adjacency & adjacency.T).any():
+            if ends is None:  # the matrix's arcs in row-major order, as argwhere lists them
+                arcs = np.argwhere(adjacency)
+                ends = arcs.T
             raise ValueError(_first_fault(n, arcs, ends))
         adjacency.flags.writeable = False
         self.n = n
@@ -148,7 +157,7 @@ class Digraph:
         """The digraph with every arc reversed.  Its distances are the
         transpose of these, d'(u, v) = d(v, u), so when these are cached it
         starts with a read-only contiguous copy of them and runs no BFS."""
-        reverse = Digraph(self.n, np.argwhere(self.adjacency.T))
+        reverse = Digraph(self.n, self.adjacency.T)
         if self._distances is not None:
             reverse._distances = np.ascontiguousarray(self._distances.T)
             reverse._distances.flags.writeable = False
@@ -189,7 +198,7 @@ class Digraph:
         """
         keep = sorted({self._vertex(v) for v in vertices})
         sub = self.adjacency[np.ix_(keep, keep)]
-        return Digraph(len(keep), np.argwhere(sub)), keep
+        return Digraph(len(keep), sub), keep
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Digraph):

@@ -2,10 +2,10 @@
 
 All constructors are pure and deterministic; the random tournament takes an
 explicit 64-bit seed.  Vertex labelings are documented per family so tests
-and file outputs can name vertices.  Each family is built as its bool
-adjacency pattern; rotation, Paley and each ``sc_tight`` layer are
-circulants on Z_n.  A vertex count over the constructor's adjacency
-budget raises :class:`BudgetExceededError` before any matrix is built.
+and file outputs can name vertices.  Each family hands its bool adjacency
+matrix to :class:`Digraph`; rotation, Paley and each ``sc_tight`` layer
+are circulants on Z_n.  A vertex count over the adjacency budget raises
+:class:`BudgetExceededError` before any matrix is built.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ def rotation_tournament(m: int) -> Digraph:
         raise ValueError(f"m must be positive, got {m}")
     n = 2 * m + 1
     _check_adjacency(n)
-    return Digraph(n, np.argwhere(_circulant(n, np.arange(1, m + 1))))
+    return Digraph(n, _circulant(n, np.arange(1, m + 1)))
 
 
 def tripartite_cycle(i: int) -> Digraph:
@@ -37,7 +37,7 @@ def tripartite_cycle(i: int) -> Digraph:
         raise ValueError(f"part size must be positive, got {i}")
     _check_adjacency(3 * i)
     parts = np.kron(_circulant(3, [1]), np.ones((i, i), dtype=bool))
-    return Digraph(3 * i, np.argwhere(parts))
+    return Digraph(3 * i, parts)
 
 
 def blowup(t: Digraph, k: int) -> Digraph:
@@ -51,8 +51,7 @@ def blowup(t: Digraph, k: int) -> Digraph:
     if not t.is_tournament():
         raise ValueError("blowup base must be a tournament")
     _check_adjacency(t.n * k)
-    arcs = np.argwhere(np.kron(t.adjacency, np.ones((k, k), dtype=bool)))
-    return Digraph(t.n * k, arcs)
+    return Digraph(t.n * k, np.kron(t.adjacency, np.ones((k, k), dtype=bool)))
 
 
 def sc_tight(m: int, delta: int) -> Digraph:
@@ -77,7 +76,7 @@ def sc_tight(m: int, delta: int) -> Digraph:
     layer = _circulant(n_layer, np.arange(1, m + 1))
     adjacency = np.kron(np.eye(delta + 1, dtype=bool), layer)
     adjacency[:n_layer] = np.tile(layer, delta + 1)
-    return Digraph(n_layer * (delta + 1), np.argwhere(adjacency))
+    return Digraph(n_layer * (delta + 1), adjacency)
 
 
 def binary_source_extension(d: Digraph) -> Digraph:
@@ -94,10 +93,11 @@ def binary_source_extension(d: Digraph) -> Digraph:
     b = math.ceil(math.log2(m)) if m > 1 else 0
     if b == 0:
         return d
+    _check_adjacency(m + b)
     adjacency = np.zeros((m + b, m + b), dtype=bool)
     adjacency[:m, :m] = d.adjacency
     adjacency[m:, :m] = (np.arange(m) >> np.arange(b - 1, -1, -1)[:, None]) & 1 == 0
-    return Digraph(m + b, np.argwhere(adjacency))
+    return Digraph(m + b, adjacency)
 
 
 def paley_tournament(q: int) -> Digraph:
@@ -111,7 +111,7 @@ def paley_tournament(q: int) -> Digraph:
     if q % 4 != 3:
         raise ValueError(f"q must be 3 mod 4, got {q}")
     _check_adjacency(q)
-    return Digraph(q, np.argwhere(_circulant(q, np.arange(1, q) ** 2 % q)))
+    return Digraph(q, _circulant(q, np.arange(1, q) ** 2 % q))
 
 
 def random_tournament(n: int, p: float, seed: int) -> Digraph:
@@ -125,8 +125,10 @@ def random_tournament(n: int, p: float, seed: int) -> Digraph:
     _check_adjacency(n)
     r = random.Random(seed).random
     i, j = _pair_index(n)
-    forward = np.array([r() < p for _ in range(len(i))], dtype=bool)
-    return Digraph(n, np.column_stack([np.where(forward, i, j), np.where(forward, j, i)]))
+    forward = np.fromiter((r() < p for _ in range(len(i))), bool, len(i))
+    adjacency = np.zeros((n, n), dtype=bool)
+    adjacency[i, j], adjacency[j, i] = forward, ~forward
+    return Digraph(n, adjacency)
 
 
 def transitive_tournament(n: int) -> Digraph:
@@ -134,7 +136,7 @@ def transitive_tournament(n: int) -> Digraph:
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     _check_adjacency(n)
-    return Digraph(n, np.argwhere(np.triu(np.ones((n, n), dtype=bool), 1)))
+    return Digraph(n, np.triu(np.ones((n, n), dtype=bool), 1))
 
 
 def _circulant(n: int, shifts) -> np.ndarray:

@@ -489,6 +489,22 @@ def arc_lists(draw, max_n=8):
     return n, arcs
 
 
+@st.composite
+def bool_matrices(draw, max_n=8):
+    """Hypothesis strategy: (n, an n x n bool matrix) of a drawn oriented
+    digraph with self-loops and digons planted at drawn places."""
+    n = draw(st.integers(0, max_n))
+    i, j = np.triu_indices(n, 1)
+    way = np.array(draw(st.lists(st.integers(0, 2), min_size=len(i), max_size=len(i))), dtype=int)
+    matrix = np.zeros((n, n), dtype=bool)
+    matrix[i, j], matrix[j, i] = way == 1, way == 2
+    if n:
+        vertex = st.integers(0, n - 1)
+        for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=3)):
+            matrix[u, v] = matrix[v, u] = True  # a self-loop when u == v
+    return n, matrix
+
+
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)

@@ -43,6 +43,7 @@ from locgame.verify import bounds_report, random_digraph
 from conftest import (
     arc_lists,
     bfs_distances,
+    bool_matrices,
     circulants,
     oriented_digraphs,
     reference_arcs,
@@ -118,6 +119,37 @@ class TestDigraph:
                 assert g.in_neighbors(u) == into and g.in_degree(u) == len(into)
                 assert g.is_source(u) == (not into)
                 assert all(type(v) is int for v in out + into)
+
+    @settings(max_examples=300, deadline=None)
+    @given(bool_matrices())
+    def test_matrix_matches_its_arc_array(self, case):
+        # a bool matrix, C-ordered or a transposed view, gives the graph or
+        # the error of its arcs in row-major order, as argwhere lists them
+        n, m = case
+        for matrix in (m.copy(), m.copy().T):
+            try:
+                expected = Digraph(n, np.argwhere(matrix))
+            except ValueError as exc:
+                with pytest.raises(ValueError) as info:
+                    Digraph(n, matrix)
+                assert str(info.value) == str(exc)
+                continue
+            g = Digraph(n, matrix)
+            assert g == expected and g.adjacency.flags.c_contiguous
+            reverse = g.converse()
+            assert reverse.adjacency.flags.c_contiguous
+            assert np.array_equal(reverse.adjacency, matrix.T)
+            # the graph holds a copy: writing to the caller's array changes nothing
+            matrix ^= True
+            assert g == expected
+
+    @pytest.mark.parametrize(
+        "n, shape", [(3, (3, 4)), (3, (2, 2)), (3, (9,)), (0, (0,)), (2, (2, 2, 1)), (1, ())]
+    )
+    def test_rejects_a_matrix_of_the_wrong_shape(self, n, shape):
+        message = rf"^adjacency matrix of shape {re.escape(str(shape))} for n={n}$"
+        with pytest.raises(ValueError, match=message):
+            Digraph(n, np.zeros(shape, dtype=bool))
 
     @pytest.mark.parametrize(
         "arcs",

@@ -267,9 +267,50 @@ class TestCirculant:
             assert np.array_equal(a[u], np.roll(first, u)), u
 
 
+class TestBuildPeak:
+    """A family build near n = 2 000 peaks at about 3 times its matrix: the
+    matrix, the constructor's copy of it and the digon check.  An arc array
+    between them would take 16 bytes per arc."""
+
+    @staticmethod
+    def peak_per_matrix_byte(build, *args):
+        tracemalloc.start()
+        try:
+            g = build(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return g, peak / g.adjacency.nbytes
+
+    @pytest.mark.parametrize(
+        "build, args, n",
+        [
+            (rotation_tournament, lambda: (1000,), 2001),
+            (tripartite_cycle, lambda: (667,), 2001),
+            (blowup, lambda: (rotation_tournament(333), 3), 2001),
+            (sc_tight, lambda: (99, 9), 1990),
+            (paley_tournament, lambda: (1999,), 1999),
+            (transitive_tournament, lambda: (2000,), 2000),
+            (binary_source_extension, lambda: (transitive_tournament(2000),), 2011),
+        ],
+        ids=["rotation", "d3", "blowup", "sc_tight", "paley", "transitive", "binary_source"],
+    )
+    def test_family(self, build, args, n):
+        # a base graph is built before the trace
+        g, ratio = self.peak_per_matrix_byte(build, *args())
+        assert g.n == n and ratio <= 3.1
+
+    def test_random_tournament(self):
+        # the pair index is cached, so it is built before the trace; the
+        # draws add half a matrix
+        digraph._pair_index(2000)
+        g, ratio = self.peak_per_matrix_byte(random_tournament, 2000, 0.5, 1)
+        assert g.is_tournament() and ratio <= 4
+
+
 class TestAdjacencyBudget:
     """Each family refuses a vertex count over the constructor's budget
-    before it builds an arc list."""
+    before it builds its matrix."""
 
     # a cap that admits n <= 40: 2 bytes per pair
     CAP = 2 * 40 * 40
@@ -301,6 +342,24 @@ class TestAdjacencyBudget:
         )
         # the arc list of about 80 000 arcs alone would take some 15 MB
         assert peak < 1 << 20
+
+    def test_binary_source_extension_refuses_before_building(self, monkeypatch):
+        base = transitive_tournament(400)
+        n = 409
+        monkeypatch.setattr(digraph, "MAX_ADJACENCY_BYTES", self.CAP)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError) as err:
+                binary_source_extension(base)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == (
+            f"the adjacency matrix of {n} vertices needs {2 * n * n} bytes, "
+            f"over the limit of {self.CAP}"
+        )
+        # less than the extension's matrix alone
+        assert peak < n * n
 
     def test_gen_exits_2_with_one_line(self, monkeypatch, capsys):
         monkeypatch.setattr(digraph, "MAX_ADJACENCY_BYTES", self.CAP)
