@@ -108,8 +108,12 @@ def partition_by_probe(
 
 
 def robber_step(g: Digraph, vertices: Iterable[int]) -> frozenset[int]:
-    """One robber move: union of closed out-neighborhoods."""
+    """One robber move: union of closed out-neighborhoods.  A vertex
+    outside 0..n-1 raises ValueError."""
     vertices = list(vertices)
+    for x in vertices:
+        if not 0 <= x < g.n:
+            raise ValueError(f"candidate {x} out of range for n={g.n}")
     return frozenset(vertices + g.adjacency[vertices].nonzero()[1].tolist())
 
 
@@ -426,8 +430,12 @@ class LocalizationSolver:
             self._init_s += time.perf_counter() - started
 
     def _mask(self, vertices: Iterable[int]) -> int:
+        """The vertices' bit mask, or 0, which ``wins`` rejects, when one of
+        them lies outside 0..n-1."""
         mask = 0
         for v in vertices:
+            if not 0 <= v < self.g.n:
+                return 0
             mask |= 1 << v
         return mask
 

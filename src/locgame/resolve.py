@@ -157,27 +157,23 @@ def metric_dim_one_classifier(g: Digraph) -> str:
     ``case2``: some source vertex can be removed to leave a case1 digraph.
     ``no`` otherwise.
     """
-    if _has_spine(g):
+    dist = g.distances()
+    if _has_spine(dist):
         return CASE_PATH
-    for u in range(g.n):
-        if g.is_source(u) and g.n > 1:
-            sub, _ = g.induced(v for v in range(g.n) if v != u)
-            if _has_spine(sub):
-                return CASE_SOURCE_PLUS_PATH
+    # no arc enters a source, so no path between two other vertices passes
+    # through it: deleting it leaves their distances as they are
+    for u in np.flatnonzero(~g.adjacency.any(axis=0)).tolist():
+        keep = np.arange(g.n) != u
+        if _has_spine(dist[np.ix_(keep, keep)]):
+            return CASE_SOURCE_PLUS_PATH
     return CASE_NO
 
 
-def _has_spine(g: Digraph) -> bool:
-    """A start whose distances are 0..n-1 with no skip-forward arc."""
-    if g.n == 0:
-        return False
-    for row in g.distances().tolist():
-        # when the row is a permutation of 0..n-1, row[v] is v's place on the spine
-        if sorted(row) == list(range(g.n)) and all(
-            row[v] - row[u] <= 1 for (u, v) in g.arcs
-        ):
-            return True
-    return False
+def _has_spine(dist: np.ndarray) -> bool:
+    """A row of the distance matrix that is a permutation of 0..n-1.  Its
+    order has no skip-forward arc: an arc u -> v puts v at most one step
+    after u, d(s, v) <= d(s, u) + 1."""
+    return bool((np.sort(dist, axis=1) == np.arange(len(dist))).all(axis=1).any())
 
 
 def _separation(dist: np.ndarray) -> np.ndarray:

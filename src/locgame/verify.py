@@ -7,12 +7,14 @@ new check is one more entry in ``CHECKS``.
 
 from __future__ import annotations
 
+import itertools
 import random
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .digraph import Digraph, diameter
 from .decomposition import DagDecomposition, PathDecomposition
+from .experiment import ExperimentConfig, rows_to_csv, run_experiment
 from .families import (
     FAMILIES,
     paley_tournament,
@@ -176,13 +178,43 @@ def random_dag(rng: random.Random, n: int, p: float) -> Digraph:
     return Digraph(n, arcs)
 
 
+def _draws(
+    rng: random.Random,
+    make: Callable[[random.Random, int, float], Digraph],
+    sizes: tuple[int, int],
+    p: float | tuple[float, float],
+    count: int | None = None,
+) -> Iterator[Digraph]:
+    """``count`` graphs ``make(rng, n, p)``, or graphs without end when
+    ``count`` is None.  Each draws n by ``rng.randint(*sizes)``, then p by
+    ``rng.uniform(*p)`` unless p is a fixed float, in that order: the
+    suites pin their graphs by their seeds."""
+    for _ in range(count) if count is not None else itertools.count():
+        n = rng.randint(*sizes)
+        yield make(rng, n, p if isinstance(p, float) else rng.uniform(*p))
+
+
+def _instances(
+    seed: int, dags: int, smalls: int, small_n: int, extra: tuple = ()
+) -> list[tuple[str, Digraph]]:
+    """The closed forms, then ``extra``, then ``dags`` random DAGs and
+    ``smalls`` random digraphs on 2..small_n vertices, drawn in that order
+    from one generator seeded with ``seed``."""
+    rng = random.Random(seed)
+    dag_graphs = _draws(rng, random_dag, (2, 8), 0.5, dags)
+    small_graphs = _draws(rng, random_digraph, (2, small_n), (0.2, 0.9), smalls)
+    return [
+        *closed_form_instances(),
+        *extra,
+        *((f"dag_{t}", g) for t, g in enumerate(dag_graphs)),
+        *((f"small_{t}", g) for t, g in enumerate(small_graphs)),
+    ]
+
+
 def check_dag() -> list[CheckResult]:
     trials = 50
-    rng = random.Random(20240)
     failures = []
-    for t in range(trials):
-        n = rng.randint(2, 8)
-        g = random_dag(rng, n, rng.uniform(0.2, 0.8))
+    for t, g in enumerate(_draws(random.Random(20240), random_dag, (2, 8), (0.2, 0.8), trials)):
         zeta = localization_number_exact(g, k_max=2)
         if zeta != 1:
             failures.append((t, g.sorted_arcs(), zeta))
@@ -197,11 +229,8 @@ def check_dag() -> list[CheckResult]:
 
 def check_dim1() -> list[CheckResult]:
     trials = 200
-    rng = random.Random(20241)
     disagreements = []
-    for t in range(trials):
-        n = rng.randint(1, 5)
-        g = random_digraph(rng, n, rng.uniform(0.2, 0.9))
+    for t, g in enumerate(_draws(random.Random(20241), random_digraph, (1, 5), (0.2, 0.9), trials)):
         beta, _ = metric_dimension_exact(g)
         verdict = metric_dim_one_classifier(g)
         if (verdict != CASE_NO) != (beta == 1):
@@ -214,14 +243,7 @@ def check_dim1() -> list[CheckResult]:
 
 def check_chain() -> list[CheckResult]:
     """The bound report is consistent on every exactly solved instance."""
-    out = []
-    instances = closed_form_instances()
-    rng = random.Random(20242)
-    for t in range(10):
-        instances.append((f"dag_{t}", random_dag(rng, rng.randint(2, 8), 0.5)))
-    for t in range(20):
-        n = rng.randint(2, 5)
-        instances.append((f"small_{t}", random_digraph(rng, n, rng.uniform(0.2, 0.9))))
+    instances = _instances(20242, dags=10, smalls=20, small_n=5)
     bad = []
     for name, g in instances:
         report = bounds_report(g)
@@ -237,16 +259,13 @@ def check_chain() -> list[CheckResult]:
 
 def check_sc_bound() -> list[CheckResult]:
     trials = 100
-    rng = random.Random(20243)
+    # the exact solves stay small: no strong component above 6 vertices
+    graphs = (
+        g for g in _draws(random.Random(20243), random_digraph, (2, 10), (0.2, 0.7))
+        if max(len(c) for c in strong_components(g).components) <= 6
+    )
     bad = []
-    done = 0
-    while done < trials:
-        n = rng.randint(2, 10)
-        g = random_digraph(rng, n, rng.uniform(0.2, 0.7))
-        scc = strong_components(g)
-        if max(len(c) for c in scc.components) > 6:
-            continue
-        done += 1
+    for g in itertools.islice(graphs, trials):
         report = bounds_report(g)
         if report["zeta"] > report["upper_sc"]:
             bad.append((g.sorted_arcs(), report["zeta"], report["upper_sc"]))
@@ -262,99 +281,73 @@ def check_sc_bound() -> list[CheckResult]:
 # -- strategy execution -------------------------------------------------------
 
 
-def _strategy_case(name, g, strategy, bound):
-    robber = optimal_robber(g, strategy.cops)
-    transcript = play(g, strategy, robber, max_rounds=bound)
-    ok = transcript.outcome.captured and transcript.outcome.rounds <= bound
-    detail = (
-        f"captured in {transcript.outcome.rounds} <= {bound} rounds"
-        if transcript.outcome.captured
-        else f"evaded for {transcript.outcome.rounds} rounds"
+def _strategy_case(name, g, strategy, bound, evade=False):
+    """Play ``strategy`` against the optimal robber for at most ``bound``
+    rounds: it must capture within them or, with ``evade``, never."""
+    outcome = play(g, strategy, optimal_robber(g, strategy.cops), max_rounds=bound).outcome
+    if evade:
+        return _result(
+            "strategies", name, not outcome.captured,
+            f"unexpected capture in {outcome.rounds}" if outcome.captured
+            else f"{strategy.cops} cops evaded for {outcome.rounds} rounds",
+        )
+    return _result(
+        "strategies", name, outcome.captured and outcome.rounds <= bound,
+        f"captured in {outcome.rounds} <= {bound} rounds" if outcome.captured
+        else f"evaded for {outcome.rounds} rounds",
     )
-    return _result("strategies", name, ok, detail)
 
 
 def check_strategies() -> list[CheckResult]:
-    out = []
-
-    g = transitive_tournament(4)
-    out.append(_strategy_case("dag_sweep_T4", g, dag_sweep(g), 4))
-    g = Digraph(1, [])
-    out.append(_strategy_case("dag_sweep_single", g, dag_sweep(g), 1))
-    g = Digraph(6, [(i, i + 1) for i in range(5)])
-    out.append(_strategy_case("dag_sweep_P6", g, dag_sweep(g), 6))
-
-    g = transitive_tournament(4)
-    pd = PathDecomposition([{i} for i in range(4)])
-    out.append(_strategy_case("path_sweep_T4", g, path_sweep(g, pd), 4))
-    g = Digraph(5, [(0, 1), (2, 1), (2, 3), (4, 3)])  # alternating orientation
-    pd = PathDecomposition([{v} for v in (0, 2, 4, 1, 3)])
-    out.append(_strategy_case("path_sweep_P5", g, path_sweep(g, pd), 5))
-    g = rotation_tournament(1)
-    pd = PathDecomposition([{0, 1}, {0, 2}])
-    out.append(_strategy_case("path_sweep_cycle", g, path_sweep(g, pd), 2))
-
-    g = transitive_tournament(5)
-    dd = DagDecomposition(g, [{v} for v in range(5)])
-    out.append(_strategy_case("dag_decomp_T5", g, dag_decomp_sweep(g, dd), 5))
-    g = rotation_tournament(1)
-    dd = DagDecomposition(Digraph(1, []), [{0, 1, 2}])
-    out.append(_strategy_case("dag_decomp_cycle", g, dag_decomp_sweep(g, dd), 1))
-    g = sc_tight(1, 1)
-    dd = DagDecomposition(Digraph(2, [(0, 1)]), [{0, 1, 2}, {3, 4, 5}])
-    out.append(_strategy_case("dag_decomp_sc_tight11", g, dag_decomp_sweep(g, dd), 2))
-
-    for name, g, phases in (
-        ("sc_composite_sc_tight31", sc_tight(3, 1), 2),
-        ("sc_composite_T4", transitive_tournament(4), 4),
-        ("sc_composite_two_cycles", _two_cycles(), 2),
-    ):
-        out.append(_strategy_case(name, g, sc_composite(g), phases))
-
-    for m in (2, 3, 4):
-        g = rotation_tournament(m)
-        bound = 2 if m % 2 == 0 else 3
-        out.append(_strategy_case(f"rotation_T{2 * m + 1}", g, rotation_strategy(m), bound))
-
-    # tightness: one cop short never captures within 5n rounds
-    for m in (2, 3, 4):
-        g = rotation_tournament(m)
-        k = m // 2  # full budget minus one
-        strategy = rotation_strategy(m, cops=k)
-        robber = optimal_robber(g, k)
-        transcript = play(g, strategy, robber, max_rounds=5 * g.n)
-        out.append(
-            _result(
-                "strategies", f"rotation_T{2 * m + 1}_short_budget",
-                not transcript.outcome.captured,
-                f"{k} cops evaded for {transcript.outcome.rounds} rounds"
-                if not transcript.outcome.captured
-                else f"unexpected capture in {transcript.outcome.rounds}",
-            )
-        )
-    return out
-
-
-def _two_cycles() -> Digraph:
-    arcs = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)]
-    return Digraph(6, arcs)
+    t4, t5, c3 = transitive_tournament(4), transitive_tournament(5), rotation_tournament(1)
+    single = Digraph(1, [])
+    p6 = Digraph(6, [(i, i + 1) for i in range(5)])
+    p5 = Digraph(5, [(0, 1), (2, 1), (2, 3), (4, 3)])  # alternating orientation
+    sc11, sc31 = sc_tight(1, 1), sc_tight(3, 1)
+    two_cycles = Digraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)])
+    rotations = [(m, rotation_tournament(m)) for m in (2, 3, 4)]
+    # (name, graph, strategy, round bound[, evade])
+    rows = [
+        ("dag_sweep_T4", t4, dag_sweep(t4), 4),
+        ("dag_sweep_single", single, dag_sweep(single), 1),
+        ("dag_sweep_P6", p6, dag_sweep(p6), 6),
+        ("path_sweep_T4", t4, path_sweep(t4, PathDecomposition([{i} for i in range(4)])), 4),
+        ("path_sweep_P5", p5, path_sweep(p5, PathDecomposition([{v} for v in (0, 2, 4, 1, 3)])), 5),
+        ("path_sweep_cycle", c3, path_sweep(c3, PathDecomposition([{0, 1}, {0, 2}])), 2),
+        (
+            "dag_decomp_T5", t5,
+            dag_decomp_sweep(t5, DagDecomposition(t5, [{v} for v in range(5)])), 5,
+        ),
+        ("dag_decomp_cycle", c3, dag_decomp_sweep(c3, DagDecomposition(single, [{0, 1, 2}])), 1),
+        (
+            "dag_decomp_sc_tight11", sc11,
+            dag_decomp_sweep(sc11, DagDecomposition(Digraph(2, [(0, 1)]), [{0, 1, 2}, {3, 4, 5}])),
+            2,
+        ),
+        ("sc_composite_sc_tight31", sc31, sc_composite(sc31), 2),
+        ("sc_composite_T4", t4, sc_composite(t4), 4),
+        ("sc_composite_two_cycles", two_cycles, sc_composite(two_cycles), 2),
+        *(
+            (f"rotation_T{2 * m + 1}", g, rotation_strategy(m), 2 if m % 2 == 0 else 3)
+            for m, g in rotations
+        ),
+        # tightness: one cop short never captures within 5n rounds
+        *(
+            (f"rotation_T{2 * m + 1}_short_budget", g, rotation_strategy(m, cops=m // 2),
+             5 * g.n, True)
+            for m, g in rotations
+        ),
+    ]
+    return [_strategy_case(*row) for row in rows]
 
 
 # -- covering bounds -----------------------------------------------------------
 
 
 def check_lovasz() -> list[CheckResult]:
-    instances = closed_form_instances()
-    instances += [("paley_7", paley_tournament(7)), ("paley_11", paley_tournament(11))]
-    rng = random.Random(20247)
-    for t in range(5):
-        instances.append((f"dag_{t}", random_dag(rng, rng.randint(2, 8), 0.5)))
-    for t in range(10):
-        n = rng.randint(2, 6)
-        instances.append((f"small_{t}", random_digraph(rng, n, rng.uniform(0.2, 0.9))))
-
+    extra = (("paley_7", paley_tournament(7)), ("paley_11", paley_tournament(11)))
     out = []
-    for name, g in instances:
+    for name, g in _instances(20247, dags=5, smalls=10, small_n=6, extra=extra):
         h = distinguisher_hypergraph(g)
         cover = greedy_vertex_cover(h)
         frac = fractional_vertex_cover(h)
@@ -400,8 +393,6 @@ def check_paley() -> list[CheckResult]:
 
 def check_random_empirical() -> list[CheckResult]:
     """Seed-pinned empirical screens on T(n, 1/2); only determinism is strict."""
-    from .experiment import ExperimentConfig, run_experiment, rows_to_csv
-
     config = ExperimentConfig(sizes=(30, 50), p=0.5, trials=10, seed=20249)
     rows = run_experiment(config)
     rows_again = run_experiment(config)

@@ -17,6 +17,7 @@ from locgame import (
     SccDecomposition,
     digraph,
     game,
+    resolve,
 )
 from locgame.lp import TOL, LpSolution, UnboundedError
 
@@ -379,6 +380,30 @@ def reference_play(g: Digraph, cop_strategy, robber, max_rounds: int) -> game.Ga
         candidates = stepped
     transcript.outcome = game.Outcome(False, max_rounds)
     return transcript
+
+
+def reference_metric_dim_one_classifier(g: Digraph) -> str:
+    """Reference dimension-one classifier: the spine test row by row over
+    the arc set, on g and on the induced digraph left by each source."""
+
+    def has_spine(h: Digraph) -> bool:
+        if h.n == 0:
+            return False
+        for row in h.distances().tolist():
+            if sorted(row) == list(range(h.n)) and all(
+                row[v] - row[u] <= 1 for (u, v) in h.arcs
+            ):
+                return True
+        return False
+
+    if has_spine(g):
+        return resolve.CASE_PATH
+    for u in range(g.n):
+        if g.is_source(u) and g.n > 1:
+            sub, _ = g.induced(v for v in range(g.n) if v != u)
+            if has_spine(sub):
+                return resolve.CASE_SOURCE_PLUS_PATH
+    return resolve.CASE_NO
 
 
 def brute_e4c(g: Digraph) -> int:

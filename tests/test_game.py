@@ -105,6 +105,12 @@ class TestRobberStep:
         g = tripartite_cycle(2)
         assert robber_step(g, {0, 1}) == frozenset({0, 1, 2, 3})
 
+    @pytest.mark.parametrize("vertices", [[-1], [5]])
+    def test_vertex_out_of_range_rejected(self, vertices):
+        # numpy would read row -1 as vertex 4
+        with pytest.raises(ValueError, match=f"candidate {vertices[0]} out of range for n=5"):
+            robber_step(rotation_tournament(2), vertices)
+
 
 class TestCopsWin:
     def test_cycle_one_cop(self):
@@ -142,6 +148,12 @@ class TestCopsWin:
             g = random_digraph(rng, rng.randint(2, 6), 0.5)
             wins = [cops_win(g, k) for k in range(1, g.n + 1)]
             assert wins == sorted(wins)  # False... then True
+
+    @pytest.mark.parametrize("candidates", [[-1], [5], [0, -3]])
+    def test_wins_rejects_vertices_out_of_range(self, candidates):
+        solver = LocalizationSolver(rotation_tournament(2), 2)
+        with pytest.raises(ValueError, match="^candidate set must be a nonempty subset of V$"):
+            solver.wins(candidates)
 
     def test_anti_monotone_in_candidates(self, rng):
         # a winning set stays winning for every nonempty subset

@@ -30,7 +30,7 @@ from locgame import (
 from locgame.resolve import CASE_NO, CASE_PATH, CASE_SOURCE_PLUS_PATH, MAX_SEPARATION_BYTES
 from locgame.verify import random_digraph
 
-from conftest import edge_sets, oriented_digraphs
+from conftest import edge_sets, oriented_digraphs, reference_metric_dim_one_classifier
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -259,6 +259,11 @@ class TestDimOneClassifier:
         # but removing the source leaves a clean path
         g = Digraph(4, [(0, 1), (1, 2), (2, 3), (0, 2)])
         assert metric_dim_one_classifier(g) == CASE_SOURCE_PLUS_PATH
+
+    @settings(max_examples=150, deadline=None)
+    @given(oriented_digraphs(max_n=8))
+    def test_matches_reference_classifier(self, g):
+        assert metric_dim_one_classifier(g) == reference_metric_dim_one_classifier(g)
 
     def test_agreement_with_exact_dimension(self):
         rng = random.Random(95014)
