@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from .digraph import INF, diameter, read_digraph, to_edge_list, to_json
+from .digraph import INF, _is_json, diameter, read_digraph, to_edge_list, to_json
 from .experiment import ExperimentConfig, run_experiment, rows_to_csv
 from .families import FAMILIES, binary_source_extension, random_tournament
 from .game import BudgetExceededError, localization_number_exact, optimal_robber, play
@@ -128,7 +128,8 @@ def cmd_gen(args) -> int:
     except ValueError as exc:
         # a parameter outside the family's range
         raise InputError(f"{args.family}: {exc}") from exc
-    _write(to_json(g) + "\n" if args.format == "json" else to_edge_list(g), args.out)
+    fmt = args.format or ("json" if args.out and _is_json(Path(args.out)) else "edgelist")
+    _write(to_json(g) + "\n" if fmt == "json" else to_edge_list(g), args.out)
     return 0
 
 
@@ -275,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, help="arc probability (random family)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--base", help="base graph file (binary_source family)")
-    p.add_argument("--format", choices=["edgelist", "json"], default="edgelist")
+    p.add_argument("--format", choices=["edgelist", "json"], help="default: by the --out suffix")
     p.add_argument("--out")
     p.set_defaults(func=cmd_gen)
 

@@ -66,7 +66,7 @@ class Digraph:
     __slots__ = ("n", "adjacency", "_distances", "_automorphisms")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] | np.ndarray):
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        if not _is_int(type(n)):
             raise ValueError(f"vertex count must be an integer, not {type(n).__name__}")
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {n}")
@@ -94,7 +94,7 @@ class Digraph:
                 ends = arcs.T
             raise ValueError(_first_fault(n, arcs, ends))
         adjacency.flags.writeable = False
-        self.n = n
+        self.n = int(n)  # a numpy count too, so JSON can write it
         self.adjacency = adjacency
         self._distances: np.ndarray | None = None
         # the maps automorphisms() keeps, and whether a budget cut them short
@@ -115,16 +115,16 @@ class Digraph:
         return int(np.count_nonzero(self.adjacency[:, self._vertex(u)]))
 
     def has_arc(self, u: int, v: int) -> bool:
-        return 0 <= u < self.n and 0 <= v < self.n and bool(self.adjacency[u, v])
+        try:
+            return bool(self.adjacency[tuple(_vertices(self.n, (u, v), "vertex"))])
+        except ValueError:  # u or v is not a vertex
+            return False
 
     def is_source(self, u: int) -> bool:
         return not self.adjacency[:, self._vertex(u)].any()
 
     def _vertex(self, u: int) -> int:
-        """u, once checked to lie in 0..n-1; numpy would wrap a negative id."""
-        if not 0 <= u < self.n:
-            raise ValueError(f"vertex {u} out of range for n={self.n}")
-        return u
+        return _vertices(self.n, (u,), "vertex")[0]
 
     def is_tournament(self) -> bool:
         """True iff exactly one arc joins every pair of distinct vertices.
@@ -180,7 +180,7 @@ class Digraph:
         call and cached.
         """
         if self._automorphisms is None:
-            self._automorphisms = _search_automorphisms(self.distances().tolist())
+            self._automorphisms = _search_automorphisms(self.distances())
         return self._automorphisms[0]
 
     def automorphisms_truncated(self) -> bool:
@@ -193,10 +193,10 @@ class Digraph:
         """Induced subgraph on ``vertices``.
 
         Returns the subgraph (relabeled to ``0..k-1``) together with the
-        list mapping new ids back to the original ids.  An id outside
-        0..n-1 raises ValueError.
+        list mapping new ids back to the original ids.  An id that is not
+        a vertex raises ValueError.
         """
-        keep = sorted({self._vertex(v) for v in vertices})
+        keep = sorted(set(_vertices(self.n, vertices, "vertex")))
         sub = self.adjacency[np.ix_(keep, keep)]
         return Digraph(len(keep), sub), keep
 
@@ -212,11 +212,25 @@ class Digraph:
         return f"Digraph(n={self.n}, arcs={self.arc_count})"
 
 
+def _is_int(kind: type) -> bool:
+    """Whether the type's values are integers: numpy's count, bool does not."""
+    return kind is not bool and issubclass(kind, (int, np.integer))
+
+
+def _vertices(n: int, values: Iterable, what: str) -> list[int]:
+    """The values as Python ints; ValueError, naming ``what``, at the first
+    that is not an integer in 0..n-1 (numpy would read a bool as a mask)."""
+    vertices = []
+    for v in values:
+        if not (_is_int(type(v)) and 0 <= v < n):
+            raise ValueError(f"{what} {v} out of range for n={n}")
+        vertices.append(int(v))
+    return vertices
+
+
 def _check_integers(values: Iterable, what: str) -> None:
-    """Raise unless every value is an integer (numpy integers count, bool
-    does not), naming the other types found."""
-    kinds = set(map(type, values))
-    odd = [t.__name__ for t in kinds if t is bool or not issubclass(t, (int, np.integer))]
+    """Raise unless every value is :func:`_is_int`, naming the other types."""
+    odd = [t.__name__ for t in set(map(type, values)) if not _is_int(t)]
     if odd:
         raise ValueError(f"{what} must be integers, not {', '.join(sorted(odd))}")
 
@@ -268,11 +282,9 @@ class _NodeBudgetSpent(Exception):
     :data:`MAX_AUTOMORPHISM_NODES` nodes."""
 
 
-def _search_automorphisms(
-    dist: list[list[int]],
-) -> tuple[tuple[tuple[int, ...], ...], bool]:
+def _search_automorphisms(dist: np.ndarray) -> tuple[tuple[tuple[int, ...], ...], bool]:
     """The maps :meth:`Digraph.automorphisms` keeps, and whether a
-    budget cut the search short, from the distance array as nested lists.
+    budget cut the search short, from the distance array.
 
     A coset search along the base 0..n-1.  Images are assigned in vertex
     order with forward checking.  The pair (d(w, x), d(x, w)), unreachable
@@ -393,19 +405,15 @@ def _search_automorphisms(
     return tuple(map(tuple, group.tolist())), truncated
 
 
-def _pair_codes(dist: list[list[int]]) -> tuple[list[list[int]], int]:
+def _pair_codes(dist: np.ndarray) -> tuple[list[list[int]], int]:
     """codes[w][x], the rank of the pair (d(w, x), d(x, w)), unreachable
     read as n, among the C distinct pairs of the distance array; and C."""
     n = len(dist)
-    d = np.minimum(np.array(dist, dtype=np.int64).reshape(n, n), n)
+    d = np.minimum(np.asarray(dist, dtype=np.int64), n)
     pairs = (d * (n + 1) + d.T).ravel()
     order = np.argsort(pairs)
-    ranked = pairs[order]
-    new = np.empty(len(pairs), dtype=np.int64)  # 1 where a new pair starts
-    new[:1] = 0
-    new[1:] = ranked[1:] != ranked[:-1]
     codes = np.empty_like(pairs)
-    codes[order] = np.cumsum(new)
+    codes[order] = np.cumsum(_run_starts(pairs[order])) - 1
     return codes.reshape(n, n).tolist(), int(codes.max(initial=-1)) + 1
 
 
@@ -422,6 +430,15 @@ def _transversal(
                 reps[g[u]] = tuple(g[x] for x in reps[u])
                 queue.append(g[u])
     return reps
+
+
+def _run_starts(ranked: np.ndarray) -> np.ndarray:
+    """Where each run of equal values of a sorted 1-d array starts, as a bool
+    mask: with the sort, ``np.unique`` without its first call's megabytes of RSS."""
+    starts = np.empty(len(ranked), dtype=bool)
+    starts[:1] = True  # preset: a tenth of the time of np.diff(prepend=...)
+    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    return starts
 
 
 @functools.lru_cache(maxsize=1)
@@ -492,10 +509,7 @@ def all_pairs_distances(g: Digraph) -> np.ndarray:
             step = np.repeat(sources * n, steps) + heads[arcs]
             step = step[flat[step] == 0]
             step.sort()
-            first = np.empty(len(step), dtype=bool)
-            first[:1] = True
-            np.not_equal(step[1:], step[:-1], out=first[1:])
-            frontier = step[first]
+            frontier = step[_run_starts(step)]
             flat[frontier] = n + level
             count = len(frontier)
         else:

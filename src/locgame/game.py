@@ -63,7 +63,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .digraph import INF, UNREACHABLE, BudgetExceededError, Digraph
+from .digraph import INF, UNREACHABLE, BudgetExceededError, Digraph, _is_int, _run_starts, _vertices
 
 MAX_SOLVER_VERTICES = 24  # two 12-bit step chunks, three map bytes; see _byte_tables
 MAX_PROBE_SETS = 1_000_000
@@ -87,16 +87,14 @@ def partition_by_probe(
 
     A vector holds ints, and INF where the candidate is unreachable from a
     probe vertex.  Returned classes are ordered by vector (unreachable sorts
-    last), so the output is deterministic.  A candidate outside 0..n-1
-    raises ValueError.
+    last), so the output is deterministic.  A candidate that is not a
+    vertex raises ValueError.
     """
     probe = _normalize_probe(probe, g.n)
     rows = g.distances()[list(probe)]
     columns = rows.T.tolist()
     cells: dict[tuple[int, ...], list[int]] = {}
-    for x in candidates:
-        if not 0 <= x < g.n:
-            raise ValueError(f"candidate {x} out of range for n={g.n}")
+    for x in _vertices(g.n, candidates, "candidate"):
         cells.setdefault(tuple(columns[x]), []).append(x)
     vectors = sorted(cells)
     if UNREACHABLE in rows:
@@ -108,24 +106,22 @@ def partition_by_probe(
 
 
 def robber_step(g: Digraph, vertices: Iterable[int]) -> frozenset[int]:
-    """One robber move: union of closed out-neighborhoods.  A vertex
-    outside 0..n-1 raises ValueError."""
-    vertices = list(vertices)
-    for x in vertices:
-        if not 0 <= x < g.n:
-            raise ValueError(f"candidate {x} out of range for n={g.n}")
+    """One robber move: union of closed out-neighborhoods; a non-vertex raises ValueError."""
+    vertices = _vertices(g.n, vertices, "candidate")
     return frozenset(vertices + g.adjacency[vertices].nonzero()[1].tolist())
 
 
 def _normalize_probe(probe: Sequence[int], n: int) -> tuple[int, ...]:
-    ps = tuple(sorted(probe))
+    # values that are no integers sort first, so no two of them are compared
+    ps = tuple(sorted(probe, key=lambda v: v if _is_int(type(v)) else -math.inf))
     if not ps:
         raise ProbeError("probe must contain at least one vertex")
     if len(set(ps)) != len(ps):
         raise ProbeError(f"probe {ps} places two cops on one vertex")
-    if ps[0] < 0 or ps[-1] >= n:
-        raise ProbeError(f"probe {ps} out of range for n={n}")
-    return ps
+    try:
+        return tuple(_vertices(n, ps, "probe vertex"))
+    except ValueError:
+        raise ProbeError(f"probe {ps} out of range for n={n}") from None
 
 
 def _hash_constants(count: int) -> np.ndarray:
@@ -151,9 +147,7 @@ def _first_rows(a: np.ndarray) -> np.ndarray:
     the columns, so the result is always exact."""
     key = a @ _HASH[: a.shape[1]]
     order = np.argsort(key)  # unstable: a run of equal keys is in any order
-    ranked = key[order]
-    starts = np.ones(len(a), dtype=bool)
-    starts[1:] = ranked[1:] != ranked[:-1]
+    starts = _run_starts(key[order])
     repeated = ~starts[1:]
     later, earlier = order[1:][repeated], order[:-1][repeated]
     if len(later) and any((column[later] != column[earlier]).any() for column in a.T):
@@ -384,8 +378,14 @@ class LocalizationSolver:
     # -- public API --------------------------------------------------------
 
     def wins(self, candidates: Iterable[int] | int) -> bool:
-        """Can k cops force a unique candidate starting from this set?"""
-        mask = candidates if isinstance(candidates, int) else self._mask(candidates)
+        """Can k cops force a unique candidate starting from this set?  An
+        int, numpy's too, is the set's bit mask; an iterable lists its vertices."""
+        try:  # refused below unless a mask or an iterable of vertices; a bool is neither
+            mask = int(candidates) if _is_int(type(candidates)) else sum(
+                _BITS[v] for v in set(_vertices(self.g.n, candidates, "candidate"))
+            )
+        except (TypeError, ValueError):
+            mask = 0
         if not 0 < mask <= self._full:
             raise ValueError("candidate set must be a nonempty subset of V")
         self._build_partitions()
@@ -428,16 +428,6 @@ class LocalizationSolver:
             started = time.perf_counter()
             self._cells = _probe_partitions(self.g, self.k)
             self._init_s += time.perf_counter() - started
-
-    def _mask(self, vertices: Iterable[int]) -> int:
-        """The vertices' bit mask, or 0, which ``wins`` rejects, when one of
-        them lies outside 0..n-1."""
-        mask = 0
-        for v in vertices:
-            if not 0 <= v < self.g.n:
-                return 0
-            mask |= 1 << v
-        return mask
 
     def _representative(self, masks):
         """The least image of each mask under the kept automorphisms and
@@ -486,14 +476,10 @@ class LocalizationSolver:
             if blocking is None:
                 continue
             blocking = blocking[self._verdict[blocking] == 0]
-            # sort-based dedupe: the first np.unique call costs megabytes of RSS
             blocking.sort()
-            first = np.empty(len(blocking), dtype=bool)
-            first[:1] = True
-            np.not_equal(blocking[1:], blocking[:-1], out=first[1:])
             # a part is an image of its representative (the maps include their
             # inverses), so no part at 0 has an explored representative
-            new = sorted(set(self._representative(blocking[first]).tolist()))
+            new = sorted(set(self._representative(blocking[_run_starts(blocking)]).tolist()))
             if new:
                 self._mark_explored(new)
                 queue += new

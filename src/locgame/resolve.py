@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .digraph import Digraph, _check_bytes, _pair_index
+from .digraph import Digraph, _check_bytes, _pair_index, _vertices
 from .game import MAX_PROBE_SETS, BudgetExceededError, _level_rows, _lower_level
 from .hypergraph import Hypergraph
 
@@ -43,9 +43,7 @@ MAX_SEPARATION_BYTES = 1 << 28
 
 def is_resolving(g: Digraph, witnesses: Iterable[int]) -> bool:
     """True iff no two vertices share their distance vector from the witness set."""
-    ws = sorted(set(witnesses))
-    if any(not 0 <= w < g.n for w in ws):
-        raise ValueError(f"witnesses {ws} out of range")
+    ws = sorted(set(_vertices(g.n, witnesses, "witness")))
     return len(set(map(tuple, g.distances()[ws].T.tolist()))) == g.n
 
 

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .digraph import Digraph, _pair_index
+from .digraph import Digraph, _pair_index, _vertices
 
 
 def _require_tournament(g: Digraph) -> None:
@@ -44,6 +44,7 @@ def sameness(g: Digraph, u: int, v: int) -> Sameness:
     the rest; s = |same| and |same| + |diff| = n - 2.
     """
     _require_tournament(g)
+    u, v = _vertices(g.n, (u, v), "vertex")
     if u == v:
         raise ValueError("sameness needs two distinct vertices")
     # in a tournament the indicators toward z agree exactly when z is an

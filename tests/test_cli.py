@@ -14,7 +14,9 @@ from hypothesis import given, settings, strategies as st
 from locgame import paley_tournament, random_tournament, rotation_tournament, transitive_tournament
 from locgame import cli
 from locgame.cli import main
-from locgame.digraph import from_edge_list, from_json, to_edge_list, to_json, write_digraph
+from locgame.digraph import (
+    from_edge_list, from_json, read_digraph, to_edge_list, to_json, write_digraph,
+)
 
 from conftest import oriented_digraphs
 
@@ -57,6 +59,19 @@ class TestGen:
         code, out = run_cli(capsys, "gen", "d3", "2", "--format", "json")
         assert code == 0
         assert from_json(out).n == 6
+
+    @pytest.mark.parametrize("suffix", [".json", ".txt"])
+    def test_out_file_takes_the_format_its_suffix_names(self, capsys, tmp_path, suffix):
+        path = tmp_path / f"p7{suffix}"
+        assert run_cli(capsys, "gen", "paley", "7", "--out", str(path)) == (0, "")
+        assert read_digraph(path) == paley_tournament(7)
+        code, out = run_cli(capsys, "zeta", str(path))
+        assert code == 0 and json.loads(out)["zeta"] == 2
+
+    def test_format_overrides_the_suffix(self, capsys, tmp_path):
+        path = tmp_path / "p7.json"
+        run_cli(capsys, "gen", "paley", "7", "--format", "edgelist", "--out", str(path))
+        assert from_edge_list(path.read_text()) == paley_tournament(7)
 
     def test_binary_source_from_file(self, capsys, tmp_path):
         base = tmp_path / "base.txt"
